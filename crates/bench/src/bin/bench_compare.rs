@@ -7,31 +7,14 @@
 //!
 //! Tracked metrics and directions:
 //!
-//! * `throughput.tps` — must not drop more than the tolerance;
 //! * `pipeline.speedup` — pipelined vs serial-baseline blocks/s; must
 //!   not drop more than the tolerance;
-//! * `pipeline.vs_concurrent` — pipelined blocks/s (with the sharded
-//!   parallel apply) vs pipeline-off blocks/s on the same chain; must
-//!   not drop more than the tolerance, and additionally carries an
-//!   absolute floor of 1.1: whatever the baseline says, the pipeline +
-//!   parallel-commit stack must beat the synchronous committer by at
-//!   least 10% or the gate fails;
-//! * `pipeline.apply_speedup` — pipelined blocks/s with
-//!   `apply_workers = N` vs the same pipeline with the serial apply
-//!   (`apply_workers = 1`); isolates the worker pool. On single-core
-//!   CI this hovers near 1.0 (the apply is CPU-bound), so the gate is
-//!   baseline-relative only — it exists to catch the pool *costing*
-//!   throughput;
-//! * `pipeline.pipelined_commit_p95_ms` — p95 of the commit stage
-//!   (serial gate + apply) in pipelined mode; must not grow more than
+//! * `pipeline.pipelined_commit_p95_ms` — p95 of the serial commit
+//!   stage of the pipelined run; must not grow more than
 //!   the tolerance plus a fixed 1 ms grace (the usual 250 ms duration
 //!   slack would swamp a sub-millisecond percentile);
 //! * `catch_up.duration_ms` — must not grow more than the tolerance;
 //! * `failover.resume_ms` — must not grow more than the tolerance;
-//! * `tcp.tps` — committed throughput over the real-TCP deployment
-//!   surface; must not drop more than the tolerance;
-//! * `tcp.p95_latency_ms` — client-observed commit latency over TCP;
-//!   must not grow more than the tolerance;
 //! * `storage.cold_rows_per_s` — full-scan throughput with every heap
 //!   segment faulted from its slotted-page file through the buffer
 //!   pool; must not drop more than the tolerance;
@@ -58,9 +41,9 @@
 //! The tolerance defaults to ±20% (`BENCH_TOLERANCE`, a fraction).
 //! Millisecond metrics additionally get a small absolute slack
 //! (`BENCH_SLACK_MS`, default 250 ms) so scheduler jitter on loaded CI
-//! runners cannot fail the gate on a sub-second measurement; tps, the
-//! primary signal, gets no slack. Improvements never fail the gate —
-//! they print a hint to refresh the baseline.
+//! runners cannot fail the gate on a sub-second measurement; rates and
+//! ratios get no slack. Improvements never fail the gate — they print a
+//! hint to refresh the baseline.
 //!
 //! The JSON is the fixed shape `bench_smoke` emits, so parsing is a
 //! dependency-free scan: find the section object, then the key's number.
@@ -75,7 +58,7 @@ use std::process::ExitCode;
 /// The `bench_smoke` report schema this gate understands. Bump in the
 /// same commit as the `"schema"` tag in `bench_smoke.rs` — CI fails on
 /// any mismatch.
-const EXPECTED_SCHEMA: &str = "bcrdb-bench-smoke-v7";
+const EXPECTED_SCHEMA: &str = "bcrdb-bench-smoke-v8";
 
 /// Extract the top-level `"schema": "<tag>"` string from `json`.
 fn extract_schema(json: &str) -> Option<&str> {
@@ -128,8 +111,8 @@ fn env_f64(name: &str, default: f64) -> f64 {
 /// `slack` is an absolute grace added on top of the relative tolerance;
 /// `floor` is an absolute minimum (higher-is-better gates only) that
 /// applies regardless of the baseline — a relative tolerance alone
-/// would let a requirement like "vs_concurrent ≥ 1.1" erode one
-/// baseline refresh at a time.
+/// would let a requirement like "union_speedup ≥ 2" erode one baseline
+/// refresh at a time.
 struct Gate {
     section: &'static str,
     key: &'static str,
@@ -184,29 +167,8 @@ fn main() -> ExitCode {
 
     let gates = [
         Gate {
-            section: "throughput",
-            key: "tps",
-            higher_is_better: true,
-            slack: 0.0,
-            floor: None,
-        },
-        Gate {
             section: "pipeline",
             key: "speedup",
-            higher_is_better: true,
-            slack: 0.0,
-            floor: None,
-        },
-        Gate {
-            section: "pipeline",
-            key: "vs_concurrent",
-            higher_is_better: true,
-            slack: 0.0,
-            floor: Some(1.1),
-        },
-        Gate {
-            section: "pipeline",
-            key: "apply_speedup",
             higher_is_better: true,
             slack: 0.0,
             floor: None,
@@ -232,20 +194,6 @@ fn main() -> ExitCode {
         Gate {
             section: "failover",
             key: "resume_ms",
-            higher_is_better: false,
-            slack: slack_ms,
-            floor: None,
-        },
-        Gate {
-            section: "tcp",
-            key: "tps",
-            higher_is_better: true,
-            slack: 0.0,
-            floor: None,
-        },
-        Gate {
-            section: "tcp",
-            key: "p95_latency_ms",
             higher_is_better: false,
             slack: slack_ms,
             floor: None,
@@ -366,12 +314,10 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"{
-  "schema": "bcrdb-bench-smoke-v7",
-  "throughput": { "tps": 388.4, "committed": 1165, "aborted": 0 },
-  "pipeline": { "serial_bps": 45.0, "pipelined_bps": 150.0, "speedup": 3.3, "vs_concurrent": 1.2, "apply_workers": 4, "apply_serial_bps": 145.0, "apply_speedup": 1.03 },
-  "catch_up": { "blocks_fetched": 4, "duration_ms": 423.55, "fast_sync": false },
+  "schema": "bcrdb-bench-smoke-v8",
+  "pipeline": { "serial_bps": 45.0, "pipelined_bps": 150.0, "speedup": 3.3, "pipelined_commit_p95_ms": 0.41 },
+  "catch_up": { "blocks_fetched": 4, "committed": 13, "duration_ms": 423.55, "fast_sync": false },
   "failover": { "committed": 20, "resume_ms": 512.01, "view_changes": 1 },
-  "tcp": { "tps": 350.2, "committed": 1050, "aborted": 0, "p95_latency_ms": 98.5 },
   "storage": { "rows": 8193, "spilled_segments": 8, "cold_rows_per_s": 510000.5, "hot_rows_per_s": 2400000.0, "pages_written": 280, "pages_read": 280, "pages_evicted": 216, "pool_hit_rate": 0.4321 },
   "analytics": { "fact_rows": 20000, "seq_rows_per_s": 9100000.0, "union_lookups_per_s": 81000.0, "fullscan_or_lookups_per_s": 420.0, "union_speedup": 192.86, "covering_lookups_per_s": 30000.0, "heap_lookups_per_s": 21000.0, "covering_speedup": 1.429, "join_rows_per_s": 2100000.0, "contention_txns": 400, "ssi_abort_rate": 0.0 }
 }"#;
@@ -402,15 +348,14 @@ mod tests {
 
     #[test]
     fn extracts_nested_numbers() {
-        assert_eq!(extract(SAMPLE, "throughput", "tps"), Some(388.4));
         assert_eq!(extract(SAMPLE, "pipeline", "speedup"), Some(3.3));
-        assert_eq!(extract(SAMPLE, "pipeline", "apply_speedup"), Some(1.03));
-        assert_eq!(extract(SAMPLE, "pipeline", "apply_workers"), Some(4.0));
+        assert_eq!(
+            extract(SAMPLE, "pipeline", "pipelined_commit_p95_ms"),
+            Some(0.41)
+        );
         assert_eq!(extract(SAMPLE, "catch_up", "duration_ms"), Some(423.55));
         assert_eq!(extract(SAMPLE, "failover", "resume_ms"), Some(512.01));
         assert_eq!(extract(SAMPLE, "failover", "view_changes"), Some(1.0));
-        assert_eq!(extract(SAMPLE, "tcp", "tps"), Some(350.2));
-        assert_eq!(extract(SAMPLE, "tcp", "p95_latency_ms"), Some(98.5));
         assert_eq!(
             extract(SAMPLE, "storage", "cold_rows_per_s"),
             Some(510000.5)
@@ -430,8 +375,8 @@ mod tests {
             Some(2100000.0)
         );
         assert_eq!(extract(SAMPLE, "analytics", "ssi_abort_rate"), Some(0.0));
-        assert_eq!(extract(SAMPLE, "nope", "tps"), None);
-        assert_eq!(extract(SAMPLE, "throughput", "nope"), None);
+        assert_eq!(extract(SAMPLE, "nope", "speedup"), None);
+        assert_eq!(extract(SAMPLE, "pipeline", "nope"), None);
     }
 
     #[test]
@@ -451,7 +396,7 @@ mod tests {
     fn key_lookup_stays_inside_the_section() {
         // "committed" appears in two sections; each lookup must resolve
         // within its own object.
-        assert_eq!(extract(SAMPLE, "throughput", "committed"), Some(1165.0));
+        assert_eq!(extract(SAMPLE, "catch_up", "committed"), Some(13.0));
         assert_eq!(extract(SAMPLE, "failover", "committed"), Some(20.0));
     }
 }

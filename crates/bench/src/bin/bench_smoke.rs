@@ -1,13 +1,15 @@
-//! CI smoke benchmark: a quick throughput run, a serial-vs-pipelined
-//! block-commit comparison, a crash-and-rejoin catch-up scenario, an
-//! orderer-leader-failover scenario, a real-TCP deployment run, a
-//! paged-storage cold-vs-hot scan comparison, and a cost-based-planner
-//! analytics comparison (index union / covering scan / sort-merge join
-//! vs the old heuristic's plans), emitting one
+//! CI smoke benchmark: a serial-vs-pipelined block-commit comparison, a
+//! crash-and-rejoin catch-up scenario, an orderer-leader-failover
+//! scenario, a paged-storage cold-vs-hot scan comparison, and a
+//! cost-based-planner analytics comparison (index union / covering scan
+//! / sort-merge join vs the old heuristic's plans), emitting one
 //! machine-readable `BENCH_smoke.json` artifact so the perf trajectory
-//! (throughput, pipeline speedup, catch-up duration, failover recovery
-//! time, buffer-pool fault cost) is tracked run over run — and gated
-//! against `BENCH_baseline.json` by the `bench_compare` bin.
+//! (pipeline speedup, catch-up duration, failover recovery time,
+//! buffer-pool fault cost) is tracked run over run — and gated against
+//! `BENCH_baseline.json` by the `bench_compare` bin. End-to-end
+//! throughput and latency are the repo benchmark's job (`BENCHMARK.json`,
+//! `crates/bench/src/bin/benchmark/`), which saturates the system instead
+//! of echoing a fixed offered load.
 //!
 //! Output path: `$BENCH_OUT` or `./BENCH_smoke.json`. Runtime target is
 //! well under a minute — this is a trend line, not a rigorous benchmark.
@@ -16,7 +18,6 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bcrdb_bench::{run_open_loop, BenchNetwork, Workload, WorkloadKind};
 use bcrdb_chain::ledger::TxStatus;
 use bcrdb_common::value::Value;
 use bcrdb_core::{Call, Network, NetworkConfig};
@@ -25,18 +26,13 @@ use bcrdb_ordering::OrderingConfig;
 use bcrdb_txn::ssi::Flow;
 
 fn main() {
-    // `BENCH_PHASES=pipeline,throughput` runs a subset (local tuning /
+    // `BENCH_PHASES=pipeline,storage` runs a subset (local tuning /
     // CI triage); skipped phases emit `null` and their gates report the
     // metric as missing.
     let only: Option<Vec<String>> = std::env::var("BENCH_PHASES")
         .ok()
         .map(|v| v.split(',').map(|s| s.trim().to_string()).collect());
     let want = |name: &str| only.as_ref().is_none_or(|v| v.iter().any(|p| p == name));
-    let throughput = if want("throughput") {
-        throughput_phase()
-    } else {
-        "null".into()
-    };
     let pipeline = if want("pipeline") {
         pipeline_phase()
     } else {
@@ -52,11 +48,6 @@ fn main() {
     } else {
         "null".into()
     };
-    let tcp = if want("tcp") {
-        tcp_phase()
-    } else {
-        "null".into()
-    };
     let storage = if want("storage") {
         storage_phase()
     } else {
@@ -69,9 +60,9 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"schema\": \"bcrdb-bench-smoke-v7\",\n  \"throughput\": {throughput},\n  \
-         \"pipeline\": {pipeline},\n  \"catch_up\": {catch_up},\n  \"failover\": {failover},\n  \
-         \"tcp\": {tcp},\n  \"storage\": {storage},\n  \"analytics\": {analytics}\n}}\n"
+        "{{\n  \"schema\": \"bcrdb-bench-smoke-v8\",\n  \"pipeline\": {pipeline},\n  \
+         \"catch_up\": {catch_up},\n  \"failover\": {failover},\n  \
+         \"storage\": {storage},\n  \"analytics\": {analytics}\n}}\n"
     );
     let path = std::env::var("BENCH_OUT").unwrap_or_else(|_| "BENCH_smoke.json".into());
     std::fs::write(&path, &json).expect("write bench artifact");
@@ -81,7 +72,7 @@ fn main() {
 /// One run of the pipeline comparison: a pre-built chain fed straight
 /// into the node's block processor, so the block processor — exactly the
 /// subsystem the pipeline restructures — is the bottleneck, not the
-/// ordering service. Both modes process the identical chain.
+/// ordering service. Both runs process the identical chain.
 struct PipelineRun {
     blocks: u64,
     secs: f64,
@@ -89,7 +80,7 @@ struct PipelineRun {
     tps: f64,
     commit_p50_ms: f64,
     commit_p95_ms: f64,
-    /// Windowed average of the apply slice of the commit stage.
+    /// Windowed average of the write-set publish slice of the commit stage.
     apply_stage_ms: f64,
 }
 
@@ -110,19 +101,12 @@ const PIPE_BLOCK_TXS: u64 = 64;
 /// for the paper's PostgreSQL parse/plan/WAL overhead, giving the
 /// execution stage a realistic weight against the post-commit stage.
 const PIPE_MIN_EXEC_US: u64 = 1200;
-/// Tables the fixture's write sets spread across. The commit stage's
-/// parallel apply shards by (table, heap segment), so a multi-table
-/// write set is what gives `apply_workers > 1` distinct shards — one
-/// table × one block's rows lands in a single heap segment.
+/// Tables the fixture's write sets spread across.
 const PIPE_TABLES: u64 = 8;
 /// Payload bytes per row: write-set hashing, ledger appends and the
 /// group fsync all scale with this, which is exactly the post-commit
-/// work the pipeline overlaps and the apply pool shards.
+/// work the pipeline overlaps.
 const PIPE_PAYLOAD: usize = 2 * 1024;
-/// Apply workers for the parallel-apply run (explicit, not
-/// core-derived: CI runners are often single-core, and the point is to
-/// exercise the sharded pool and measure its cost/benefit there too).
-const PIPE_APPLY_WORKERS: usize = 4;
 
 /// Deterministic identities + the pre-built chain shared by both runs.
 struct PipelineFixture {
@@ -162,8 +146,6 @@ fn pipeline_fixture() -> PipelineFixture {
                 // (write-set hashing, ledger records, group fsync) scales
                 // with written bytes, which is exactly the work the
                 // pipeline overlaps with the next block's execution.
-                // Round-robin over PIPE_TABLES tables so each block's
-                // write set spans several apply shards.
                 let args = vec![
                     Value::Int(n as i64),
                     Value::Text(format!("payload-{n}-{}", "x".repeat(PIPE_PAYLOAD))),
@@ -185,54 +167,30 @@ fn pipeline_fixture() -> PipelineFixture {
     PipelineFixture { certs, blocks }
 }
 
-/// The three block-processing configurations under comparison.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PipeMode {
-    /// The Ethereum-style order-then-serial-execute baseline (§5.1):
-    /// one transaction at a time, inline at its commit point.
-    Serial,
-    /// Concurrent execution, synchronous per-block commit (the
-    /// pre-pipeline default; `pipeline = false`).
-    Concurrent,
-    /// The staged commit pipeline (`pipeline = true`).
-    Pipelined,
-}
-
-impl PipeMode {
-    fn label(self) -> &'static str {
-        match self {
-            PipeMode::Serial => "serial",
-            PipeMode::Concurrent => "concurrent",
-            PipeMode::Pipelined => "pipelined",
-        }
-    }
-}
-
-fn pipeline_run(fixture: &PipelineFixture, mode: PipeMode, apply_workers: usize) -> PipelineRun {
+/// One pipeline-phase run: the staged commit pipeline, or — with
+/// `serial_execution` — the Ethereum-style order-then-serial-execute
+/// baseline (§5.1), one transaction at a time, inline at its commit point.
+fn pipeline_run(fixture: &PipelineFixture, serial_execution: bool) -> PipelineRun {
     use bcrdb_node::{Node, NodeConfig};
 
-    let dir = std::env::temp_dir().join(format!(
-        "bcrdb-bench-pipe-{}-{}-w{}",
-        std::process::id(),
-        mode.label(),
-        apply_workers
-    ));
+    let label = if serial_execution {
+        "serial"
+    } else {
+        "pipelined"
+    };
+    let dir = std::env::temp_dir().join(format!("bcrdb-bench-pipe-{}-{label}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
 
     let mut cfg = NodeConfig::new("org1/peer", "org1", Flow::OrderThenExecute);
-    cfg.pipeline = mode == PipeMode::Pipelined;
-    cfg.serial_execution = mode == PipeMode::Serial;
+    cfg.serial_execution = serial_execution;
     // Wide enough that the exec stage (sleep-dominated, overlappable)
     // never caps the pipeline: 64 tx × PIPE_MIN_EXEC_US / 32 keeps the
     // per-block pool floor below the commit thread's serial work, so
-    // pipelined-mode head waits stay near zero even on one core.
+    // head waits stay near zero even on one core.
     cfg.executor_threads = 32;
-    cfg.apply_workers = apply_workers;
     cfg.min_exec_micros = PIPE_MIN_EXEC_US;
-    // Durable store so the comparison includes the group-fsync effect:
-    // serial mode pays a sync_data per appended block on the commit
-    // path, the pipeline batches syncs on the post-commit worker.
+    // Durable store so both runs pay the group fsync before notifying.
     cfg.fsync = true;
     cfg.data_dir = Some(dir.clone());
     let node = Node::new(cfg, Arc::clone(&fixture.certs), vec!["org1".into()]).expect("node");
@@ -245,51 +203,7 @@ fn pipeline_run(fixture: &PipelineFixture, mode: PipeMode, apply_workers: usize)
             )
         })
         .collect();
-    for stmt in bcrdb_sql::parse_statements(&ddl).expect("ddl") {
-        match stmt {
-            bcrdb_sql::ast::Statement::CreateTable { .. } => {}
-            bcrdb_sql::ast::Statement::CreateFunction(def) => {
-                node.contracts().install(def).expect("contract");
-                continue;
-            }
-            _ => continue,
-        }
-        // CreateTable: materialize via the schema helper.
-        if let bcrdb_sql::ast::Statement::CreateTable {
-            name,
-            columns,
-            primary_key,
-        } = stmt
-        {
-            let cols: Vec<bcrdb_common::schema::Column> = columns
-                .iter()
-                .map(|c| bcrdb_common::schema::Column {
-                    name: c.name.clone(),
-                    dtype: c.dtype,
-                    nullable: c.nullable && !c.inline_pk,
-                })
-                .collect();
-            let mut pk: Vec<usize> = columns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.inline_pk)
-                .map(|(i, _)| i)
-                .collect();
-            if !primary_key.is_empty() {
-                pk = primary_key
-                    .iter()
-                    .map(|n| {
-                        columns
-                            .iter()
-                            .position(|c| &c.name == n)
-                            .expect("pk column")
-                    })
-                    .collect();
-            }
-            let schema = bcrdb_common::schema::TableSchema::new(name, cols, pk).expect("schema");
-            node.catalog().create_table(schema).expect("table");
-        }
-    }
+    bcrdb_core::network::apply_bootstrap_sql(&node, &ddl, Flow::OrderThenExecute).expect("ddl");
 
     let (tx, rx) = crossbeam_channel::unbounded();
     node.start(rx);
@@ -313,15 +227,9 @@ fn pipeline_run(fixture: &PipelineFixture, mode: PipeMode, apply_workers: usize)
     let m = node.metrics().take();
     if std::env::var("BENCH_PIPE_DEBUG").is_ok() {
         eprintln!(
-            "debug[{}-w{}]: bpt {:.2} ms, bet {:.2} ms, commit {:.2} ms \
+            "debug[{label}]: bpt {:.2} ms, bet {:.2} ms, commit {:.2} ms \
              (apply {:.3} ms), post {:.2} ms",
-            mode.label(),
-            apply_workers,
-            m.bpt_ms,
-            m.bet_ms,
-            m.commit_stage_ms,
-            m.apply_stage_ms,
-            m.post_stage_ms
+            m.bpt_ms, m.bet_ms, m.commit_stage_ms, m.apply_stage_ms, m.post_stage_ms
         );
     }
     node.shutdown();
@@ -339,56 +247,33 @@ fn pipeline_run(fixture: &PipelineFixture, mode: PipeMode, apply_workers: usize)
 
 /// Serial vs pipelined block commit on the same pre-built chain — the
 /// headline number for the staged commit pipeline (execution of block
-/// N+1 and post-commit work of block N overlap the serial commit core).
+/// N+1 and post-commit work of block N overlap the serial commit core)
+/// against the paper's serial-execution baseline (§5.1).
 fn pipeline_phase() -> String {
     let fixture = pipeline_fixture();
-    // Best-of-N per mode: on loaded single-core CI runners, scheduler
+    // Best-of-N per run kind: on loaded single-core CI runners, scheduler
     // noise dwarfs the effect under test; the best run is the cleanest
-    // observation of each mode's capability on identical work.
+    // observation of each kind's capability on identical work.
     let runs = 3;
-    let best = |mode: PipeMode, workers: usize| {
+    let best = |serial_execution: bool| {
         (0..runs)
-            .map(|_| pipeline_run(&fixture, mode, workers))
+            .map(|_| pipeline_run(&fixture, serial_execution))
             .max_by(|a, b| a.bps.total_cmp(&b.bps))
             .expect("runs > 0")
     };
-    let serial = best(PipeMode::Serial, 1);
-    let concurrent = best(PipeMode::Concurrent, 1);
-    // The apply axis, isolated inside the pipelined mode: the same
-    // staged pipeline with the fully serial apply vs the sharded
-    // apply-worker pool.
-    let apply_serial = best(PipeMode::Pipelined, 1);
-    let pipelined = best(PipeMode::Pipelined, PIPE_APPLY_WORKERS);
-    // Headline: the staged pipeline vs the paper's serial-execution
-    // baseline (§5.1) on the same chain. The pipelined/concurrent ratio
-    // isolates this PR sequence's commit-path restructuring (pipeline +
-    // gated parallel apply) against the pre-pipeline synchronous
-    // committer; apply_speedup isolates the worker pool alone — on a
-    // single-core runner it hovers near 1.0 (the apply is CPU-bound),
-    // on real hardware it tracks the apply share of the commit stage.
+    // Pipelined first: the serial runs are 3.5 s of 1.2 ms sleeps each and
+    // leave the cores clocked down, and a 0.2 s pipelined run right behind
+    // them measures the ramp-up (10–25 % low, and noisy).
+    let pipelined = best(false);
+    let serial = best(true);
     let speedup = if serial.bps > 0.0 {
         pipelined.bps / serial.bps
     } else {
         0.0
     };
-    let vs_concurrent = if concurrent.bps > 0.0 {
-        pipelined.bps / concurrent.bps
-    } else {
-        0.0
-    };
-    let apply_speedup = if apply_serial.bps > 0.0 {
-        pipelined.bps / apply_serial.bps
-    } else {
-        0.0
-    };
-    for (mode, run) in [
-        ("serial", &serial),
-        ("concurrent", &concurrent),
-        ("apply=1", &apply_serial),
-        ("pipelined", &pipelined),
-    ] {
+    for (kind, run) in [("serial", &serial), ("pipelined", &pipelined)] {
         println!(
-            "pipeline: {mode:<10} {:>6.1} blocks/s ({} blocks in {:.2}s, {:>6.0} tx/s, \
+            "pipeline: {kind:<10} {:>6.1} blocks/s ({} blocks in {:.2}s, {:>6.0} tx/s, \
              commit p50/p95 {:.2}/{:.2} ms, apply {:.3} ms)",
             run.bps,
             run.blocks,
@@ -399,61 +284,23 @@ fn pipeline_phase() -> String {
             run.apply_stage_ms
         );
     }
-    println!(
-        "pipeline: pipelined vs serial {speedup:.2}x, vs concurrent {vs_concurrent:.2}x, \
-         apply 1-vs-{PIPE_APPLY_WORKERS} {apply_speedup:.2}x"
-    );
+    println!("pipeline: pipelined vs serial {speedup:.2}x");
     format!(
-        "{{ \"serial_bps\": {:.2}, \"concurrent_bps\": {:.2}, \"pipelined_bps\": {:.2}, \
-         \"speedup\": {:.3}, \"vs_concurrent\": {:.3}, \
-         \"apply_workers\": {}, \"apply_serial_bps\": {:.2}, \"apply_speedup\": {:.3}, \
+        "{{ \"serial_bps\": {:.2}, \"pipelined_bps\": {:.2}, \"speedup\": {:.3}, \
          \"serial_tps\": {:.1}, \"pipelined_tps\": {:.1}, \
          \"serial_commit_p50_ms\": {:.3}, \"serial_commit_p95_ms\": {:.3}, \
-         \"apply_serial_commit_p50_ms\": {:.3}, \"apply_serial_commit_p95_ms\": {:.3}, \
          \"pipelined_commit_p50_ms\": {:.3}, \"pipelined_commit_p95_ms\": {:.3}, \
          \"pipelined_apply_stage_ms\": {:.3} }}",
         serial.bps,
-        concurrent.bps,
         pipelined.bps,
         speedup,
-        vs_concurrent,
-        PIPE_APPLY_WORKERS,
-        apply_serial.bps,
-        apply_speedup,
         serial.tps,
         pipelined.tps,
         serial.commit_p50_ms,
         serial.commit_p95_ms,
-        apply_serial.commit_p50_ms,
-        apply_serial.commit_p95_ms,
         pipelined.commit_p50_ms,
         pipelined.commit_p95_ms,
         pipelined.apply_stage_ms
-    )
-}
-
-/// Open-loop throughput of the OE flow with the simple contract on an
-/// instant network — the cheapest stable signal of protocol overhead.
-fn throughput_phase() -> String {
-    let mut cfg = NetworkConfig::quick(&["org1", "org2", "org3"], Flow::OrderThenExecute);
-    cfg.ordering = OrderingConfig::kafka(3, 64, Duration::from_millis(100));
-    cfg.executor_threads = 4;
-    let bench =
-        BenchNetwork::build(cfg, Workload::new(WorkloadKind::Simple, 0)).expect("build network");
-    let stats = run_open_loop(&bench, 400.0, Duration::from_secs(3), 1).expect("open loop");
-    bench.net.shutdown();
-    println!(
-        "throughput: {:.1} tx/s (committed {}, aborted {}, p95 {:.1} ms)",
-        stats.throughput, stats.committed, stats.aborted, stats.p95_latency_ms
-    );
-    format!(
-        "{{ \"tps\": {:.1}, \"committed\": {}, \"aborted\": {}, \"avg_latency_ms\": {:.2}, \
-         \"p95_latency_ms\": {:.2} }}",
-        stats.throughput,
-        stats.committed,
-        stats.aborted,
-        stats.avg_latency_ms,
-        stats.p95_latency_ms
     )
 }
 
@@ -592,116 +439,6 @@ fn failover_phase() -> String {
         resume_ms,
         stats.view_changes,
         stats.current_view
-    )
-}
-
-/// Real-TCP deployment phase: a 4-node / 4-orderer localhost cluster
-/// (in-process services behind real sockets — the surface `bcrdb-node`
-/// serves) driven open-loop by per-connection TCP clients. Measures the
-/// full deployment path end to end: length-prefixed framing,
-/// per-connection frontend workers, server-push notifications.
-fn tcp_phase() -> String {
-    use bcrdb_core::{tcp_client, ClusterSpec, TcpCluster};
-
-    const CONNECTIONS: usize = 8;
-    const OFFERED_TPS: f64 = 400.0;
-    const SECS: f64 = 3.0;
-
-    let spec = ClusterSpec::new(
-        &["org1", "org2", "org3", "org4"],
-        Flow::ExecuteOrderParallel,
-    );
-    let cluster = TcpCluster::launch(spec, None).expect("tcp cluster");
-    let addrs = cluster.client_addrs().to_vec();
-    let spec = Arc::new(cluster.spec().clone());
-
-    let start = Instant::now();
-    let window = Duration::from_secs_f64(SECS);
-    let window_end = start + window;
-    let drain_deadline = window_end + Duration::from_secs(15);
-    let interval = Duration::from_secs_f64(CONNECTIONS as f64 / OFFERED_TPS);
-
-    let workers: Vec<_> = (0..CONNECTIONS)
-        .map(|i| {
-            let spec = Arc::clone(&spec);
-            let addr = addrs[i % addrs.len()].clone();
-            std::thread::spawn(move || {
-                let norgs = spec.orgs.len();
-                let org = spec.orgs[i % norgs].clone();
-                let user = ClusterSpec::bench_user(i / norgs);
-                let client = tcp_client(&spec, &org, &user, &addr).expect("tcp client");
-                // Latencies are observed on a dedicated collector so the
-                // open-loop submitter's pacing never delays them.
-                let (q_tx, q_rx) = std::sync::mpsc::channel::<(Instant, bcrdb_core::PendingTx)>();
-                let collector = std::thread::spawn(move || {
-                    let (mut committed, mut in_window, mut aborted) = (0u64, 0u64, 0u64);
-                    let mut lats = Vec::new();
-                    for (at, pending) in q_rx.iter() {
-                        let left = drain_deadline
-                            .saturating_duration_since(Instant::now())
-                            .max(Duration::from_millis(1));
-                        match pending.wait(left) {
-                            Ok(n) if matches!(n.status, TxStatus::Committed) => {
-                                committed += 1;
-                                if Instant::now() <= window_end {
-                                    in_window += 1;
-                                }
-                                lats.push(at.elapsed().as_secs_f64() * 1000.0);
-                            }
-                            Ok(_) => aborted += 1,
-                            Err(_) => {}
-                        }
-                    }
-                    (committed, in_window, aborted, lats)
-                });
-                let mut n: u64 = 0;
-                while Instant::now() < window_end {
-                    let id = (i as i64) + (n as i64) * CONNECTIONS as i64;
-                    n += 1;
-                    let call = client
-                        .call("bench_tx")
-                        .arg(id)
-                        .arg(id % 1000)
-                        .arg(id % 77)
-                        .arg(format!("payload-{id}"))
-                        .arg(id as f64 * 0.5);
-                    if let Ok(p) = call.submit() {
-                        let _ = q_tx.send((Instant::now(), p));
-                    }
-                    let next = start + interval.mul_f64(n as f64);
-                    let now = Instant::now();
-                    if next > now {
-                        std::thread::sleep(next - now);
-                    }
-                }
-                drop(q_tx);
-                collector.join().expect("collector")
-            })
-        })
-        .collect();
-
-    let (mut committed, mut in_window, mut aborted) = (0u64, 0u64, 0u64);
-    let mut lats = Vec::new();
-    for w in workers {
-        let (c, iw, a, l) = w.join().expect("worker");
-        committed += c;
-        in_window += iw;
-        aborted += a;
-        lats.extend(l);
-    }
-    cluster.shutdown();
-
-    lats.sort_by(|a, b| a.total_cmp(b));
-    let tps = in_window as f64 / SECS;
-    let p95 = if lats.is_empty() {
-        0.0
-    } else {
-        lats[(lats.len() * 95 / 100).min(lats.len() - 1)]
-    };
-    println!("tcp: {tps:.1} tx/s over real sockets (committed {committed}, p95 {p95:.1} ms)");
-    format!(
-        "{{ \"tps\": {tps:.1}, \"committed\": {committed}, \"aborted\": {aborted}, \
-         \"p95_latency_ms\": {p95:.2} }}"
     )
 }
 

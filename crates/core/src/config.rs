@@ -74,18 +74,6 @@ pub struct NetworkConfig {
     /// instead of blocks; 0 disables fast-sync. See
     /// `NodeConfig::snapshot_lag_threshold`.
     pub snapshot_lag_threshold: u64,
-    /// Pipelined block commit on every node: overlap execution,
-    /// the serial commit core and post-commit work across consecutive
-    /// blocks. See `NodeConfig::pipeline`. Defaults to on; the
-    /// `BCRDB_PIPELINE` environment variable (`off`/`0`/`false`)
-    /// disables it network-wide for A/B runs and the CI test matrix.
-    pub pipeline: bool,
-    /// Write-set apply workers per node for the commit stage; `1`
-    /// restores the fully serial apply. See `NodeConfig::apply_workers`.
-    /// Defaults from the `BCRDB_APPLY` environment variable
-    /// (`serial`/`off`/`1` forces serial, a number sets the pool size,
-    /// unset uses the core count) for A/B runs and the CI test matrix.
-    pub apply_workers: usize,
     /// Run each node's maintenance vacuum every N blocks (0 = never);
     /// see `NodeConfig::vacuum_interval`.
     pub vacuum_interval: u64,
@@ -130,8 +118,6 @@ impl NetworkConfig {
             gap_timeout: Duration::from_secs(1),
             sync_batch: 64,
             snapshot_lag_threshold: 512,
-            pipeline: bcrdb_node::pipeline_enabled_by_env(),
-            apply_workers: bcrdb_node::apply_workers_by_env(),
             vacuum_interval: 0,
             paged: false,
             buffer_pool_frames: bcrdb_node::pool_frames_by_env(),
@@ -162,7 +148,6 @@ mod tests {
         assert_eq!(c.client_transport, TransportKind::InProcess);
         assert!(c.client_window >= 1);
         assert!(c.statement_cache_cap >= 1);
-        assert!(c.apply_workers >= 1);
         let p = NetworkConfig::paper_default(&["a", "b", "c"], Flow::ExecuteOrderParallel, 100);
         assert_eq!(p.ordering.orderers, 3);
         assert_eq!(p.ordering.block_size, 100);

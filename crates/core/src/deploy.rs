@@ -666,9 +666,6 @@ pub fn run_node_process(cluster: &ClusterSpec, spec: NodeSpec) -> Result<NodePro
         cfg.page_dir = spec.data_dir.as_ref().map(|d| d.join("pages"));
         cfg.buffer_pool_frames = spec.pool_frames.max(1);
     }
-    // pipeline and apply_workers stay at the NodeConfig::new defaults,
-    // which read BCRDB_PIPELINE / BCRDB_APPLY — per-process env is the
-    // natural per-node knob for a process-granular deployment.
     let node = Node::new(cfg, Arc::clone(&certs), cluster.orgs.clone())?;
     system::bootstrap_node(&node)?;
     if let Some(genesis) = &cluster.genesis_sql {

@@ -610,8 +610,6 @@ fn launch_node(
     node_cfg.gap_timeout = config.gap_timeout;
     node_cfg.sync_batch = config.sync_batch;
     node_cfg.snapshot_lag_threshold = config.snapshot_lag_threshold;
-    node_cfg.pipeline = config.pipeline;
-    node_cfg.apply_workers = config.apply_workers;
     node_cfg.vacuum_interval = config.vacuum_interval;
     node_cfg.data_dir = config.data_root.as_ref().map(|root| root.join(org));
     if config.paged {
@@ -816,8 +814,9 @@ fn launch_node(
 
 /// Apply bootstrap DDL (tables, indexes, contracts) on one node.
 /// Shared with the TCP deployment ([`crate::deploy`]), which applies
-/// the same genesis on every node process.
-pub(crate) fn apply_bootstrap_sql(node: &Arc<Node>, sql: &str, flow: Flow) -> Result<()> {
+/// the same genesis on every node process, and with tests that build a
+/// stand-alone replay node carrying a network's genesis.
+pub fn apply_bootstrap_sql(node: &Arc<Node>, sql: &str, flow: Flow) -> Result<()> {
     let stmts = bcrdb_sql::parse_statements(sql)?;
     let rules = match flow {
         Flow::OrderThenExecute => DeterminismRules::order_then_execute(),

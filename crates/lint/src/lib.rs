@@ -74,7 +74,6 @@ const DETERMINISM_CRATES: &[&str] = &["ordering", "txn", "chain", "engine"];
 const DETERMINISM_FILES: &[&str] = &[
     "crates/node/src/processor.rs",
     "crates/node/src/commit/mod.rs",
-    "crates/node/src/commit/apply.rs",
     // Paged storage: page images, spill/fault, and snapshot carry all
     // feed replicated state hashes, so hash-order iteration or clock
     // reads here diverge across nodes just like commit-path code.

@@ -1,13 +1,6 @@
-//! Lock-order guard for the parallel commit path.
-//!
-//! The apply-worker pool (`crates/node/src/commit/apply.rs`) runs while
-//! the block processor holds the commit stage, and the executor pool's
-//! `node::waiting` lock gates the release of parked executions right
-//! after the apply barrier. A nested acquisition coupling the pool's
-//! run-state locks with `node::waiting` (in either direction) is one
-//! refactor away from a commit-thread/worker deadlock — so beyond the
-//! global acyclicity check, this test pins the apply locks to be
-//! leaf-only: no edge in the workspace lock graph touches them at all.
+//! Lock-order guards beyond the global acyclicity check: lock sites
+//! pinned to a position in the workspace lock graph because a nested
+//! acquisition there is one refactor away from a deadlock.
 
 use bcrdb_lint::{load_workspace, locks};
 use std::path::PathBuf;
@@ -18,9 +11,6 @@ fn workspace_root() -> PathBuf {
         .canonicalize()
         .expect("workspace root")
 }
-
-/// The apply pool's run-state lock sites, by lint key.
-const APPLY_LOCKS: &[&str] = &["node::out", "node::remaining"];
 
 #[test]
 fn lock_graph_is_acyclic() {
@@ -36,42 +26,6 @@ fn lock_graph_is_acyclic() {
             .map(|f| format!("  {f}"))
             .collect::<Vec<_>>()
             .join("\n")
-    );
-}
-
-#[test]
-fn apply_pool_locks_are_leaf_only() {
-    let files = load_workspace(&workspace_root()).expect("workspace scan");
-    let graph = locks::build_graph(&files);
-    // The apply locks exist (guards against a rename silently retiring
-    // this test)...
-    for key in APPLY_LOCKS {
-        let field = key.split("::").nth(1).unwrap();
-        let apply_src = files
-            .iter()
-            .find(|f| f.rel == "crates/node/src/commit/apply.rs")
-            .expect("apply.rs is part of the workspace");
-        assert!(
-            apply_src.raw.contains(&format!("{field}.lock()")),
-            "apply.rs no longer takes `{field}.lock()`; update APPLY_LOCKS"
-        );
-    }
-    // ...and appear in no lock-order edge whatsoever: they are only
-    // ever taken one at a time, never nested inside or around another
-    // lock — in particular never against the exec pool's
-    // `node::waiting`.
-    let offending: Vec<String> = graph
-        .edges
-        .iter()
-        .filter(|((a, b), _)| {
-            APPLY_LOCKS.contains(&a.as_str()) || APPLY_LOCKS.contains(&b.as_str())
-        })
-        .map(|((a, b), (file, line))| format!("{a} -> {b} at {file}:{line}"))
-        .collect();
-    assert!(
-        offending.is_empty(),
-        "apply-pool locks entered the lock-order graph:\n  {}",
-        offending.join("\n  ")
     );
 }
 

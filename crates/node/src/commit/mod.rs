@@ -1,37 +1,26 @@
-//! Stage 2 of the block processor: the serial validation gate followed
-//! by a deterministic — and, with `NodeConfig::apply_workers > 1`,
-//! parallel — write-set apply.
+//! Stage 2 of the block processor: the serial committing phase
+//! (§3.3.3, §3.4.3) — one loop over the block's transactions, in block
+//! order, on the commit thread.
 //!
-//! The paper serializes the whole committing phase; PR 5's pipeline kept
-//! that, which left stage 2 as the wall the pipeline cannot overlap
-//! past. This module splits the stage along the only line determinism
-//! allows:
+//! Each transaction is decided by the gate (`gate_one`, via
+//! `TxnCtx::validate_commit`): SSI commit check, primary-key check
+//! against storage, old-version deletion with ww-loser dooming, batched
+//! row-id reservation, catalog-op application. A committed transaction's
+//! write set is then published (`ApplyPlan::execute_all`) *before* the
+//! next transaction is decided, so same-block predecessors are live in
+//! storage and `Table::committed_pk_conflicts` is the only primary-key
+//! check there is.
 //!
-//! * **The gate** (`gate_one`, via `TxnCtx::validate_commit`) runs
-//!   strictly serially, in block order: SSI commit check, primary-key
-//!   check (storage plus the per-block overlay of not-yet-applied keys),
-//!   old-version deletion with ww-loser dooming, batched row-id
-//!   reservation, catalog-op application. Every one of these decisions
-//!   feeds the next transaction's decisions, so none can move off the
-//!   commit thread.
-//! * **The apply** ([`ApplyPool`]) executes the deferred
-//!   `commit_create`s and builds the write-set summaries. The gate fixed
-//!   every row id and every outcome first, each step touches only its
-//!   own version, and no step targets a version a same-block sibling
-//!   defers (pending versions are invisible at sibling snapshots) — so
-//!   the steps commute and any interleaving yields byte-identical state.
-//!   Summaries are written into slots indexed by canonical
-//!   (transaction, op) position and merged in that order for hashing,
-//!   so chains and checkpoints are independent of worker count.
+//! Publishing inline is deliberate. It is ~0.07 ms of a ~0.35 ms stage
+//! on a write-heavy block, less than handing the work to another thread
+//! costs, and deferring it would need a second primary-key mechanism for
+//! the rows not yet published (DESIGN.md, "The commit path", has the
+//! measurements).
 //!
-//! The apply barrier completes inside `commit_core` — before the
-//! committed height advances and before the next block's parked
+//! The whole block is applied before `commit_core` returns — and so
+//! before the committed height advances and the next block's parked
 //! executions are released — so readers at height N never observe a
 //! half-applied block N.
-
-mod apply;
-
-pub use apply::ApplyPool;
 
 use std::sync::Arc;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
@@ -46,66 +35,20 @@ use bcrdb_engine::procedures::ContractRegistry;
 use bcrdb_sql::validate::DeterminismRules;
 use bcrdb_storage::catalog::Catalog;
 use bcrdb_storage::stats::StatsDelta;
-use bcrdb_txn::context::{ApplyPlan, BlockPkOverlay, WriteRecord};
+use bcrdb_txn::context::{ApplyPlan, WriteRecord};
 use bcrdb_txn::ssi::Flow;
 
 use crate::exec_pool::ExecTask;
 use crate::node::Node;
 
-/// Stage 2: the serial validation gate over every transaction in block
-/// order, then the write-set apply (parallel when the node's
-/// [`ApplyPool`] has workers). Everything order-dependent happens in the
-/// gate; everything deferrable for stage 3 is returned. The caller
-/// decides when to advance the committed height — the apply has already
-/// completed by the time this returns.
+/// Stage 2: decide and apply every transaction in block order. With
+/// `serial_execution` (the §5.1 Ethereum-style baseline) each transaction
+/// is also *executed* here, inline, immediately before its commit point.
+/// Everything deferrable to stage 3 is returned — the ledger records, the
+/// write-set summary and the time spent in inline execution (µs; zero
+/// unless `serial_execution`). The caller decides when to advance the
+/// committed height.
 pub(crate) fn commit_core(
-    node: &Arc<Node>,
-    block: &Arc<Block>,
-) -> (Vec<LedgerRecord>, Vec<WriteRecord>) {
-    // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
-    let t0 = Instant::now();
-    let flow = node.config.flow;
-    let mut records = Vec::with_capacity(block.txs.len());
-    let mut plans: Vec<ApplyPlan> = Vec::new();
-    let mut overlay = BlockPkOverlay::new();
-    for (i, tx) in block.txs.iter().enumerate() {
-        let (record, plan) = gate_one(node, block, i as u32, tx, flow, &mut overlay);
-        node.mark_processed(tx.id);
-        records.push(record);
-        plans.extend(plan);
-    }
-    // The gate computed each committed transaction's statistics delta;
-    // detach them (the apply pool consumes the plans) in block order for
-    // the fold below.
-    let mut deltas: Vec<StatsDelta> = Vec::new();
-    for plan in &mut plans {
-        deltas.append(&mut plan.stats);
-    }
-    // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
-    let ta = Instant::now();
-    let writes = node.apply.run(plans);
-    node.env
-        .metrics
-        .on_apply_stage(ta.elapsed().as_micros() as u64);
-    // Fold and seal statistics after the apply barrier but before the
-    // caller advances the committed height: a reader at snapshot N must
-    // see the summary sealed at N, on every replica.
-    fold_stats(node, block.number, deltas);
-    // The commit-stage metric covers the whole stage (gate + apply) so
-    // the number stays comparable across apply_workers settings.
-    node.env
-        .metrics
-        .on_commit_stage(t0.elapsed().as_micros() as u64);
-    (records, writes)
-}
-
-/// Stage 2 variant for `serial_execution` (§5.1 Ethereum-style baseline):
-/// execute each transaction inline immediately before its commit point,
-/// and apply each write set inline too — the baseline is by definition
-/// free of any concurrency, whatever `apply_workers` says. Returns the
-/// records, the write-set summary and the accumulated inline execution
-/// time.
-pub(crate) fn commit_core_serial_exec(
     node: &Arc<Node>,
     block: &Arc<Block>,
 ) -> (Vec<LedgerRecord>, Vec<WriteRecord>, u64) {
@@ -115,34 +58,44 @@ pub(crate) fn commit_core_serial_exec(
     let exec_height = block.number - 1;
     let mut records = Vec::with_capacity(block.txs.len());
     let mut writes: Vec<WriteRecord> = Vec::new();
-    let mut overlay = BlockPkOverlay::new();
-    let mut bet_us = 0u64;
     let mut deltas: Vec<StatsDelta> = Vec::new();
+    let mut exec_us = 0u64;
+    let mut apply_us = 0u64;
     for (i, tx) in block.txs.iter().enumerate() {
-        let snap = effective_snapshot(tx, flow, exec_height);
-        if !node.is_processed(&tx.id) && snap <= exec_height && node.env.slots.try_claim(tx.id) {
-            // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
-            let te = Instant::now();
-            node.pool.run_inline(ExecTask {
-                tx: Arc::new(tx.clone()),
-                snapshot_height: snap,
-                mode: bcrdb_storage::snapshot::ScanMode::Relaxed,
-            });
-            bet_us += te.elapsed().as_micros() as u64;
+        if node.config.serial_execution {
+            let snap = effective_snapshot(tx, flow, exec_height);
+            if !node.is_processed(&tx.id) && snap <= exec_height && node.env.slots.try_claim(tx.id)
+            {
+                // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
+                let te = Instant::now();
+                node.pool.run_inline(ExecTask {
+                    tx: Arc::new(tx.clone()),
+                    snapshot_height: snap,
+                    mode: bcrdb_storage::snapshot::ScanMode::Relaxed,
+                });
+                exec_us += te.elapsed().as_micros() as u64;
+            }
         }
-        let (record, plan) = gate_one(node, block, i as u32, tx, flow, &mut overlay);
+        let (record, plan) = gate_one(node, block, i as u32, tx, flow);
         node.mark_processed(tx.id);
         records.push(record);
-        if let Some(mut p) = plan {
-            deltas.append(&mut p.stats);
-            writes.extend(p.execute_all());
+        if let Some(mut plan) = plan {
+            deltas.append(&mut plan.stats);
+            // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
+            let ta = Instant::now();
+            writes.extend(plan.execute_all());
+            apply_us += ta.elapsed().as_micros() as u64;
         }
     }
+    node.env.metrics.on_apply_stage(apply_us);
+    // Fold and seal statistics once the block is applied but before the
+    // caller advances the committed height: a reader at snapshot N must
+    // see the summary sealed at N, on every replica.
     fold_stats(node, block.number, deltas);
     node.env
         .metrics
-        .on_commit_stage(t0.elapsed().as_micros().saturating_sub(bet_us as u128) as u64);
-    (records, writes, bet_us)
+        .on_commit_stage((t0.elapsed().as_micros() as u64).saturating_sub(exec_us));
+    (records, writes, exec_us)
 }
 
 /// Fold the block's statistics deltas into the per-table statistics and
@@ -191,15 +144,14 @@ pub(crate) fn effective_snapshot(tx: &Transaction, flow: Flow, exec_height: u64)
 /// Serially decide one transaction (§3.3.3): the commit order is the order
 /// within the block, and every decision is a pure function of deterministic
 /// state — identical on all honest nodes. Returns the ledger record plus,
-/// when committed, the deferred apply plan whose execution the caller
-/// schedules (inline or on the [`ApplyPool`]).
+/// when committed, the apply plan, which the caller executes before
+/// deciding the next transaction.
 fn gate_one(
     node: &Arc<Node>,
     block: &Arc<Block>,
     index: u32,
     tx: &Transaction,
     flow: Flow,
-    overlay: &mut BlockPkOverlay,
 ) -> (LedgerRecord, Option<ApplyPlan>) {
     // bcrdb-lint: allow(wall-clock, reason = "commit_time_ms is node-local by design; state_hash() and the determinism suite exclude it")
     let now_ms = SystemTime::now()
@@ -270,7 +222,7 @@ fn gate_one(
         );
     }
 
-    match done.ctx.validate_commit(block.number, index, flow, overlay) {
+    match done.ctx.validate_commit(block.number, index, flow) {
         Ok(plan) => {
             for op in &done.catalog_ops {
                 if let Err(e) =

@@ -71,36 +71,11 @@ pub struct NodeConfig {
     /// `allow_snapshot`). 0 disables snapshot fast-sync on the serving
     /// side.
     pub snapshot_lag_threshold: u64,
-    /// Pipelined block commit (§3.3.2–§3.3.4 staging): overlap the
-    /// execution of block N+1 and the post-commit work of block N with
-    /// the serial commit phase, which keeps only the ordering-dependent
-    /// core (SSI check, PK check, write-set apply, row-id allocation) on
-    /// the commit thread. Off = fully synchronous per-block processing
-    /// (the pre-pipeline behavior). Ignored when `serial_execution` is
-    /// set — the §5.1 baseline is by definition free of any overlap.
-    /// Defaults to on, overridable with the `BCRDB_PIPELINE`
-    /// environment variable (see [`pipeline_enabled_by_env`]).
-    pub pipeline: bool,
-    /// Maximum blocks admitted into the pipeline (verified, appended and
-    /// execution-dispatched) ahead of the serial commit point. Minimum 1.
-    pub pipeline_depth: usize,
-    /// Maximum serially-committed blocks whose post-commit work (ledger
-    /// records, write-set hashing, checkpoint vote, notifications) may
-    /// still be queued on the post-commit worker before the commit
-    /// thread blocks — the pipeline's backpressure bound. Minimum 1.
-    pub postcommit_cap: usize,
     /// Run the maintenance vacuum every N blocks (0 = never), reclaiming
     /// row versions deleted at or before the checkpoint-retention
     /// horizon. Counted in `NodeMetrics` (`vacuum_runs` /
     /// `versions_reclaimed`).
     pub vacuum_interval: u64,
-    /// Worker threads for the parallel write-set apply behind the serial
-    /// validation gate (commit stage 2). `1` restores the fully serial
-    /// apply path; chains, checkpoints and state are byte-identical
-    /// either way. Defaults to the machine's available parallelism,
-    /// overridable with the `BCRDB_APPLY` environment variable (see
-    /// [`apply_workers_by_env`]).
-    pub apply_workers: usize,
     /// Directory for disk-backed paged table storage; `None` keeps every
     /// table fully in memory. When set, cold heap segments spill to 8 KB
     /// slotted-page files through a node-wide buffer pool (see
@@ -118,41 +93,6 @@ pub struct NodeConfig {
     /// `committed height − spill_retention`, which keeps SSI-relevant
     /// recent versions resident. Minimum 1.
     pub spill_retention: u64,
-}
-
-/// The default for [`NodeConfig::pipeline`], read from the
-/// `BCRDB_PIPELINE` environment variable: `off`, `0` or `false` disable
-/// the pipelined commit path (the CI test matrix runs tier-1 both ways);
-/// anything else — including unset — enables it.
-pub fn pipeline_enabled_by_env() -> bool {
-    !matches!(
-        std::env::var("BCRDB_PIPELINE").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
-}
-
-/// The default for [`NodeConfig::apply_workers`], read from the
-/// `BCRDB_APPLY` environment variable: `serial`, `off`, `0`, `1` or
-/// `false` force the single-threaded apply path (the CI test matrix runs
-/// tier-1 both ways); a number sets the worker count; anything else —
-/// including unset or `parallel` — uses the machine's available
-/// parallelism.
-pub fn apply_workers_by_env() -> usize {
-    match std::env::var("BCRDB_APPLY").as_deref() {
-        Ok("serial") | Ok("off") | Ok("0") | Ok("1") | Ok("false") => 1,
-        Ok(s) => s
-            .parse::<usize>()
-            .ok()
-            .filter(|n| *n >= 1)
-            .unwrap_or_else(default_apply_workers),
-        Err(_) => default_apply_workers(),
-    }
-}
-
-fn default_apply_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
 }
 
 /// The default for [`NodeConfig::buffer_pool_frames`], read from the
@@ -188,11 +128,7 @@ impl NodeConfig {
             gap_timeout: Duration::from_secs(1),
             sync_batch: 64,
             snapshot_lag_threshold: 512,
-            pipeline: pipeline_enabled_by_env(),
-            pipeline_depth: 4,
-            postcommit_cap: 8,
             vacuum_interval: 0,
-            apply_workers: apply_workers_by_env(),
             page_dir: None,
             buffer_pool_frames: pool_frames_by_env(),
             spill_retention: 64,

@@ -46,10 +46,7 @@ pub mod statements;
 pub mod sync;
 pub mod wire;
 
-pub use config::{
-    apply_workers_by_env, pipeline_enabled_by_env, pool_frames_by_env, NodeConfig, NodeHooks,
-    OrderingStatsHook, SyncFetchHook,
-};
+pub use config::{pool_frames_by_env, NodeConfig, NodeHooks, OrderingStatsHook, SyncFetchHook};
 pub use exec_pool::{NativeContract, NativeCtx};
 pub use frontend::{ClientRequest, ClientResponse, Frontend};
 pub use metrics::{MetricsSnapshot, NodeMetrics, OrderingSnapshot};

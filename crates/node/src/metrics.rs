@@ -38,12 +38,9 @@ pub struct NodeMetrics {
     // depth gauges reflect the moment of the snapshot.
     commit_stage_us: AtomicU64,
     commit_stage_blocks: AtomicU64,
-    // The apply slice of stage 2 (after the serial validation gate);
-    // windowed like commit_stage. The worker gauge is set once at node
-    // construction.
+    // The write-set publish slice of stage 2; windowed like commit_stage.
     apply_stage_us: AtomicU64,
     apply_stage_blocks: AtomicU64,
-    apply_workers: AtomicU64,
     post_stage_us: AtomicU64,
     post_stage_blocks: AtomicU64,
     pipeline_depth: AtomicU64,
@@ -122,25 +119,21 @@ pub struct MetricsSnapshot {
     /// Aborted transactions in the window.
     pub aborted: u64,
     /// Mean serial-commit (pipeline stage 2) time per block (ms). Covers
-    /// the whole stage: the serial validation gate plus the (possibly
-    /// parallel) write-set apply, so the number is comparable across
-    /// `apply_workers` settings.
+    /// the whole stage: every transaction's validation gate and write-set
+    /// publish, plus the statistics fold.
     pub commit_stage_ms: f64,
-    /// Mean write-set apply time per block (ms): the slice of stage 2
-    /// after the serial validation gate — the part `apply_workers`
-    /// parallelizes.
+    /// Mean write-set apply time per block (ms): the part of stage 2
+    /// spent publishing committed versions and building their write-set
+    /// summaries, summed over the block's transactions.
     pub apply_stage_ms: f64,
-    /// Apply-worker count the node was configured with (gauge; `1` means
-    /// the fully serial apply path).
-    pub apply_workers: u64,
     /// Mean post-commit (pipeline stage 3: ledger, hashing, checkpoint
     /// vote, notifications) time per block (ms).
     pub post_stage_ms: f64,
     /// Blocks admitted to the pipeline but not yet serially committed
-    /// (gauge at snapshot time; 0 when the pipeline is disabled).
+    /// (gauge at snapshot time).
     pub pipeline_depth: u64,
     /// Blocks serially committed but with post-commit work still queued
-    /// (gauge at snapshot time; 0 when the pipeline is disabled).
+    /// (gauge at snapshot time).
     pub postcommit_depth: u64,
     /// True when the block processor halted on a rejected block and the
     /// node stopped committing (§3.5(4)); sticky until restart.
@@ -151,7 +144,7 @@ pub struct MetricsSnapshot {
     /// Post-commit watermark at snapshot time: the highest block whose
     /// ledger records, checkpoint hash and notifications are fully
     /// applied. Trails `committed_height` by at most
-    /// `NodeConfig::postcommit_cap` while the pipeline is busy — a
+    /// `processor::POSTCOMMIT_CAP` while the pipeline is busy — a
     /// remote client that needs height-gated *ledger* reads can gate on
     /// this instead of `ChainHeight` (gauge; populated like
     /// `committed_height`).
@@ -225,7 +218,6 @@ pub const METRICS_WIRE_SLOTS: &[&str] = &[
     "aborted",
     "commit_stage_ms",
     "apply_stage_ms",
-    "apply_workers",
     "post_stage_ms",
     "pipeline_depth",
     "postcommit_depth",
@@ -277,7 +269,6 @@ impl NodeMetrics {
             commit_stage_blocks: AtomicU64::new(0),
             apply_stage_us: AtomicU64::new(0),
             apply_stage_blocks: AtomicU64::new(0),
-            apply_workers: AtomicU64::new(1),
             post_stage_us: AtomicU64::new(0),
             post_stage_blocks: AtomicU64::new(0),
             pipeline_depth: AtomicU64::new(0),
@@ -350,16 +341,11 @@ impl NodeMetrics {
         ring.push_back(us);
     }
 
-    /// One block finished the write-set apply slice of its serial-commit
-    /// stage; duration in microseconds.
+    /// One block finished its serial-commit stage having spent `us`
+    /// microseconds publishing write sets.
     pub fn on_apply_stage(&self, us: u64) {
         self.apply_stage_us.fetch_add(us, Ordering::Relaxed);
         self.apply_stage_blocks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record the node's configured apply-worker count (gauge).
-    pub fn set_apply_workers(&self, n: u64) {
-        self.apply_workers.store(n, Ordering::Relaxed);
     }
 
     /// One block finished its post-commit stage (stage 3); duration in
@@ -553,7 +539,6 @@ impl NodeMetrics {
             } else {
                 0.0
             },
-            apply_workers: self.apply_workers.load(Ordering::Relaxed),
             post_stage_ms: if post_blocks > 0 {
                 post_us as f64 / post_blocks as f64 / 1000.0
             } else {
@@ -629,11 +614,9 @@ mod tests {
         m.on_apply_stage(1_500);
         m.on_post_stage(10_000);
         m.set_pipeline_depths(3, 2);
-        m.set_apply_workers(4);
         let s = m.take();
         assert!((s.commit_stage_ms - 3.0).abs() < 1e-9);
         assert!((s.apply_stage_ms - 1.0).abs() < 1e-9);
-        assert_eq!(s.apply_workers, 4);
         assert!((s.post_stage_ms - 10.0).abs() < 1e-9);
         assert_eq!(s.pipeline_depth, 3);
         assert_eq!(s.postcommit_depth, 2);
@@ -642,7 +625,6 @@ mod tests {
         let s2 = m.take();
         assert_eq!(s2.commit_stage_ms, 0.0);
         assert_eq!(s2.apply_stage_ms, 0.0);
-        assert_eq!(s2.apply_workers, 4);
         assert_eq!(s2.pipeline_depth, 3);
     }
 

@@ -34,7 +34,6 @@ use bcrdb_txn::ssi::{Flow, SsiManager};
 use crossbeam_channel::Receiver;
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::commit;
 use crate::config::{NodeConfig, NodeHooks};
 use crate::exec_pool::{ExecEnv, ExecPool, ExecTask, NativeContract};
 use crate::metrics::NodeMetrics;
@@ -52,9 +51,6 @@ pub struct Node {
     pub config: NodeConfig,
     pub(crate) env: Arc<ExecEnv>,
     pub(crate) pool: Arc<ExecPool>,
-    /// Write-set apply pool for the commit stage (`apply_workers = 1`
-    /// spawns no threads and applies inline).
-    pub(crate) apply: commit::ApplyPool,
     /// The append-only block store (`pgBlockstore`).
     pub blockstore: Arc<BlockStore>,
     /// The paged table store (buffer pool + page files) when
@@ -82,8 +78,8 @@ pub struct Node {
     statements: Mutex<StatementCache>,
     /// Stage-3 watermark: the highest block whose post-commit work
     /// (ledger records, checkpoint hash, notifications) has completed.
-    /// Equal to the committed height when the pipeline is off; may lag
-    /// it by up to `NodeConfig::postcommit_cap` blocks when on.
+    /// May lag the committed height by up to
+    /// [`processor::POSTCOMMIT_CAP`] blocks.
     postcommit: PostCommitMark,
 }
 
@@ -213,15 +209,12 @@ impl Node {
             orgs,
         });
         let pool = ExecPool::start(Arc::clone(&env), config.executor_threads);
-        let apply = commit::ApplyPool::start(config.apply_workers);
-        env.metrics.set_apply_workers(apply.workers() as u64);
 
         let statements = Mutex::new(StatementCache::new(config.statement_cache_cap));
         let node = Arc::new(Node {
             config,
             env,
             pool,
-            apply,
             blockstore,
             checkpoints: Arc::new(CheckpointTracker::new()),
             notifications: Arc::new(NotificationHub::new()),
@@ -440,13 +433,12 @@ impl Node {
     /// Post-commit (stage 3) watermark: the highest block whose ledger
     /// records, checkpoint hash and client notifications are fully
     /// applied. Trails [`Node::height`] by at most
-    /// `NodeConfig::postcommit_cap` blocks while the pipeline is busy.
+    /// [`processor::POSTCOMMIT_CAP`] blocks while the pipeline is busy.
     pub fn postcommit_height(&self) -> BlockHeight {
         *self.postcommit.height.lock()
     }
 
-    /// Advance the post-commit watermark (stage-3 worker / synchronous
-    /// tail) and wake anyone blocked on it.
+    /// Advance the post-commit watermark and wake anyone blocked on it.
     pub(crate) fn note_postcommit(&self, height: BlockHeight) {
         let mut h = self.postcommit.height.lock();
         if *h < height {
@@ -489,8 +481,8 @@ impl Node {
     }
 
     /// Stop processing (threads exit at the next opportunity). Never
-    /// blocks — including on a halted processor: the pipelined commit
-    /// thread checks this flag between wait slices, and the post-commit
+    /// blocks — including on a halted processor: the commit thread
+    /// checks this flag between wait slices, and the post-commit
     /// worker exits once its queue drains, so a processor that stopped
     /// on a rejected block leaves nothing for shutdown to wait on. The
     /// watermark waiters are woken so a commit thread blocked on

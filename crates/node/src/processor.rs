@@ -15,11 +15,11 @@
 //! 5. compare checkpoint votes carried in the block's metadata against our
 //!    own hashes (tamper/divergence detection, §3.5).
 //!
-//! ## The commit pipeline (`NodeConfig::pipeline`)
+//! ## The commit pipeline
 //!
 //! The paper splits processing into an execution phase and a *serial*
 //! commit phase precisely so that only ordering-dependent work is
-//! serialized. With the pipeline enabled (the default), the processor
+//! serialized. [`run_loop`] — the node's one live commit driver —
 //! exploits that split across consecutive blocks:
 //!
 //! * **Stage 1 — admit & pre-execute.** As soon as block N+1 is verified
@@ -31,32 +31,35 @@
 //!   are fully applied, while EO-flow transactions always race the
 //!   commit phase by design and are kept deterministic by strict-mode
 //!   phantom/stale detection plus the block-aware commit rules (Table 2).
-//! * **Stage 2 — validation gate + apply.** Only the ordering-dependent
-//!   core stays on the commit thread: SSI commit check, primary-key
-//!   check, conflict resolution and row-id reservation, strictly in
-//!   block order (the serial *gate*, [`crate::commit`]). The write-set
-//!   *apply* — publishing the gated versions and building the write-set
-//!   summaries — is deterministic for any interleaving once the gate has
-//!   fixed every decision, so it fans out across
-//!   `NodeConfig::apply_workers` threads and barriers before the
-//!   committed height advances.
+//!   At most [`PIPELINE_DEPTH`] blocks are admitted ahead of the commit
+//!   point.
+//! * **Stage 2 — serial commit.** The committing phase stays one loop in
+//!   block order on the commit thread ([`crate::commit`]): per
+//!   transaction, SSI commit check, primary-key check, conflict
+//!   resolution, row-id reservation and the write-set publish, each
+//!   before the next transaction is looked at.
 //! * **Stage 3 — post-commit.** Ledger-table records, write-set hashing,
 //!   the checkpoint-vote submission, client notifications, embedded-vote
-//!   comparison and periodic maintenance move to an ordered post-commit
-//!   worker, bounded by `NodeConfig::postcommit_cap`. Block-store
-//!   durability is group-fsynced there: appends defer their `sync_data`
-//!   and the worker syncs once before notifying, so the durability of
-//!   blocks N and N+1 can batch into one sync.
+//!   comparison and periodic maintenance run on an ordered post-commit
+//!   worker, at most [`POSTCOMMIT_CAP`] blocks behind. Block-store
+//!   durability is group-fsynced there: admission appends without
+//!   `sync_data` and the worker syncs once before notifying, so the
+//!   durability of blocks N and N+1 can batch into one sync.
 //!
 //! Determinism is unaffected: stages 1 and 3 perform no
-//! ordering-dependent decisions (stage 3 is pure function of stage 2's
-//! output, applied in block order by a single worker), stage 2's gate is
-//! byte-for-byte the serial path's decision loop, and the parallel apply
-//! produces byte-identical state and hashes for every worker count (see
-//! [`crate::commit`] for the argument; `apply_workers = 1` restores the
-//! fully serial stage). With `pipeline` off, every block runs all three
-//! stages synchronously — the pre-pipeline behavior, kept for the
-//! recovery/catch-up replay path as well.
+//! ordering-dependent decisions (stage 3 is a pure function of stage 2's
+//! output, applied in block order by a single worker) and stage 2 is the
+//! paper's serial loop.
+//!
+//! [`process_block`] runs the same three stages for one block to
+//! completion on the calling thread. It is the §3.6 recovery and
+//! catch-up replay path — replay must leave ledger records and
+//! checkpoint hashes fully applied when it returns — and the reference
+//! the determinism suite compares the live loop against. The
+//! `serial_execution` baseline (§5.1) rides the live loop too: one block
+//! is admitted at a time, nothing is pre-dispatched, stage 2 executes
+//! each transaction inline, and the commit thread drains stage 3 after
+//! every block, so no two stages ever overlap.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -73,7 +76,7 @@ use bcrdb_txn::context::WriteRecord;
 use bcrdb_txn::ssi::Flow;
 use crossbeam_channel::{Receiver, TryRecvError};
 
-use crate::commit::{commit_core, commit_core_serial_exec, effective_snapshot};
+use crate::commit::{commit_core, effective_snapshot};
 use crate::exec_pool::ExecTask;
 use crate::node::Node;
 use crate::notify::TxNotification;
@@ -82,9 +85,19 @@ use crate::notify::TxNotification;
 /// timer can fire even while the channel is silent.
 const GAP_POLL: Duration = Duration::from_millis(50);
 
-/// Slice length for the pipelined head wait: between slices the commit
-/// thread admits newly delivered blocks and observes shutdown.
+/// Slice length for the head wait: between slices the commit thread
+/// admits newly delivered blocks and observes shutdown.
 const HEAD_WAIT_SLICE: Duration = Duration::from_millis(2);
+
+/// Maximum blocks admitted (verified, appended and execution-dispatched)
+/// ahead of the serial commit point.
+pub const PIPELINE_DEPTH: usize = 4;
+
+/// Maximum serially-committed blocks whose post-commit work (ledger
+/// records, write-set hashing, checkpoint vote, notifications) may still
+/// be queued on the post-commit worker before the commit thread blocks —
+/// the pipeline's backpressure bound.
+pub const POSTCOMMIT_CAP: u64 = 8;
 
 /// Blocks of checkpoint history retained by the maintenance pruner; the
 /// vacuum tick reclaims row versions deleted at or before this horizon.
@@ -98,85 +111,6 @@ fn halt(node: &Arc<Node>, block: u64, e: &Error) {
     let reason = format!("halted at block {block}: {e}");
     eprintln!("[{}] {reason}", node.config.name);
     node.env.metrics.set_halted(reason);
-}
-
-/// Receive-and-process loop (runs on the node's block-processor thread).
-/// Dispatches to the pipelined engine or the synchronous per-block loop
-/// depending on `NodeConfig::pipeline`. Out-of-order future blocks are
-/// held back — in a buffer bounded by `NodeConfig::pending_cap` — and
-/// processed once the gap closes. A gap that outlives
-/// `NodeConfig::gap_timeout` triggers a peer catch-up round through the
-/// `sync_fetch` hook (§3.6).
-pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
-    // The serial-execution baseline (§5.1) is by definition free of any
-    // concurrency or overlap — it always takes the synchronous loop, so
-    // an eth-style comparison cannot be silently accelerated by the
-    // default-on pipeline.
-    if node.config.pipeline && !node.config.serial_execution {
-        run_pipelined(node, rx);
-    } else {
-        run_synchronous(node, rx);
-    }
-}
-
-// ---------------------------------------------------- synchronous loop
-
-/// The pre-pipeline loop: each block runs execution, serial commit and
-/// post-commit work to completion before the next is considered.
-fn run_synchronous(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
-    let mut pending: std::collections::BTreeMap<u64, Arc<Block>> = Default::default();
-    let metrics = Arc::clone(&node.env.metrics);
-    // When the current delivery gap opened (None = no gap).
-    let mut gap_since: Option<Instant> = None;
-    loop {
-        if node.shutting_down.load(Ordering::Relaxed) {
-            return;
-        }
-        match rx.recv_timeout(GAP_POLL) {
-            Ok(block) => {
-                let current = node.blockstore.height();
-                if block.number > current + 1 {
-                    hold_back(&node, &mut pending, block);
-                    if gap_since.is_none() {
-                        // bcrdb-lint: allow(wall-clock, reason = "local gap-detection timer; never reaches replicated state")
-                        gap_since = Some(Instant::now());
-                        metrics.on_gap_detected();
-                    }
-                } else if block.number == current + 1 {
-                    if let Err(e) = on_block(&node, &block) {
-                        halt(&node, block.number, &e);
-                        return;
-                    }
-                }
-            }
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
-        }
-        // Drain any consecutively buffered blocks — on every wakeup, not
-        // just on a delivery, so blocks unblocked by a catch-up round
-        // process even while the channel stays silent.
-        if drain_pending(&node, &mut pending).is_err() {
-            return;
-        }
-        metrics.set_held_back(pending.len() as u64);
-        if pending.is_empty() {
-            gap_since = None;
-        } else if gap_since.is_none() {
-            // bcrdb-lint: allow(wall-clock, reason = "local gap-detection timer; never reaches replicated state")
-            gap_since = Some(Instant::now());
-        }
-        // The gap outlived the delivery-reorder window: the missing
-        // blocks are not coming on their own — fetch them from peers.
-        if let Some(t0) = gap_since {
-            if t0.elapsed() >= node.config.gap_timeout {
-                run_gap_catch_up(&node, &mut gap_since);
-                if drain_pending(&node, &mut pending).is_err() {
-                    return;
-                }
-                metrics.set_held_back(pending.len() as u64);
-            }
-        }
-    }
 }
 
 /// One gap-triggered catch-up attempt, re-arming the gap timer on
@@ -203,27 +137,6 @@ fn run_gap_catch_up(node: &Arc<Node>, gap_since: &mut Option<Instant>) {
     }
 }
 
-/// Process every consecutively buffered block, then drop the ones the
-/// chain has already passed. An `Err` means a block was rejected and the
-/// processor must stop (§3.5(4)).
-fn drain_pending(
-    node: &Arc<Node>,
-    pending: &mut std::collections::BTreeMap<u64, Arc<Block>>,
-) -> std::result::Result<(), ()> {
-    loop {
-        let next = node.blockstore.height() + 1;
-        let Some(b) = pending.remove(&next) else {
-            break;
-        };
-        if let Err(e) = on_block(node, &b) {
-            halt(node, b.number, &e);
-            return Err(());
-        }
-    }
-    pending.retain(|n, _| *n > node.blockstore.height());
-    Ok(())
-}
-
 /// Buffer a future block, evicting the highest-numbered one when the
 /// buffer is full (blocks closest to the gap are the ones that unblock
 /// processing; far-future blocks are the cheapest to re-fetch).
@@ -245,10 +158,12 @@ fn hold_back(
     pending.insert(block.number, block);
 }
 
-/// Verify and process a newly received block (synchronously, through all
-/// three stages).
+/// Verify one block against the local tip, append it durably and replay
+/// it to completion on the calling thread — the peer catch-up entry
+/// (§3.6). Verification is identical to live delivery. A block at or
+/// below the committed height (the store trails the state after a
+/// snapshot fast-sync) is appended without re-execution.
 pub fn on_block(node: &Arc<Node>, block: &Arc<Block>) -> Result<()> {
-    node.env.metrics.on_block_received();
     let current = node.blockstore.height();
     if block.number <= current {
         return Ok(()); // duplicate delivery
@@ -259,68 +174,72 @@ pub fn on_block(node: &Arc<Node>, block: &Arc<Block>) -> Result<()> {
             block.number
         )));
     }
-    verify_and_append(node, block, false)?;
-    process_block(node, block)
-}
-
-/// Verify a block against the local tip and append it to the store.
-/// `defer_sync` skips the per-append `sync_data` (pipelined path; the
-/// post-commit worker group-syncs before notifying).
-fn verify_and_append(node: &Arc<Node>, block: &Arc<Block>, defer_sync: bool) -> Result<()> {
-    if node.config.verify_signatures {
-        block.verify(&node.blockstore.tip_hash(), &node.env.certs)?;
-    } else {
-        block.verify_integrity()?;
-    }
-    if defer_sync {
-        node.blockstore.append_deferred((**block).clone())?;
-    } else {
-        node.blockstore.append((**block).clone())?;
+    verify(node, block)?;
+    node.blockstore.append((**block).clone())?;
+    if block.number > node.height() {
+        process_block(node, block)?;
     }
     Ok(())
 }
 
-/// Execute and commit one block synchronously (also the §3.6 recovery
-/// replay path — blocks from the local store are already verified, and
-/// replay must leave ledger records and checkpoint hashes fully applied
-/// when it returns, so it never uses the asynchronous pipeline).
+/// Verify a block against the local tip: hash-chain linkage plus the
+/// orderer signature, or integrity only when the node does not verify
+/// signatures.
+fn verify(node: &Arc<Node>, block: &Arc<Block>) -> Result<()> {
+    if node.config.verify_signatures {
+        block.verify(&node.blockstore.tip_hash(), &node.env.certs)
+    } else {
+        block.verify_integrity()
+    }
+}
+
+/// Execute and commit one already-stored block to completion on the
+/// calling thread: the §3.6 recovery/catch-up replay path (replay must
+/// leave ledger records and checkpoint hashes fully applied when it
+/// returns) and the determinism suite's reference for [`run_loop`].
 pub fn process_block(node: &Arc<Node>, block: &Arc<Block>) -> Result<()> {
     // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
-    let t0 = Instant::now();
-
-    if node.config.serial_execution {
-        return process_serial(node, block, t0);
-    }
-
-    // ---- execution phase (stage 1) --------------------------------------
+    let received = Instant::now();
     let wait_ids = dispatch_execution(node, block);
     node.env
         .slots
         .wait_all_done(&wait_ids, node.config.exec_wait_timeout)?;
-    let bet_us = t0.elapsed().as_micros() as u64;
-
-    // ---- committing phase (stage 2) -------------------------------------
-    let (records, writes) = commit_core(node, block);
-
-    // ---- post-commit (stage 3), inline ----------------------------------
-    finish_block(node, block, records, writes, t0, bet_us)
+    let waited_us = received.elapsed().as_micros() as u64;
+    let (records, writes, exec_us) = commit_core(node, block);
+    advance_committed(node, block);
+    post_commit(
+        node,
+        PostCommitJob {
+            block: Arc::clone(block),
+            records,
+            writes,
+            received,
+            bet_us: waited_us + exec_us,
+        },
+    )?;
+    if snapshot_due(node, block.number) {
+        node.write_snapshot()?;
+    }
+    Ok(())
 }
 
-/// The Ethereum-style baseline (§5.1): execute and commit transactions one
-/// at a time, in block order, with no concurrency.
-fn process_serial(node: &Arc<Node>, block: &Arc<Block>, t0: Instant) -> Result<()> {
-    let (records, writes, bet_us) = commit_core_serial_exec(node, block);
-    finish_block(node, block, records, writes, t0, bet_us)
+/// Is `block_number` a state-snapshot barrier?
+fn snapshot_due(node: &Arc<Node>, block_number: u64) -> bool {
+    node.config.snapshot_interval > 0 && block_number.is_multiple_of(node.config.snapshot_interval)
 }
 
 /// Stage 1: claim and dispatch every transaction of `block` that is not
 /// already executing, returning the ids whose execution the commit phase
 /// must await. Idempotent — a transaction already claimed (pre-dispatch,
 /// peer forwarding, client submission) or already processed is never
-/// dispatched twice — so the pipelined path runs it once on admission
-/// (the pre-execute optimization) and once more when the block reaches
-/// the serial commit point, where the processed-id set is authoritative.
+/// dispatched twice — so the live loop runs it once on admission (the
+/// pre-execute optimization) and once more when the block reaches the
+/// serial commit point, where the processed-id set is authoritative.
+/// Dispatches nothing under `serial_execution`: stage 2 executes inline.
 fn dispatch_execution(node: &Arc<Node>, block: &Arc<Block>) -> Vec<GlobalTxId> {
+    if node.config.serial_execution {
+        return Vec::new();
+    }
     let flow = node.config.flow;
     let exec_height = block.number - 1;
     let mut wait_ids: Vec<GlobalTxId> = Vec::with_capacity(block.txs.len());
@@ -364,71 +283,6 @@ fn advance_committed(node: &Arc<Node>, block: &Arc<Block>) {
         .committed_height
         .store(block.number, Ordering::Relaxed);
     node.pool.release_waiting(block.number);
-}
-
-/// Shared tail of synchronous block processing (stage 3 inline): ledger,
-/// write-set hash, checkpoint vote, metrics, notifications, embedded
-/// votes, maintenance.
-fn finish_block(
-    node: &Arc<Node>,
-    block: &Arc<Block>,
-    records: Vec<LedgerRecord>,
-    writes: Vec<WriteRecord>,
-    t0: Instant,
-    bet_us: u64,
-) -> Result<()> {
-    // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
-    let t3 = Instant::now();
-    node.append_ledger(&records, block.number);
-    // Ledger first, then the height advance (the pre-pipeline ordering):
-    // a client that polls ChainHeight and sees N must find block N's
-    // ledger rows with a query at height N.
-    advance_committed(node, block);
-    publish_checkpoint(node, block.number, hash_writes(&writes));
-
-    // Record metrics *before* notifying: a client that returns from
-    // `wait_committed` and immediately reads this node's metrics must
-    // see its own transaction counted.
-    for record in &records {
-        match record.status {
-            TxStatus::Committed => node.env.metrics.on_tx_committed(),
-            TxStatus::Aborted(_) => node.env.metrics.on_tx_aborted(),
-        }
-    }
-    let bpt_us = t0.elapsed().as_micros() as u64;
-    node.env
-        .metrics
-        .on_block_processed(bpt_us, bet_us.min(bpt_us));
-
-    // Notify clients only after the committed height advanced, so a
-    // "committed" notification guarantees the effects are visible to an
-    // immediate follow-up query on this node.
-    for record in &records {
-        node.notifications.notify(TxNotification {
-            id: record.global_id,
-            block: block.number,
-            status: record.status.clone(),
-        });
-    }
-
-    record_embedded_votes(node, block);
-    maintenance(node, block.number);
-    // Group write-back: flush page batches dirtied by this block's spill
-    // tick (journaled, so a torn flush is discarded on recovery). An I/O
-    // error halts the node like a block-store failure would.
-    if let Some(store) = node.paged_store() {
-        store.sync()?;
-    }
-    if node.config.snapshot_interval > 0
-        && block.number.is_multiple_of(node.config.snapshot_interval)
-    {
-        node.write_snapshot()?;
-    }
-    node.env
-        .metrics
-        .on_post_stage(t3.elapsed().as_micros() as u64);
-    node.note_postcommit(block.number);
-    Ok(())
 }
 
 /// Hash a block's write-set summary in commit order (§3.3.4).
@@ -503,9 +357,9 @@ fn maintenance(node: &Arc<Node>, block_number: u64) {
         node.env.metrics.on_vacuum(reclaimed as u64);
         // Planner-statistics drift defense: flag every table so the next
         // block's commit-thread fold rebuilds its stats exactly from the
-        // heap. The rebuild cannot run here — in pipelined mode this
-        // worker races the commit thread's fold for later blocks — and
-        // it doesn't need to: rebuilds are semantic no-ops on the sealed
+        // heap. The rebuild cannot run here — the post-commit worker
+        // races the commit thread's fold for later blocks — and it
+        // doesn't need to: rebuilds are semantic no-ops on the sealed
         // values, so when it happens is invisible to planning.
         for name in node.env.catalog.table_names() {
             if let Ok(table) = node.env.catalog.get(&name) {
@@ -529,24 +383,29 @@ pub(crate) fn publish_checkpoint(node: &Arc<Node>, block_number: u64, hasher: Wr
     }
 }
 
-// ------------------------------------------------------ pipelined loop
+// ------------------------------------------------------------ live loop
 
 /// A block admitted to the pipeline: verified, appended, pre-dispatched,
 /// awaiting its serial commit turn.
 struct Inflight {
     block: Arc<Block>,
-    /// Authoritative wait list, computed when the block reaches the head
-    /// of the pipeline (all earlier blocks committed, so the
-    /// processed-id set is final for duplicate detection).
-    head_ids: Option<Vec<GlobalTxId>>,
     /// When the block was admitted (bpt measurement origin).
     received: Instant,
-    /// Commit-thread stall accumulated waiting for this block's
-    /// executions at the head (the pipelined `bet`).
-    wait_spent: Duration,
+    /// Set when the block reaches the head of the pipeline.
+    head: Option<HeadWait>,
 }
 
-/// Stage-2 output handed to the post-commit worker.
+/// The head block's wait for its executions.
+struct HeadWait {
+    /// When the block reached the head: `bet` and the execution-wait
+    /// timeout are both measured from here.
+    since: Instant,
+    /// Authoritative wait list — all earlier blocks are committed, so
+    /// the processed-id set is final for duplicate detection.
+    ids: Vec<GlobalTxId>,
+}
+
+/// Stage-2 output handed to stage 3.
 struct PostCommitJob {
     block: Arc<Block>,
     records: Vec<LedgerRecord>,
@@ -555,9 +414,13 @@ struct PostCommitJob {
     bet_us: u64,
 }
 
-/// The pipelined engine: admit & pre-dispatch eagerly, commit serially,
-/// defer post-commit work to an ordered bounded worker.
-fn run_pipelined(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
+/// Receive-and-process loop (runs on the node's block-processor thread):
+/// admit & pre-dispatch eagerly, commit serially, hand post-commit work
+/// to an ordered bounded worker. Out-of-order future blocks are held
+/// back — in a buffer bounded by `NodeConfig::pending_cap` — and admitted
+/// once the gap closes. A gap that outlives `NodeConfig::gap_timeout`
+/// triggers a peer catch-up round through the `sync_fetch` hook (§3.6).
+pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
     let metrics = Arc::clone(&node.env.metrics);
     let (jobs_tx, jobs_rx) = crossbeam_channel::unbounded::<PostCommitJob>();
     {
@@ -568,10 +431,17 @@ fn run_pipelined(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
             .expect("spawn post-commit worker");
     }
 
-    let depth = node.config.pipeline_depth.max(1);
-    let postcommit_cap = node.config.postcommit_cap.max(1) as u64;
+    // The serial-execution baseline admits one block at a time: with the
+    // drain after every block (below), nothing of block N+1 is touched
+    // until block N is completely done.
+    let depth = if node.config.serial_execution {
+        1
+    } else {
+        PIPELINE_DEPTH
+    };
     let mut pending: std::collections::BTreeMap<u64, Arc<Block>> = Default::default();
     let mut inflight: VecDeque<Inflight> = VecDeque::with_capacity(depth);
+    // When the current delivery gap opened (None = no gap).
     let mut gap_since: Option<Instant> = None;
     let mut disconnected = false;
 
@@ -603,64 +473,59 @@ fn run_pipelined(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
         );
 
         // ---- stage 2: advance the pipeline head -------------------------
-        if let Some(head) = inflight.front_mut() {
-            let ids = head
-                .head_ids
-                .get_or_insert_with(|| dispatch_execution(&node, &head.block));
-            if node.env.slots.wait_all_done_for(ids, HEAD_WAIT_SLICE) {
+        if let Some(infl) = inflight.front_mut() {
+            let head = infl.head.get_or_insert_with(|| HeadWait {
+                // bcrdb-lint: allow(wall-clock, reason = "metrics timing and the local execution-wait timeout")
+                since: Instant::now(),
+                ids: dispatch_execution(&node, &infl.block),
+            });
+            if node.env.slots.wait_all_done_for(&head.ids, HEAD_WAIT_SLICE) {
+                let waited_us = head.since.elapsed().as_micros() as u64;
                 let infl = inflight.pop_front().expect("head exists");
                 let block_number = infl.block.number;
-                let bet_us = infl.wait_spent.as_micros() as u64;
-                let (records, writes) = commit_core(&node, &infl.block);
+                let (records, writes, exec_us) = commit_core(&node, &infl.block);
                 advance_committed(&node, &infl.block);
-                let snapshot_due = node.config.snapshot_interval > 0
-                    && block_number.is_multiple_of(node.config.snapshot_interval);
                 let _ = jobs_tx.send(PostCommitJob {
                     block: infl.block,
                     records,
                     writes,
                     received: infl.received,
-                    bet_us,
+                    bet_us: waited_us + exec_us,
                 });
                 // Backpressure: bound the stage-3 queue.
-                while node.height().saturating_sub(node.postcommit_height()) > postcommit_cap {
-                    if node.shutting_down.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    node.wait_postcommit(node.height().saturating_sub(postcommit_cap), GAP_POLL);
+                if !await_postcommit(&node, block_number.saturating_sub(POSTCOMMIT_CAP)) {
+                    return;
                 }
                 // Snapshot barrier: a state snapshot must see the block's
                 // ledger records and must not race a later block's serial
                 // commit — drain the worker, then write on this thread.
-                if snapshot_due {
-                    while node.postcommit_height() < block_number {
-                        if node.shutting_down.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        node.wait_postcommit(block_number, GAP_POLL);
-                    }
+                // The serial-execution baseline takes the same drain after
+                // every block, so no two of its stages overlap.
+                let snapshot = snapshot_due(&node, block_number);
+                if (snapshot || node.config.serial_execution)
+                    && !await_postcommit(&node, block_number)
+                {
+                    return;
+                }
+                if snapshot {
                     if let Err(e) = node.write_snapshot() {
-                        // Same outcome as the synchronous path, where
-                        // finish_block propagates this error: a failed
-                        // snapshot halts the node rather than leaving a
-                        // stale snapshot to be served to fast-sync peers.
+                        // A failed snapshot halts the node rather than
+                        // leaving a stale snapshot to be served to
+                        // fast-sync peers.
                         halt(&node, block_number, &e);
                         return;
                     }
                 }
-            } else {
-                head.wait_spent += HEAD_WAIT_SLICE;
-                if head.wait_spent >= node.config.exec_wait_timeout {
-                    halt(
-                        &node,
-                        head.block.number,
-                        &Error::internal(format!(
-                            "timed out waiting for transaction execution: {:?}",
-                            node.env.slots.stuck_ids(ids)
-                        )),
-                    );
-                    return;
-                }
+            } else if head.since.elapsed() >= node.config.exec_wait_timeout {
+                halt(
+                    &node,
+                    infl.block.number,
+                    &Error::internal(format!(
+                        "timed out waiting for transaction execution: {:?}",
+                        node.env.slots.stuck_ids(&head.ids)
+                    )),
+                );
+                return;
             }
         } else {
             if disconnected {
@@ -685,16 +550,15 @@ fn run_pipelined(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
             // bcrdb-lint: allow(wall-clock, reason = "local gap-detection timer; never reaches replicated state")
             gap_since = Some(Instant::now());
         }
+        // The gap outlived the delivery-reorder window: the missing
+        // blocks are not coming on their own — fetch them from peers.
         if let Some(t0) = gap_since {
             if t0.elapsed() >= node.config.gap_timeout && inflight.is_empty() {
                 // Catch-up replays synchronously through process_block;
                 // the pipeline must be fully drained first so ledger and
                 // checkpoint work stays in block order.
-                while node.postcommit_height() < node.height() {
-                    if node.shutting_down.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    node.wait_postcommit(node.height(), GAP_POLL);
+                if !await_postcommit(&node, node.height()) {
+                    return;
                 }
                 run_gap_catch_up(&node, &mut gap_since);
                 if admit_pending(&node, &mut pending, &mut inflight, depth).is_err() {
@@ -704,6 +568,18 @@ fn run_pipelined(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
             }
         }
     }
+}
+
+/// Block the commit thread until stage 3 has finished block `height`.
+/// `false` = the node is shutting down instead.
+fn await_postcommit(node: &Arc<Node>, height: u64) -> bool {
+    while node.postcommit_height() < height {
+        if node.shutting_down.load(Ordering::Relaxed) {
+            return false;
+        }
+        node.wait_postcommit(height, GAP_POLL);
+    }
+    true
 }
 
 /// Verify, append and pre-dispatch one delivered block, or buffer /
@@ -730,7 +606,11 @@ fn admit(
         return Ok(());
     }
     node.env.metrics.on_block_received();
-    if let Err(e) = verify_and_append(node, &block, true) {
+    // The append skips `sync_data`: the post-commit worker group-syncs
+    // before anyone is notified.
+    if let Err(e) =
+        verify(node, &block).and_then(|()| node.blockstore.append_deferred((*block).clone()))
+    {
         halt(node, block.number, &e);
         return Err(());
     }
@@ -740,10 +620,9 @@ fn admit(
     let _ = dispatch_execution(node, &block);
     inflight.push_back(Inflight {
         block,
-        head_ids: None,
-        // bcrdb-lint: allow(wall-clock, reason = "local arrival timestamp for gap accounting")
+        // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
         received: Instant::now(),
-        wait_spent: Duration::ZERO,
+        head: None,
     });
     Ok(())
 }
@@ -756,10 +635,7 @@ fn admit_pending(
     depth: usize,
 ) -> std::result::Result<(), ()> {
     let mut none = None;
-    loop {
-        if inflight.len() >= depth {
-            break;
-        }
+    while inflight.len() < depth {
         let next = node.blockstore.height() + 1;
         let Some(b) = pending.remove(&next) else {
             break;
@@ -770,68 +646,75 @@ fn admit_pending(
     Ok(())
 }
 
-/// Stage 3, on the post-commit worker: ledger records, write-set hash +
-/// checkpoint vote, group fsync, metrics, client notifications, embedded
-/// vote comparison and maintenance — strictly in block order (single
-/// worker, FIFO channel). Exits when the commit thread drops the sender.
+/// The post-commit worker: stage 3 strictly in block order (single
+/// worker, FIFO channel). A failure halts the node and stops it. Exits
+/// when the commit thread drops the sender.
 fn post_commit_loop(node: Arc<Node>, rx: Receiver<PostCommitJob>) {
     for job in rx.iter() {
-        // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
-        let t3 = Instant::now();
-        node.append_ledger(&job.records, job.block.number);
-        publish_checkpoint(&node, job.block.number, hash_writes(&job.writes));
-        // Group fsync: one sync_data covers every block appended since
-        // the last one — durability must precede client notifications.
-        // A sync failure therefore halts the node *before* anyone is
-        // told their transaction committed (the synchronous path halts
-        // on the same error inside append): acknowledging a commit that
-        // a crash could truncate away would break the §3.5 audit story.
-        if let Err(e) = node.blockstore.sync() {
-            halt(
-                &node,
-                job.block.number,
-                &Error::internal(format!("block store sync failed: {e}")),
-            );
+        let block_number = job.block.number;
+        if let Err(e) = post_commit(&node, job) {
+            halt(&node, block_number, &e);
             node.shutdown();
             return;
         }
-        for record in &job.records {
-            match record.status {
-                TxStatus::Committed => node.env.metrics.on_tx_committed(),
-                TxStatus::Aborted(_) => node.env.metrics.on_tx_aborted(),
-            }
-        }
-        let bpt_us = job.received.elapsed().as_micros() as u64;
-        node.env
-            .metrics
-            .on_block_processed(bpt_us, job.bet_us.min(bpt_us));
-        for record in &job.records {
-            node.notifications.notify(TxNotification {
-                id: record.global_id,
-                block: job.block.number,
-                status: record.status.clone(),
-            });
-        }
-        record_embedded_votes(&node, &job.block);
-        maintenance(&node, job.block.number);
-        // Group write-back for the page store, mirroring the block-store
-        // sync above: flush the batches dirtied by this block's spill
-        // tick, halting on I/O failure. Journaled writes make a torn
-        // flush recoverable, so this may trail the client notifications.
-        if let Some(store) = node.paged_store() {
-            if let Err(e) = store.sync() {
-                halt(
-                    &node,
-                    job.block.number,
-                    &Error::internal(format!("page store sync failed: {e}")),
-                );
-                node.shutdown();
-                return;
-            }
-        }
-        node.env
-            .metrics
-            .on_post_stage(t3.elapsed().as_micros() as u64);
-        node.note_postcommit(job.block.number);
     }
+}
+
+/// Stage 3 for one block: ledger records, write-set hash + checkpoint
+/// vote, group fsync, metrics, client notifications, embedded vote
+/// comparison, maintenance and the page-store write-back. Runs on the
+/// post-commit worker for [`run_loop`] and inline for [`process_block`].
+fn post_commit(node: &Arc<Node>, job: PostCommitJob) -> Result<()> {
+    // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
+    let t3 = Instant::now();
+    let block_number = job.block.number;
+    node.append_ledger(&job.records, block_number);
+    publish_checkpoint(node, block_number, hash_writes(&job.writes));
+    // Group fsync: one sync_data covers every block appended since the
+    // last one (nothing, on the replay path, whose appends sync
+    // themselves). Durability must precede client notifications: a sync
+    // failure stops the node *before* anyone is told their transaction
+    // committed — acknowledging a commit that a crash could truncate
+    // away would break the §3.5 audit story.
+    node.blockstore
+        .sync()
+        .map_err(|e| Error::internal(format!("block store sync failed: {e}")))?;
+    // Record metrics *before* notifying: a client that returns from
+    // `wait_committed` and immediately reads this node's metrics must
+    // see its own transaction counted.
+    for record in &job.records {
+        match record.status {
+            TxStatus::Committed => node.env.metrics.on_tx_committed(),
+            TxStatus::Aborted(_) => node.env.metrics.on_tx_aborted(),
+        }
+    }
+    let bpt_us = job.received.elapsed().as_micros() as u64;
+    node.env
+        .metrics
+        .on_block_processed(bpt_us, job.bet_us.min(bpt_us));
+    // The committed height advanced before this job was built, so a
+    // "committed" notification guarantees the effects are visible to an
+    // immediate follow-up query on this node.
+    for record in &job.records {
+        node.notifications.notify(TxNotification {
+            id: record.global_id,
+            block: block_number,
+            status: record.status.clone(),
+        });
+    }
+    record_embedded_votes(node, &job.block);
+    maintenance(node, block_number);
+    // Group write-back for the page store: flush the batches dirtied by
+    // this block's spill tick. Journaled writes make a torn flush
+    // recoverable, so this may trail the client notifications.
+    if let Some(store) = node.paged_store() {
+        store
+            .sync()
+            .map_err(|e| Error::internal(format!("page store sync failed: {e}")))?;
+    }
+    node.env
+        .metrics
+        .on_post_stage(t3.elapsed().as_micros() as u64);
+    node.note_postcommit(block_number);
+    Ok(())
 }

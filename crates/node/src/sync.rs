@@ -10,8 +10,8 @@
 //!
 //! * **Block sync** — fetched blocks are verified against the local hash
 //!   chain and the orderer certificates exactly like live deliveries,
-//!   appended to the store, and replayed through the normal
-//!   [`processor::process_block`] path, so ledger records and checkpoint
+//!   appended to the store, and replayed through
+//!   [`processor::process_block`], so ledger records and checkpoint
 //!   votes come out byte-identical to live processing.
 //! * **Snapshot fast-sync** — when the server decides the requester is
 //!   too far behind (its `snapshot_lag_threshold`) and the requester is
@@ -115,41 +115,25 @@ pub fn catch_up(node: &Arc<Node>, allow_snapshot: bool) -> Result<SyncStats> {
 }
 
 /// Verify, append and (when beyond the committed state) replay one
-/// fetched block. Verification is identical to live delivery: hash-chain
-/// linkage to our tip plus an orderer signature, per the node's
-/// `verify_signatures` setting.
+/// fetched block through [`processor::on_block`] — verification is
+/// identical to live delivery.
 fn apply_synced_block(node: &Arc<Node>, block: Arc<Block>, stats: &mut SyncStats) -> Result<()> {
-    let current = node.blockstore.height();
-    if block.number <= current {
+    if block.number <= node.blockstore.height() {
         return Ok(()); // duplicate (a live delivery raced the fetch)
     }
-    if block.number != current + 1 {
-        return Err(Error::internal(format!(
-            "sync returned non-consecutive block {} (have {current})",
-            block.number
-        )));
-    }
-    if node.config.verify_signatures {
-        block.verify(&node.blockstore.tip_hash(), &node.env.certs)?;
-    } else {
-        block.verify_integrity()?;
-    }
+    // State already ahead of the store (fast-sync): backfill only.
+    let replay = block.number > node.height();
+    processor::on_block(node, &block)?;
     stats.fetched += 1;
-    if block.number <= node.height() {
-        // State already ahead of the store (fast-sync): backfill only.
-        node.blockstore.append((*block).clone())?;
-        stats.appended_only += 1;
-        // Count per block, not in bulk at the end of the run: an observer
-        // that saw the chain advance (await_height) must also see the
-        // sync counters advanced, without racing the final convergence
-        // round trip.
-        node.env.metrics.on_sync_blocks(1, 0);
-    } else {
-        node.blockstore.append((*block).clone())?;
-        processor::process_block(node, &block)?;
+    if replay {
         stats.replayed += 1;
-        node.env.metrics.on_sync_blocks(1, 1);
+    } else {
+        stats.appended_only += 1;
     }
+    // Count per block, not in bulk at the end of the run: an observer
+    // that saw the chain advance (await_height) must also see the sync
+    // counters advanced, without racing the final convergence round trip.
+    node.env.metrics.on_sync_blocks(1, u64::from(replay));
     Ok(())
 }
 

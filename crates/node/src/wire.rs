@@ -384,7 +384,6 @@ impl Encode for MetricsSnapshot {
         enc.put_u64(self.aborted);
         enc.put_f64(self.commit_stage_ms);
         enc.put_f64(self.apply_stage_ms);
-        enc.put_u64(self.apply_workers);
         enc.put_f64(self.post_stage_ms);
         enc.put_u64(self.pipeline_depth);
         enc.put_u64(self.postcommit_depth);
@@ -430,7 +429,6 @@ impl Decode for MetricsSnapshot {
             aborted: dec.get_u64()?,
             commit_stage_ms: dec.get_f64()?,
             apply_stage_ms: dec.get_f64()?,
-            apply_workers: dec.get_u64()?,
             post_stage_ms: dec.get_f64()?,
             pipeline_depth: dec.get_u64()?,
             postcommit_depth: dec.get_u64()?,
@@ -594,7 +592,6 @@ mod tests {
             aborted: 11,
             commit_stage_ms: 12.0,
             apply_stage_ms: 12.5,
-            apply_workers: 4,
             post_stage_ms: 13.0,
             pipeline_depth: 14,
             postcommit_depth: 15,

@@ -109,21 +109,19 @@ impl CommitOutcome {
     }
 }
 
-/// One deferred write-apply step produced by the serial validation gate
+/// One write-apply step produced by the serial validation gate
 /// ([`TxnCtx::validate_commit`]). Every ordering-dependent decision —
 /// SSI outcome, ww-loser dooming, old-version deletion, row-id
-/// assignment — has already been made, so executing the remaining steps
-/// is commutative across the transactions of one block: each step only
-/// touches its own version's state, and no step targets a version
-/// another transaction of the same block defers (a pending version is
-/// never visible at a sibling's snapshot). That commutativity is what
-/// lets the node apply a block's write sets on a worker pool and still
-/// produce byte-identical state.
+/// assignment — has already been made; what remains is publishing the
+/// new version and building its write-set summary row. The committer
+/// executes a transaction's steps before it validates the next
+/// transaction of the block, so a later sibling's primary-key check
+/// finds its same-block predecessors live in storage.
 #[derive(Debug)]
 pub enum ApplyStep {
     /// Publish a new version (`commit_create`) and build its summary row.
     Create {
-        /// Target table name (for the summary and partitioning).
+        /// Target table name (for the summary).
         table: String,
         /// The version to publish.
         version: Arc<Version>,
@@ -139,24 +137,7 @@ pub enum ApplyStep {
 }
 
 impl ApplyStep {
-    /// Table the step writes to.
-    pub fn table(&self) -> &str {
-        match self {
-            ApplyStep::Create { table, .. } => table,
-            ApplyStep::Ready(rec) => &rec.table,
-        }
-    }
-
-    /// Row id the step publishes.
-    pub fn row_id(&self) -> RowId {
-        match self {
-            ApplyStep::Create { row_id, .. } => *row_id,
-            ApplyStep::Ready(rec) => rec.row_id,
-        }
-    }
-
-    /// Execute the step, returning its write-set summary row. Safe on any
-    /// thread once the gate has returned the plan.
+    /// Execute the step, returning its write-set summary row.
     pub fn execute(&self, block: BlockHeight) -> WriteRecord {
         match self {
             ApplyStep::Create {
@@ -178,8 +159,8 @@ impl ApplyStep {
     }
 }
 
-/// The deferred half of one transaction's commit: the block it commits
-/// in plus its apply steps in execution (op) order.
+/// The apply half of one transaction's commit: the block it commits in
+/// plus its apply steps in execution (op) order.
 #[derive(Debug)]
 pub struct ApplyPlan {
     /// Block the transaction commits in.
@@ -189,46 +170,14 @@ pub struct ApplyPlan {
     /// Planner-statistics deltas (one per table touched, in first-touch
     /// order), computed by the gate from the write set's old/new row
     /// images — the only place both images coexist. The commit thread
-    /// folds these in block order after the apply barrier.
+    /// folds these in block order once the whole block is applied.
     pub stats: Vec<StatsDelta>,
 }
 
 impl ApplyPlan {
-    /// Execute every step inline, in op order — the `apply_workers = 1`
-    /// path and the serial-execution baseline.
+    /// Execute every step, in op order.
     pub fn execute_all(&self) -> Vec<WriteRecord> {
         self.steps.iter().map(|s| s.execute(self.block)).collect()
-    }
-}
-
-/// Per-block primary-key overlay for deferred write application: the keys
-/// of versions committed earlier in the same block whose `commit_create`
-/// has not executed yet. They are not live in storage, so
-/// `Table::committed_pk_conflicts` cannot see them — the gate checks this
-/// overlay alongside storage so a later transaction of the block aborts
-/// exactly where the fully serial path would. Keys of key-preserving
-/// updates are included: their old version is already deleted in the
-/// gate, so only the overlay still claims the key.
-#[derive(Default)]
-pub struct BlockPkOverlay {
-    /// `(table, pk value)` pairs; `Value` is not hashable (floats), and
-    /// blocks are small, so a vector scan mirrors the per-transaction
-    /// `own_keys` check.
-    keys: Vec<(String, Value)>,
-}
-
-impl BlockPkOverlay {
-    /// Fresh overlay for one block.
-    pub fn new() -> BlockPkOverlay {
-        BlockPkOverlay::default()
-    }
-
-    fn contains(&self, table: &str, value: &Value) -> bool {
-        self.keys.iter().any(|(t, v)| t == table && v == value)
-    }
-
-    fn insert(&mut self, table: String, value: Value) {
-        self.keys.push((table, value));
     }
 }
 
@@ -579,45 +528,40 @@ impl TxnCtx {
     /// SSI decision → primary-key enforcement → write-set application with
     /// deterministic row-id assignment and ww-loser dooming. Must be called
     /// from the serial commit phase. Equivalent to [`TxnCtx::validate_commit`]
-    /// followed immediately by executing the returned plan inline.
+    /// followed immediately by executing the returned plan.
     pub fn apply_commit(&self, block: BlockHeight, pos: u32, flow: Flow) -> CommitOutcome {
-        let mut overlay = BlockPkOverlay::new();
-        match self.validate_commit(block, pos, flow, &mut overlay) {
+        match self.validate_commit(block, pos, flow) {
             Ok(plan) => CommitOutcome::Committed(plan.execute_all()),
             Err(reason) => CommitOutcome::Aborted(reason),
         }
     }
 
-    /// The serial half of the commit protocol: every order-dependent step.
-    /// SSI decision, primary-key enforcement (against storage plus the
-    /// caller's per-block overlay of not-yet-applied keys), old-version
-    /// deletion with ww-loser dooming (these state transitions feed later
-    /// transactions' `commit_check` and PK probes, so they cannot be
-    /// deferred), batched row-id assignment, and the SSI commit itself.
+    /// The deciding half of the commit protocol: SSI decision,
+    /// primary-key enforcement against storage, old-version deletion with
+    /// ww-loser dooming, batched row-id assignment, and the SSI commit
+    /// itself.
     ///
     /// On success the remaining work — publishing the new versions and
-    /// building the write-set summary — comes back as an [`ApplyPlan`]
-    /// whose steps commute across the block's transactions: the node may
-    /// execute them on any thread, in any interleaving, before the block's
-    /// committed height advances, and the resulting state and summaries
-    /// are identical to inline execution.
+    /// building the write-set summary — comes back as an [`ApplyPlan`].
+    /// The caller must execute it before validating the next transaction
+    /// of the block: that transaction's primary-key check looks only at
+    /// storage, so its predecessors' rows have to be live there.
     ///
     /// Row-id determinism: insert ids are reserved per `(transaction,
     /// table)` with one allocator bump each, in op order — exactly the ids
-    /// per-op allocation hands out, fixed before any worker runs.
+    /// per-op allocation hands out.
     pub fn validate_commit(
         &self,
         block: BlockHeight,
         pos: u32,
         flow: Flow,
-        overlay: &mut BlockPkOverlay,
     ) -> std::result::Result<ApplyPlan, AbortReason> {
         debug_assert!(self.tracking, "read-only context cannot commit");
         if let Err(reason) = self.mgr.commit_check(self.id, block, pos, flow) {
             self.rollback();
             return Err(reason);
         }
-        if let Err(reason) = self.check_pk_uniqueness(overlay) {
+        if let Err(reason) = self.check_pk_uniqueness() {
             self.rollback();
             return Err(reason);
         }
@@ -702,9 +646,7 @@ impl TxnCtx {
             }
         }
         // Statistics deltas from the write set's old/new images, per
-        // table in first-touch order. Computed here — inside the gate —
-        // so the fold stream is identical on every node regardless of
-        // apply parallelism.
+        // table in first-touch order.
         let mut stats: Vec<StatsDelta> = Vec::new();
         {
             let entry = |stats: &mut Vec<StatsDelta>, table: &Arc<Table>| -> usize {
@@ -758,24 +700,12 @@ impl TxnCtx {
     }
 
     /// Primary-key uniqueness at commit time: inserts (and updates that
-    /// change the key) must not collide with live committed rows — checked
-    /// against storage *and* against `overlay`, which carries the keys of
-    /// same-block predecessors whose creates are still deferred — nor with
-    /// other rows written by this same transaction. On success the keys
-    /// this transaction's deferred creates will claim are added to the
-    /// overlay, so later transactions of the block see them exactly as the
-    /// fully serial path would (as live committed rows).
-    fn check_pk_uniqueness(
-        &self,
-        overlay: &mut BlockPkOverlay,
-    ) -> std::result::Result<(), AbortReason> {
+    /// change the key) must not collide with live committed rows — which
+    /// include the rows of same-block predecessors, already applied — nor
+    /// with other rows written by this same transaction.
+    fn check_pk_uniqueness(&self) -> std::result::Result<(), AbortReason> {
         let ops = self.ops.lock();
         let mut own_keys: Vec<(String, Value)> = Vec::new();
-        // Keys claimed by key-preserving updates: exempt from the conflict
-        // checks below (they replace their own row), but once this
-        // transaction commits, their deferred create owns the key for the
-        // rest of the block.
-        let mut preserved_keys: Vec<(String, Value)> = Vec::new();
         for op in ops.iter() {
             let (table, new_version) = match op {
                 WriteOp::Insert { table, version } => (table, version),
@@ -786,7 +716,6 @@ impl TxnCtx {
                     if schema.primary_key.len() == 1 {
                         let pk_col = schema.primary_key[0];
                         if old.data[pk_col] == new.data[pk_col] {
-                            preserved_keys.push((table.name(), new.data[pk_col].clone()));
                             continue;
                         }
                     }
@@ -803,12 +732,10 @@ impl TxnCtx {
             let conflicts = table.committed_pk_conflicts(&pk_value, self.id);
             // A live committed row with the same key conflicts unless this
             // transaction itself is replacing it (old version pending-
-            // deleted by us). Same wording for the overlay hit: serially
-            // the predecessor's row would already be live in storage.
+            // deleted by us).
             let real_conflict = conflicts
                 .iter()
-                .any(|v| !v.state().xmax_pending.contains(&self.id))
-                || overlay.contains(&table.name(), &pk_value);
+                .any(|v| !v.state().xmax_pending.contains(&self.id));
             if real_conflict {
                 return Err(AbortReason::ContractError(format!(
                     "duplicate key value {pk_value} violates primary key of table {}",
@@ -826,13 +753,6 @@ impl TxnCtx {
                 )));
             }
             own_keys.push(key);
-        }
-        drop(ops);
-        for (t, v) in own_keys {
-            overlay.insert(t, v);
-        }
-        for (t, v) in preserved_keys {
-            overlay.insert(t, v);
         }
         Ok(())
     }
@@ -1166,120 +1086,120 @@ mod tests {
     }
 
     #[test]
-    fn deferred_plan_matches_inline_apply() {
+    fn same_block_commits_assign_consecutive_row_ids() {
         let (mgr, table) = setup();
-        let t = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
-        t.insert(&table, vec![Value::Int(1), Value::Int(10)])
+        // Two transactions of one block, committed back to back: row ids
+        // run on in (transaction, op) order and every row is live at the
+        // block height — not before.
+        let ta = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
+        ta.insert(&table, vec![Value::Int(1), Value::Int(10)])
             .unwrap();
-        t.insert(&table, vec![Value::Int(2), Value::Int(20)])
+        ta.insert(&table, vec![Value::Int(2), Value::Int(20)])
             .unwrap();
-        let mut overlay = BlockPkOverlay::new();
-        let plan = t
-            .validate_commit(1, 0, Flow::OrderThenExecute, &mut overlay)
+        let tb = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
+        tb.insert(&table, vec![Value::Int(3), Value::Int(30)])
             .unwrap();
-        // Ids are fixed by the gate, before any step executes; the rows
-        // are not yet visible (creates deferred).
-        assert_eq!(plan.steps.len(), 2);
-        assert_eq!(plan.steps[0].row_id(), RowId(1));
-        assert_eq!(plan.steps[1].row_id(), RowId(2));
+        let ids = |outcome: CommitOutcome| -> Vec<(RowId, u8)> {
+            outcome
+                .into_writes()
+                .expect("committed")
+                .iter()
+                .map(|w| (w.row_id, w.kind))
+                .collect()
+        };
+        assert_eq!(ids(commit(&ta, 1, 0)), vec![(RowId(1), 0), (RowId(2), 0)]);
+        assert_eq!(ids(commit(&tb, 1, 1)), vec![(RowId(3), 0)]);
         assert_eq!(
-            TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap().len(),
+            TxnCtx::read_only(&mgr, 0).scan(&table, None).unwrap().len(),
             0
         );
-        // Executing out of order still yields the gate's ids and the same
-        // summary the serial path builds.
-        let rec1 = plan.steps[1].execute(plan.block);
-        let rec0 = plan.steps[0].execute(plan.block);
-        assert_eq!((rec0.row_id, rec0.kind), (RowId(1), 0));
-        assert_eq!((rec1.row_id, rec1.kind), (RowId(2), 0));
-        let rows = TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap();
-        assert_eq!(rows.len(), 2);
+        assert_eq!(
+            TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap().len(),
+            3
+        );
     }
 
     #[test]
-    fn overlay_catches_same_block_duplicate_insert() {
+    fn same_block_duplicate_insert_aborts() {
         let (mgr, table) = setup();
-        let mut overlay = BlockPkOverlay::new();
-        // Two transactions of one block insert the same key; the first
-        // commits with its create deferred, so only the overlay can stop
-        // the second.
+        // Two transactions of one block insert the same key. The first
+        // one's row is live in storage by the time the second is
+        // validated, so the storage check alone stops it.
         let ta = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
         ta.insert(&table, vec![Value::Int(7), Value::Int(1)])
-            .unwrap();
-        let plan = ta
-            .validate_commit(1, 0, Flow::OrderThenExecute, &mut overlay)
             .unwrap();
         let tb = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
         tb.insert(&table, vec![Value::Int(7), Value::Int(2)])
             .unwrap();
-        match tb.validate_commit(1, 1, Flow::OrderThenExecute, &mut overlay) {
-            Err(AbortReason::ContractError(msg)) => {
+        assert!(commit(&ta, 1, 0).is_committed());
+        match commit(&tb, 1, 1) {
+            CommitOutcome::Aborted(AbortReason::ContractError(msg)) => {
                 assert!(msg.contains("duplicate key"), "{msg}");
             }
             other => panic!("expected pk abort, got {other:?}"),
         }
-        // Applying afterwards leaves exactly the winner's row.
-        plan.execute_all();
+        // Exactly the winner's row is left.
         let rows = TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].data[1], Value::Int(1));
     }
 
     #[test]
-    fn overlay_covers_key_preserving_updates() {
+    fn same_block_insert_after_key_preserving_update_aborts() {
         let (mgr, table) = setup();
         let t0 = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
         t0.insert(&table, vec![Value::Int(3), Value::Int(1)])
             .unwrap();
         assert!(commit(&t0, 1, 0).is_committed());
 
-        let mut overlay = BlockPkOverlay::new();
-        // A key-preserving update deletes its old version in the gate and
-        // defers the new one — the overlay must still own key 3 so a
-        // same-block insert of it aborts like it would serially.
+        // A key-preserving update deletes its old version and publishes
+        // the successor at the same block height: key 3 never becomes
+        // free, so a same-block insert of it aborts.
         let tu = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
         let target = tu.scan(&table, None).unwrap()[0].clone();
         tu.update(&table, &target, vec![Value::Int(3), Value::Int(2)])
             .unwrap();
-        let plan = tu
-            .validate_commit(2, 0, Flow::OrderThenExecute, &mut overlay)
-            .unwrap();
         let ti = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
         ti.insert(&table, vec![Value::Int(3), Value::Int(9)])
             .unwrap();
-        match ti.validate_commit(2, 1, Flow::OrderThenExecute, &mut overlay) {
-            Err(AbortReason::ContractError(msg)) => {
+        assert!(commit(&tu, 2, 0).is_committed());
+        match commit(&ti, 2, 1) {
+            CommitOutcome::Aborted(AbortReason::ContractError(msg)) => {
                 assert!(msg.contains("duplicate key"), "{msg}");
             }
             other => panic!("expected pk abort, got {other:?}"),
         }
-        plan.execute_all();
         let rows = TxnCtx::read_only(&mgr, 2).scan(&table, None).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].data[1], Value::Int(2));
     }
 
     #[test]
-    fn update_chain_row_ids_resolve_within_a_plan() {
+    fn update_chain_row_ids_resolve_within_a_transaction() {
         let (mgr, table) = setup();
         // Insert then update the same row inside one transaction: the
-        // update's create must inherit the insert's gate-assigned id even
-        // though the insert hasn't executed when the gate runs.
+        // update's new version must inherit the id assigned to the insert
+        // in the same commit, before the insert's version is published.
         let t = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
         t.insert(&table, vec![Value::Int(5), Value::Int(1)])
             .unwrap();
         let own = t.scan(&table, None).unwrap()[0].clone();
         t.update(&table, &own, vec![Value::Int(5), Value::Int(2)])
             .unwrap();
-        let mut overlay = BlockPkOverlay::new();
-        let plan = t
-            .validate_commit(1, 0, Flow::OrderThenExecute, &mut overlay)
+        // A same-block sibling inserting the next key.
+        let sibling = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
+        sibling
+            .insert(&table, vec![Value::Int(6), Value::Int(3)])
             .unwrap();
-        let summary = plan.execute_all();
+        let summary = commit(&t, 1, 0).into_writes().expect("committed");
         assert_eq!(summary.len(), 2);
+        assert_eq!((summary[0].kind, summary[1].kind), (0, 1));
         assert_eq!(summary[0].row_id, summary[1].row_id);
+        // The chain consumed one row id, not two.
+        let next = commit(&sibling, 1, 1).into_writes().expect("committed");
+        assert_eq!(next[0].row_id, RowId(summary[0].row_id.0 + 1));
         let rows = TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap();
-        assert_eq!(rows.len(), 1);
+        assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].data[1], Value::Int(2));
         assert_eq!(rows[0].row_id, summary[0].row_id);
     }

@@ -1,13 +1,14 @@
-//! Pipelined-vs-serial determinism suite for the staged block commit.
+//! Live-vs-replay determinism suite for the staged block commit.
 //!
-//! The pipeline overlaps execution, serial commit and post-commit work
-//! across blocks, and the commit stage itself splits into a serial
-//! validation gate plus a parallel write-set apply
-//! (`NodeConfig::apply_workers`); these tests prove both are *only*
-//! scheduling changes: the same workload must produce byte-identical
-//! chains, checkpoint hashes, state hashes and ledger content with the
-//! pipeline on and off and with any apply-worker count, on every node of
-//! a 4-organization network — and a crash that loses unflushed
+//! The node's live commit driver (`processor::run_loop`) overlaps
+//! execution, serial commit and post-commit work across blocks; the
+//! recovery/catch-up path (`processor::process_block`) runs the same
+//! stages for one block at a time, to completion, on one thread. These
+//! tests prove the overlap is *only* a scheduling change: whatever the
+//! live loop leaves behind — checkpoint hashes, state hash, ledger
+//! content, planner statistics — replaying the same chain through
+//! `process_block` on a fresh node must reproduce byte for byte, on every
+//! node of a 4-organization network — and a crash that loses unflushed
 //! post-commit state (ledger records of blocks the store already holds)
 //! must be fully healed by replay.
 
@@ -25,16 +26,15 @@ use bcrdb::prelude::*;
 const WAIT: Duration = Duration::from_secs(30);
 const ORGS: [&str; 4] = ["org1", "org2", "org3", "org4"];
 
-fn build(flow: Flow, pipeline: bool) -> Network {
-    build_with(flow, pipeline, None)
-}
+/// The genesis schema of every network (and replay node) in this suite.
+const KV_DDL: &str = "CREATE TABLE kv (k INT PRIMARY KEY, v INT NOT NULL, note TEXT); \
+     CREATE FUNCTION put(k INT, v INT, note TEXT) AS $$ \
+       INSERT INTO kv VALUES ($1, $2, $3) $$; \
+     CREATE FUNCTION bump(k INT, v INT) AS $$ \
+       UPDATE kv SET v = v + $2 WHERE k = $1 $$";
 
-fn build_with(flow: Flow, pipeline: bool, apply_workers: Option<usize>) -> Network {
+fn build(flow: Flow) -> Network {
     let mut cfg = NetworkConfig::quick(&ORGS, flow);
-    cfg.pipeline = pipeline;
-    if let Some(w) = apply_workers {
-        cfg.apply_workers = w;
-    }
     // BCRDB_PAGED=1 re-runs the whole suite on disk-backed paged
     // storage (pool size from BCRDB_POOL_FRAMES, spilling as eagerly as
     // possible): the byte-identical-replicas claim must survive cold
@@ -54,20 +54,47 @@ fn build_with(flow: Flow, pipeline: bool, apply_workers: Option<usize>) -> Netwo
         cfg.spill_retention = 1;
     }
     let net = Network::build(cfg).unwrap();
-    net.bootstrap_sql(
-        "CREATE TABLE kv (k INT PRIMARY KEY, v INT NOT NULL, note TEXT); \
-         CREATE FUNCTION put(k INT, v INT, note TEXT) AS $$ \
-           INSERT INTO kv VALUES ($1, $2, $3) $$; \
-         CREATE FUNCTION bump(k INT, v INT) AS $$ \
-           UPDATE kv SET v = v + $2 WHERE k = $1 $$",
-    )
-    .unwrap();
+    net.bootstrap_sql(KV_DDL).unwrap();
     net
 }
 
-/// A deterministic sequential workload: with one client submitting and
-/// awaiting each transaction in turn, block contents and boundaries are
-/// identical across runs, so whole chains can be compared byte for byte.
+/// The oracle: replay `source`'s stored chain through `process_block` on a
+/// fresh in-memory node with the network's identities and genesis, and
+/// require the checkpoint hashes, state hash and ledger content the live
+/// loop left on `source`. Returns the replay node.
+fn assert_replay_matches(net: &Network, source: &Arc<Node>) -> Arc<Node> {
+    let flow = net.config().flow;
+    let cfg = NodeConfig::new(source.config.name.clone(), source.config.org.clone(), flow);
+    let replay = Node::new(cfg, Arc::clone(net.certs()), net.config().orgs.clone()).unwrap();
+    bcrdb::core::system::bootstrap_node(&replay).unwrap();
+    bcrdb::core::network::apply_bootstrap_sql(&replay, KV_DDL, flow).unwrap();
+    for h in 1..=source.height() {
+        let block = source.blockstore.get(h).unwrap();
+        replay.blockstore.append((*block).clone()).unwrap();
+        processor::process_block(&replay, &block).unwrap();
+    }
+    let (live, replayed) = (fingerprint(source), fingerprint(&replay));
+    assert_eq!(
+        live.checkpoints, replayed.checkpoints,
+        "{flow:?}: checkpoint hashes differ between live run and replay"
+    );
+    assert!(
+        live.checkpoints.iter().all(Option::is_some),
+        "{flow:?}: every block has a checkpoint hash"
+    );
+    assert_eq!(
+        live.state, replayed.state,
+        "{flow:?}: state hash differs between live run and replay"
+    );
+    assert_eq!(
+        live.ledger, replayed.ledger,
+        "{flow:?}: ledger content differs between live run and replay"
+    );
+    replay
+}
+
+/// A sequential workload — one client submitting and awaiting inserts,
+/// then updates of half the inserted rows, one transaction at a time.
 fn run_sequential_workload(net: &Network) {
     let client = net.client("org1", "alice").unwrap();
     for k in 1..=12i64 {
@@ -93,22 +120,16 @@ fn run_sequential_workload(net: &Network) {
 
 /// Everything determinism-relevant a run leaves behind, per node.
 struct RunFingerprint {
-    /// (height, block hash) for the whole chain. Byte-identical across
-    /// the nodes of one run; across *separate runs* only `content` can
-    /// be compared, because the votes embedded in block metadata arrive
-    /// over asynchronous gossip and land in timing-dependent blocks.
+    /// (height, block hash) for the whole chain.
     chain: Vec<(u64, [u8; 32])>,
-    /// (height, ordered transaction ids) — the commit-relevant chain
-    /// content, stable across runs of the same sequential workload.
-    content: Vec<(u64, Vec<String>)>,
     /// Local checkpoint (write-set) hash per block.
     checkpoints: Vec<Option<Digest>>,
     /// Full committed state hash at the tip.
     state: Digest,
     /// Ledger content: (block, tx_index, global id, user, contract,
-    /// committed?) — commit timestamps and local txids are node-local by
-    /// design and excluded.
-    ledger: Vec<(u64, u32, String, String, String, bool)>,
+    /// status incl. abort reason) — commit timestamps and local txids are
+    /// node-local by design and excluded.
+    ledger: Vec<(u64, u32, String, String, String, TxStatus)>,
 }
 
 fn fingerprint(node: &Arc<Node>) -> RunFingerprint {
@@ -116,12 +137,6 @@ fn fingerprint(node: &Arc<Node>) -> RunFingerprint {
     assert_eq!(node.postcommit_height(), tip, "pipeline fully drained");
     let chain = (1..=tip)
         .map(|h| (h, node.blockstore.get(h).unwrap().hash))
-        .collect();
-    let content = (1..=tip)
-        .map(|h| {
-            let b = node.blockstore.get(h).unwrap();
-            (h, b.txs.iter().map(|t| t.id.short()).collect())
-        })
         .collect();
     let checkpoints = (1..=tip).map(|h| node.checkpoints.local_hash(h)).collect();
     let mut ledger = Vec::new();
@@ -133,114 +148,27 @@ fn fingerprint(node: &Arc<Node>) -> RunFingerprint {
                 r.global_id.short(),
                 r.user.clone(),
                 r.contract.clone(),
-                matches!(r.status, TxStatus::Committed),
+                r.status.clone(),
             ));
         }
     }
     RunFingerprint {
         chain,
-        content,
         checkpoints,
         state: node.state_hash(),
         ledger,
     }
 }
 
-#[test]
-fn pipelined_and_serial_runs_are_byte_identical() {
-    let serial = {
-        let net = build(Flow::OrderThenExecute, false);
-        run_sequential_workload(&net);
-        let fp = fingerprint(&net.node("org1").unwrap());
-        net.shutdown();
-        fp
-    };
-    let pipelined = {
-        let net = build(Flow::OrderThenExecute, true);
-        run_sequential_workload(&net);
-        // Every node of the pipelined network agrees with org1.
-        let fps: Vec<RunFingerprint> = net.nodes().iter().map(fingerprint).collect();
-        for (i, fp) in fps.iter().enumerate().skip(1) {
-            assert_eq!(fp.chain, fps[0].chain, "node {} chain diverged", ORGS[i]);
-            assert_eq!(
-                fp.checkpoints, fps[0].checkpoints,
-                "node {} checkpoints diverged",
-                ORGS[i]
-            );
-            assert_eq!(fp.state, fps[0].state, "node {} state diverged", ORGS[i]);
-            assert_eq!(fp.ledger, fps[0].ledger, "node {} ledger diverged", ORGS[i]);
-        }
-        for node in net.nodes() {
-            assert!(node.divergences().is_empty());
-        }
-        let fp = fingerprint(&net.node("org1").unwrap());
-        net.shutdown();
-        fp
-    };
-
-    // The two modes produced identical chains (same transactions in the
-    // same blocks), checkpoint hashes, state and ledger content.
-    assert_eq!(
-        serial.content, pipelined.content,
-        "chain content differs across modes"
-    );
-    assert_eq!(
-        serial.checkpoints, pipelined.checkpoints,
-        "checkpoint hashes differ across modes"
-    );
-    assert_eq!(serial.state, pipelined.state, "state hashes differ");
-    assert_eq!(serial.ledger, pipelined.ledger, "ledger content differs");
-    assert!(
-        serial.checkpoints.iter().all(Option::is_some),
-        "every block has a checkpoint hash"
-    );
-}
-
-/// The parallel write-set apply is invisible: for both pipeline modes,
-/// a run with the serial apply (`apply_workers = 1`) and a run with a
-/// 4-worker pool produce identical chain content, checkpoint hashes,
-/// state hashes and ledger content.
-#[test]
-fn apply_worker_count_changes_no_byte() {
-    for pipeline in [false, true] {
-        let runs: Vec<RunFingerprint> = [1usize, 4]
-            .iter()
-            .map(|&workers| {
-                let net = build_with(Flow::OrderThenExecute, pipeline, Some(workers));
-                run_sequential_workload(&net);
-                let fp = fingerprint(&net.node("org1").unwrap());
-                net.shutdown();
-                fp
-            })
-            .collect();
-        assert_eq!(
-            runs[0].content, runs[1].content,
-            "pipeline={pipeline}: chain content differs across apply_workers"
-        );
-        assert_eq!(
-            runs[0].checkpoints, runs[1].checkpoints,
-            "pipeline={pipeline}: checkpoint hashes differ across apply_workers"
-        );
-        assert_eq!(
-            runs[0].state, runs[1].state,
-            "pipeline={pipeline}: state hashes differ across apply_workers"
-        );
-        assert_eq!(
-            runs[0].ledger, runs[1].ledger,
-            "pipeline={pipeline}: ledger content differs across apply_workers"
-        );
-        assert!(runs[0].checkpoints.iter().all(Option::is_some));
-    }
-}
-
-/// Concurrent load on the pipelined 4-node network: block boundaries are
-/// timing-dependent across runs, so the assertion is within-run — all
+/// Concurrent load on the 4-node network: block boundaries are
+/// timing-dependent across runs, so the assertions are within-run — all
 /// four nodes converge to identical chains, checkpoints and state, with
-/// no divergence reports.
+/// no divergence reports, and replaying org1's chain reproduces what its
+/// live loop committed.
 #[test]
 fn pipelined_network_converges_under_concurrent_load() {
     for flow in [Flow::OrderThenExecute, Flow::ExecuteOrderParallel] {
-        let net = build(flow, true);
+        let net = build(flow);
         let mut batches = Vec::new();
         for (i, org) in ORGS.iter().enumerate() {
             let client = net.client(org, "loadgen").unwrap();
@@ -281,6 +209,7 @@ fn pipelined_network_converges_under_concurrent_load() {
         for node in net.nodes() {
             assert!(node.divergences().is_empty(), "{flow:?}: divergence seen");
         }
+        assert_replay_matches(&net, &net.node("org1").unwrap());
         net.shutdown();
     }
 }
@@ -402,11 +331,23 @@ fn bootstrap(node: &Arc<Node>) {
     }
 }
 
+/// Wait until the live loop has fully processed block `height`.
+fn await_postcommit(node: &Arc<Node>, height: u64) {
+    let deadline = std::time::Instant::now() + WAIT;
+    while node.postcommit_height() < height {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "block {height} never committed"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// The pipelined failure window unique to stage 3: a block is durable in
 /// the store (stage 0 append + group fsync) and serially committed, but
 /// the node dies before the post-commit worker writes its ledger records.
-/// Recovery replays the stored chain through the synchronous path and
-/// must rebuild the unflushed ledger records and checkpoint hashes.
+/// Recovery replays the stored chain through `process_block` and must
+/// rebuild the unflushed ledger records and checkpoint hashes.
 #[test]
 fn crash_during_post_commit_replay_rebuilds_ledger() {
     let dir = std::env::temp_dir().join(format!("bcrdb-pipe-crash-{}", std::process::id()));
@@ -465,71 +406,94 @@ fn crash_during_post_commit_replay_rebuilds_ledger() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Direct-node parallel-apply determinism on blocks that exercise every
-/// gate decision at once: wide insert batches, updates, deletes, and a
-/// same-block duplicate-key pair whose loser must abort with the exact
-/// same reason string under every worker count (the per-block PK overlay
-/// mirrors the storage check byte for byte).
+/// Direct-node live ≡ replay on blocks that exercise every gate decision
+/// at once: wide insert batches, updates, deletes, and a same-block
+/// duplicate-key pair whose loser must abort — with the same reason
+/// string — because its predecessor's row is already live in storage.
 #[test]
-fn mixed_blocks_are_identical_across_apply_worker_counts() {
-    let fps: Vec<_> = [1usize, 4]
-        .iter()
-        .map(|&workers| {
-            let rig = Rig::new();
-            let node = rig.node_with(|cfg| {
-                cfg.fsync = false;
-                cfg.apply_workers = workers;
-            });
-            // Block 1: a wide insert batch.
-            let calls: Vec<(&str, Vec<Value>)> = (0..40i64)
-                .map(|k| ("put", vec![Value::Int(k), Value::Int(k * 10)]))
-                .collect();
-            let b1 = rig.block_of(&node, 1, &calls, 1_000);
-            node.blockstore.append((*b1).clone()).unwrap();
-            processor::process_block(&node, &b1).unwrap();
-            // Block 2: interleaved updates, deletes, fresh inserts and an
-            // in-block duplicate key (the second `put 50` must lose).
-            let calls: Vec<(&str, Vec<Value>)> = vec![
-                ("setv", vec![Value::Int(0), Value::Int(500)]),
-                ("del", vec![Value::Int(1)]),
-                ("put", vec![Value::Int(50), Value::Int(50)]),
-                ("put", vec![Value::Int(50), Value::Int(51)]),
-                ("setv", vec![Value::Int(2), Value::Int(700)]),
-                ("del", vec![Value::Int(3)]),
-                ("put", vec![Value::Int(51), Value::Int(51)]),
-                ("setv", vec![Value::Int(39), Value::Int(999)]),
-            ];
-            let b2 = rig.block_of(&node, 2, &calls, 2_000);
-            node.blockstore.append((*b2).clone()).unwrap();
-            processor::process_block(&node, &b2).unwrap();
-
-            let ledger: Vec<_> = (1..=2u64)
-                .flat_map(|h| node.ledger_records(h))
-                .map(|r| (r.block, r.tx_index, r.status))
-                .collect();
-            let dup = ledger
-                .iter()
-                .find(|(b, i, _)| *b == 2 && *i == 3)
-                .cloned()
-                .unwrap();
-            assert!(
-                matches!(&dup.2, TxStatus::Aborted(m) if m.contains("duplicate key")),
-                "workers={workers}: in-block duplicate did not abort: {:?}",
-                dup.2
-            );
-            let checkpoints: Vec<_> = (1..=2u64).map(|h| node.checkpoints.local_hash(h)).collect();
-            (node.state_hash(), checkpoints, ledger)
-        })
+fn mixed_blocks_live_run_matches_replay() {
+    let rig = Rig::new();
+    let replay = rig.node_with(|cfg| cfg.fsync = false);
+    // Block 1: a wide insert batch.
+    let calls: Vec<(&str, Vec<Value>)> = (0..40i64)
+        .map(|k| ("put", vec![Value::Int(k), Value::Int(k * 10)]))
         .collect();
-    assert_eq!(
-        fps[0].0, fps[1].0,
-        "state hash differs across worker counts"
+    let b1 = rig.block_of(&replay, 1, &calls, 1_000);
+    replay.blockstore.append((*b1).clone()).unwrap();
+    processor::process_block(&replay, &b1).unwrap();
+    // Block 2: interleaved updates, deletes, fresh inserts and an
+    // in-block duplicate key (the second `put 50` must lose).
+    let calls: Vec<(&str, Vec<Value>)> = vec![
+        ("setv", vec![Value::Int(0), Value::Int(500)]),
+        ("del", vec![Value::Int(1)]),
+        ("put", vec![Value::Int(50), Value::Int(50)]),
+        ("put", vec![Value::Int(50), Value::Int(51)]),
+        ("setv", vec![Value::Int(2), Value::Int(700)]),
+        ("del", vec![Value::Int(3)]),
+        ("put", vec![Value::Int(51), Value::Int(51)]),
+        ("setv", vec![Value::Int(39), Value::Int(999)]),
+    ];
+    let b2 = rig.block_of(&replay, 2, &calls, 2_000);
+    replay.blockstore.append((*b2).clone()).unwrap();
+    processor::process_block(&replay, &b2).unwrap();
+
+    // The same two blocks through the live loop.
+    let live = rig.node_with(|cfg| cfg.fsync = false);
+    let (tx, rx) = crossbeam_channel::unbounded::<Arc<Block>>();
+    live.start(rx);
+    tx.send(b1).unwrap();
+    tx.send(b2).unwrap();
+    await_postcommit(&live, 2);
+
+    let (live_fp, replay_fp) = (fingerprint(&live), fingerprint(&replay));
+    assert_eq!(live_fp.state, replay_fp.state, "state hash");
+    assert_eq!(live_fp.checkpoints, replay_fp.checkpoints, "checkpoints");
+    assert_eq!(live_fp.ledger, replay_fp.ledger, "ledger");
+    let dup = live_fp
+        .ledger
+        .iter()
+        .find(|r| r.0 == 2 && r.1 == 3)
+        .expect("ledger row of the duplicate");
+    assert!(
+        matches!(&dup.5, TxStatus::Aborted(m)
+            if m.contains("duplicate key value 50 violates primary key of table kv")),
+        "in-block duplicate did not abort: {:?}",
+        dup.5
     );
     assert_eq!(
-        fps[0].1, fps[1].1,
-        "checkpoints differ across worker counts"
+        live_fp
+            .ledger
+            .iter()
+            .filter(|r| r.5 == TxStatus::Committed)
+            .count(),
+        40 + 7,
+        "everything but the duplicate committed"
     );
-    assert_eq!(fps[0].2, fps[1].2, "ledger differs across worker counts");
+    live.shutdown();
+}
+
+/// `bet` is the measured wait at the pipeline head, not a count of
+/// expired 2 ms wait slices: executions that finish inside the first
+/// slice still show up in it.
+#[test]
+fn head_wait_shorter_than_a_slice_is_reported_in_bet() {
+    let rig = Rig::new();
+    let node = rig.node_with(|cfg| {
+        cfg.fsync = false;
+        cfg.min_exec_micros = 1_000;
+    });
+    let (tx, rx) = crossbeam_channel::unbounded::<Arc<Block>>();
+    node.start(rx);
+    tx.send(rig.block(&node, 1, 0..3)).unwrap();
+    await_postcommit(&node, 1);
+    let m = node.metrics().take();
+    assert!(
+        m.bet_ms >= 0.5,
+        "1 ms executions reported bet = {} ms",
+        m.bet_ms
+    );
+    assert!(m.bpt_ms >= m.bet_ms);
+    node.shutdown();
 }
 
 /// The maintenance vacuum tick (`NodeConfig::vacuum_interval`): every N
@@ -579,7 +543,7 @@ fn vacuum_tick_reclaims_old_deletes() {
     assert_eq!(r.rows.len(), 1);
 }
 
-/// A rejected block halts the pipelined processor: the `halted` health
+/// A rejected block halts the block processor: the `halted` health
 /// flag is recorded (and surfaces through the Metrics RPC snapshot), and
 /// `Node::shutdown` returns promptly instead of hanging on the dead
 /// processor.
@@ -593,14 +557,7 @@ fn halted_processor_reports_health_and_shuts_down() {
     // A healthy block commits.
     let good = rig.block(&node, 1, 0..3);
     tx.send(Arc::clone(&good)).unwrap();
-    let deadline = std::time::Instant::now() + WAIT;
-    while node.postcommit_height() < 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "block 1 never committed"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    await_postcommit(&node, 1);
     assert!(!node.is_halted());
 
     // A block signed by a rogue orderer is rejected and halts processing.
@@ -628,8 +585,8 @@ fn halted_processor_reports_health_and_shuts_down() {
     node.shutdown();
     assert!(t0.elapsed() < Duration::from_secs(1));
 
-    // Chains keep their integrity: a healthy node fed the same blocks
-    // still refuses the rogue one via the synchronous path.
+    // Chains keep their integrity: a healthy node replays the good
+    // block on its own.
     let clean = rig.node(None);
     clean.blockstore.append((*good).clone()).unwrap();
     processor::process_block(&clean, &good).unwrap();
@@ -637,57 +594,49 @@ fn halted_processor_reports_health_and_shuts_down() {
 }
 
 /// Planner statistics ride the deterministic commit path (folded and
-/// sealed by the serial gate's thread, in block order), so the plans
-/// they drive — estimates included — are byte-identical on every
-/// replica, with the pipeline on or off and for any apply-worker count.
-/// The chosen index ranges double as SSI predicate locks, so this is a
+/// sealed by the commit thread, in block order), so the plans they drive
+/// — estimates included — are byte-identical on every replica and on a
+/// node that replayed the chain instead of committing it live. The
+/// chosen index ranges double as SSI predicate locks, so this is a
 /// consensus property, not a cosmetic one.
 #[test]
 fn stats_driven_plans_are_identical_across_replicas_and_workers() {
-    let mut per_config: Vec<Vec<String>> = Vec::new();
-    for (pipeline, workers) in [(false, Some(1)), (true, Some(1)), (true, Some(4))] {
-        let net = build_with(Flow::OrderThenExecute, pipeline, workers);
-        run_sequential_workload(&net);
-        let plans: Vec<Vec<String>> = net
-            .nodes()
+    let net = build(Flow::OrderThenExecute);
+    run_sequential_workload(&net);
+    let plan_on = |n: &Arc<Node>| -> Vec<String> {
+        let r = n
+            .query_at(
+                "EXPLAIN SELECT v FROM kv WHERE k = 2 OR k = 5",
+                &[],
+                n.height(),
+            )
+            .unwrap();
+        r.rows
             .iter()
-            .map(|n| {
-                let r = n
-                    .query_at(
-                        "EXPLAIN SELECT v FROM kv WHERE k = 2 OR k = 5",
-                        &[],
-                        n.height(),
-                    )
-                    .unwrap();
-                r.rows
-                    .iter()
-                    .map(|row| match &row[0] {
-                        Value::Text(s) => s.clone(),
-                        other => panic!("plan line is not text: {other:?}"),
-                    })
-                    .collect()
+            .map(|row| match &row[0] {
+                Value::Text(s) => s.clone(),
+                other => panic!("plan line is not text: {other:?}"),
             })
-            .collect();
-        for (i, p) in plans.iter().enumerate().skip(1) {
-            assert_eq!(
-                &plans[0], p,
-                "node {i} diverged (pipeline={pipeline}, workers={workers:?})"
-            );
-        }
-        per_config.push(plans.into_iter().next().unwrap());
-        net.shutdown();
+            .collect()
+    };
+    let plans: Vec<Vec<String>> = net.nodes().iter().map(plan_on).collect();
+    for (i, p) in plans.iter().enumerate().skip(1) {
+        assert_eq!(&plans[0], p, "node {i} diverged");
     }
-    for p in &per_config[1..] {
-        assert_eq!(
-            &per_config[0], p,
-            "plan text depends on pipeline/apply_workers"
-        );
-    }
+    // The sequential workload updates rows as well as inserting them, so
+    // this replay also covers update write sets.
+    let replay = assert_replay_matches(&net, &net.node("org1").unwrap());
+    assert_eq!(
+        plans[0],
+        plan_on(&replay),
+        "plan text differs between live run and replay"
+    );
+    net.shutdown();
     // And the sealed statistics actually drove the choice: the OR over
     // the key planned as an index union, not a full scan.
     assert!(
-        per_config[0].iter().any(|l| l.contains("IndexUnion kv")),
+        plans[0].iter().any(|l| l.contains("IndexUnion kv")),
         "expected an index-union plan, got {:?}",
-        per_config[0]
+        plans[0]
     );
 }
