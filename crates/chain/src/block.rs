@@ -9,7 +9,7 @@
 //! previous blocks ride along in the metadata (§3.3.4: "state change
 //! hashes are added in the next block").
 
-use bcrdb_common::codec::Encoder;
+use bcrdb_common::codec::{Encode, Encoder};
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::BlockHeight;
 use bcrdb_crypto::identity::{CertificateRegistry, KeyPair, Signature};
@@ -29,15 +29,6 @@ pub struct CheckpointVote {
     pub block: BlockHeight,
     /// Hash of the union of state changes made by that block.
     pub state_hash: Digest,
-}
-
-/// Serialized size of one SHA-256 digest on the wire.
-pub const DIGEST_WIRE: usize = std::mem::size_of::<Digest>();
-
-impl CheckpointVote {
-    /// Charged wire size: a fixed 32-byte budget for the node name, the
-    /// 8-byte block height, and the state digest.
-    pub const WIRE_SIZE: usize = 32 + 8 + DIGEST_WIRE;
 }
 
 /// The hash of the conventional genesis predecessor (block 0's
@@ -107,9 +98,7 @@ impl Block {
         enc.put_str(consensus);
         enc.put_u32(checkpoints.len() as u32);
         for cv in checkpoints {
-            enc.put_str(&cv.node);
-            enc.put_u64(cv.block);
-            enc.put_digest(&cv.state_hash);
+            cv.encode(&mut enc);
         }
         enc.put_digest(prev_hash);
         sha256(&enc.finish())
@@ -192,19 +181,6 @@ impl Block {
         proof: &bcrdb_crypto::merkle::MerkleProof,
     ) -> bool {
         MerkleTree::verify(root, &tx.canonical_bytes(), proof)
-    }
-
-    /// Total wire size estimate.
-    pub fn wire_size(&self) -> usize {
-        let tx_bytes: usize = self.txs.iter().map(Transaction::wire_size).sum();
-        let sig_bytes: usize = self.signatures.iter().map(|(_, s)| s.wire_size()).sum();
-        // The three digests are `prev_hash`, `tx_root`, and `hash`; the
-        // 16 covers the height and the consensus tag.
-        tx_bytes
-            + sig_bytes
-            + DIGEST_WIRE * 3
-            + 16
-            + self.checkpoints.len() * CheckpointVote::WIRE_SIZE
     }
 }
 

@@ -16,18 +16,15 @@
 //!   snapshot instead, letting the requester skip re-executing the bulk
 //!   of the chain (re-execution, not transfer, dominates replay cost).
 //!
-//! Both messages have a canonical codec so the simulated network can
-//! charge them honest byte sizes, and so a future real transport can
-//! carry them unchanged.
+//! Both messages have one canonical codec: the TCP transport sends its
+//! bytes and the simulated network charges their count (`encoded_len`).
 
 use bcrdb_common::codec::{Decode, Decoder, Encode, Encoder};
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::BlockHeight;
 
 use crate::block::Block;
-
-/// Upper bound on blocks per sync response accepted by the decoder.
-const MAX_SYNC_BLOCKS: usize = 100_000;
+use crate::wire::MIN_BLOCK_ENCODING;
 
 /// A catch-up request: "send me what comes after `from_height`".
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,10 +109,7 @@ impl Decode for SyncResponse {
         match dec.get_u8()? {
             0 => {
                 let tip = dec.get_u64()?;
-                let n = dec.get_u32()? as usize;
-                if n > MAX_SYNC_BLOCKS {
-                    return Err(Error::Codec("implausible sync block count".into()));
-                }
+                let n = dec.get_count(MIN_BLOCK_ENCODING, "sync block")?;
                 let mut blocks = Vec::with_capacity(n);
                 for _ in 0..n {
                     blocks.push(Block::decode(dec)?);
@@ -133,26 +127,7 @@ impl Decode for SyncResponse {
     }
 }
 
-impl SyncRequest {
-    /// Encoded size in bytes (requests are tiny and fixed-shape).
-    pub fn wire_size(&self) -> usize {
-        8 + 8 + 1
-    }
-}
-
 impl SyncResponse {
-    /// Estimated encoded size in bytes, for the simulated network's
-    /// latency/bandwidth model (mirrors [`Block::wire_size`]'s estimate
-    /// rather than paying a full encode on the hot path).
-    pub fn wire_size(&self) -> usize {
-        match self {
-            SyncResponse::Blocks { blocks, .. } => {
-                13 + blocks.iter().map(Block::wire_size).sum::<usize>()
-            }
-            SyncResponse::Snapshot { state, .. } => 21 + state.len(),
-        }
-    }
-
     /// The serving peer's tip height.
     pub fn tip(&self) -> BlockHeight {
         match self {
@@ -198,7 +173,7 @@ mod tests {
         let bytes = req.encode_to_vec();
         let back = SyncRequest::decode_all(&bytes).unwrap();
         assert_eq!(back, req);
-        assert_eq!(req.wire_size(), 17);
+        assert_eq!(req.encoded_len(), 17);
     }
 
     #[test]
@@ -216,7 +191,6 @@ mod tests {
         assert_eq!(blocks.len(), 3);
         assert_eq!(blocks[1].number, 2);
         blocks[2].verify_integrity().unwrap();
-        assert!(resp.wire_size() > 3 * 32);
     }
 
     #[test]
@@ -234,7 +208,6 @@ mod tests {
         assert_eq!((height, tip), (42, 50));
         assert_eq!(state.len(), 1000);
         assert_eq!(resp.tip(), 50);
-        assert!(resp.wire_size() >= 1000);
     }
 
     #[test]

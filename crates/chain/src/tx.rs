@@ -193,12 +193,6 @@ impl Transaction {
         }
         enc.finish().to_vec()
     }
-
-    /// Approximate wire size (payload + signature), for the network
-    /// simulator's bandwidth model.
-    pub fn wire_size(&self) -> usize {
-        self.canonical_bytes().len() + self.signature.wire_size()
-    }
 }
 
 #[cfg(test)]
@@ -280,6 +274,5 @@ mod tests {
         let a = Transaction::new_order_execute("org1/alice", payload(), 1, &key).unwrap();
         let b = Transaction::new_order_execute("org1/alice", payload(), 2, &key).unwrap();
         assert_ne!(a.canonical_bytes(), b.canonical_bytes());
-        assert!(a.wire_size() > 32);
     }
 }

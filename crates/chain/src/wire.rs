@@ -77,6 +77,43 @@ pub fn decode_signature(dec: &mut Decoder<'_>) -> Result<Signature> {
     }
 }
 
+/// Fewest bytes a [`Signature`] encodes to: the hash-based variant with
+/// no chain values and no auth-path steps (tag, leaf index, three counts).
+const MIN_SIGNATURE_ENCODING: usize = 1 + 8 + 4 + 4 + 4;
+
+/// Fewest bytes a [`Transaction`] encodes to: id, empty user, contract
+/// and argument row, the snapshot flag, and a minimal signature.
+const MIN_TX_ENCODING: usize = 32 + 4 + 4 + 4 + 1 + MIN_SIGNATURE_ENCODING;
+
+/// Fewest bytes a [`CheckpointVote`] encodes to (empty node name).
+const MIN_VOTE_ENCODING: usize = 4 + 8 + 32;
+
+/// Fewest bytes a [`Block`] encodes to: number, three digests, empty
+/// consensus tag, and three zero counts. Decoders bound every element
+/// count by the remaining input over these minima *before* reserving
+/// memory, so a 44-byte frame cannot claim a million transactions.
+pub(crate) const MIN_BLOCK_ENCODING: usize = 8 + 32 + 4 + 4 + 4 + 32 + 32 + 4;
+
+impl Encode for CheckpointVote {
+    /// The one spelling of a vote's field order: embedded in blocks, in
+    /// the block-hash preimage, and on the node→orderer plane.
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_str(&self.node);
+        enc.put_u64(self.block);
+        enc.put_digest(&self.state_hash);
+    }
+}
+
+impl Decode for CheckpointVote {
+    fn decode(dec: &mut Decoder<'_>) -> Result<CheckpointVote> {
+        Ok(CheckpointVote {
+            node: dec.get_str()?,
+            block: dec.get_u64()?,
+            state_hash: dec.get_digest()?,
+        })
+    }
+}
+
 impl Encode for Transaction {
     fn encode(&self, enc: &mut Encoder) {
         enc.put_digest(&self.id.0);
@@ -127,9 +164,7 @@ impl Encode for Block {
         enc.put_str(&self.consensus);
         enc.put_u32(self.checkpoints.len() as u32);
         for cv in &self.checkpoints {
-            enc.put_str(&cv.node);
-            enc.put_u64(cv.block);
-            enc.put_digest(&cv.state_hash);
+            cv.encode(enc);
         }
         enc.put_digest(&self.tx_root);
         enc.put_digest(&self.hash);
@@ -145,33 +180,21 @@ impl Decode for Block {
     fn decode(dec: &mut Decoder<'_>) -> Result<Block> {
         let number = dec.get_u64()?;
         let prev_hash = dec.get_digest()?;
-        let tx_count = dec.get_u32()? as usize;
-        if tx_count > 1_000_000 {
-            return Err(Error::Codec("implausible transaction count".into()));
-        }
+        let tx_count = dec.get_count(MIN_TX_ENCODING, "transaction")?;
         let mut txs = Vec::with_capacity(tx_count);
         for _ in 0..tx_count {
             txs.push(Transaction::decode(dec)?);
         }
         let consensus = dec.get_str()?;
-        let cv_count = dec.get_u32()? as usize;
-        if cv_count > 1_000_000 {
-            return Err(Error::Codec("implausible checkpoint count".into()));
-        }
+        let cv_count = dec.get_count(MIN_VOTE_ENCODING, "checkpoint vote")?;
         let mut checkpoints = Vec::with_capacity(cv_count);
         for _ in 0..cv_count {
-            checkpoints.push(CheckpointVote {
-                node: dec.get_str()?,
-                block: dec.get_u64()?,
-                state_hash: dec.get_digest()?,
-            });
+            checkpoints.push(CheckpointVote::decode(dec)?);
         }
         let tx_root = dec.get_digest()?;
         let hash = dec.get_digest()?;
-        let sig_count = dec.get_u32()? as usize;
-        if sig_count > 100_000 {
-            return Err(Error::Codec("implausible signature count".into()));
-        }
+        // Each entry is a (possibly empty) name plus a signature.
+        let sig_count = dec.get_count(4 + MIN_SIGNATURE_ENCODING, "block signature")?;
         let mut signatures = Vec::with_capacity(sig_count);
         for _ in 0..sig_count {
             let name = dec.get_str()?;
@@ -249,6 +272,23 @@ mod tests {
         back.verify_integrity().unwrap();
     }
 
+    /// Golden pin: round trips cannot tell whether an encoder's output
+    /// *changed*, and block store files, block hashes and every TCP frame
+    /// depend on these exact bytes.
+    #[test]
+    fn golden_block_hash_and_encoding_are_pinned() {
+        use bcrdb_crypto::sha256::{sha256, to_hex};
+        let b = sample_block(Scheme::Sim);
+        assert_eq!(
+            to_hex(&b.hash),
+            "1f33d71c61b7358ce5f6502ba0da327502070a10c7d8cc41af621786e88c41db"
+        );
+        assert_eq!(
+            to_hex(&sha256(&b.encode_to_vec())),
+            "a6e7216b69031c327e56215d50fe11d839c7e644f04bbf35366870334c15e810"
+        );
+    }
+
     #[test]
     fn block_roundtrip_hashbased_signatures() {
         let b = sample_block(Scheme::HashBased { height: 3 });
@@ -265,6 +305,62 @@ mod tests {
         for cut in [1usize, 10, 50, bytes.len() - 1] {
             assert!(Block::decode_all(&bytes[..cut]).is_err(), "cut={cut}");
         }
+    }
+
+    /// A count is honoured only if the input can back it: each of these
+    /// inputs claims far more elements than its remaining bytes could
+    /// hold, and must be refused *before* `Vec::with_capacity` runs.
+    #[test]
+    fn element_counts_are_bounded_by_remaining_input() {
+        fn assert_refused<T>(r: Result<T>) {
+            match r {
+                Err(Error::Codec(m)) => assert!(m.ends_with("exceeds remaining input"), "{m}"),
+                Err(e) => panic!("wrong error: {e}"),
+                Ok(_) => panic!("hostile count accepted"),
+            }
+        }
+        // Number, prev_hash, then "1,000,000 transactions": 44 bytes that
+        // would reserve 160 MB if the count were honoured.
+        let mut enc = Encoder::new();
+        enc.put_u64(1);
+        enc.put_digest(&[0u8; 32]);
+        let header = enc.len();
+        enc.put_u32(1_000_000);
+        let tx_bomb = enc.finish();
+        assert_eq!(tx_bomb.len(), 44);
+        assert_refused(Block::decode_all(&tx_bomb));
+
+        // The same header with no transactions, then a vote count …
+        let mut enc = Encoder::new();
+        enc.put_u32(0);
+        enc.put_str("kafka");
+        let no_txs = [&tx_bomb[..header], &enc.finish()].concat();
+        let vote_bomb = [&no_txs[..], &1_000_000u32.to_be_bytes()].concat();
+        assert_refused(Block::decode_all(&vote_bomb));
+
+        // … or no votes either, two digests, then a signature count.
+        let sig_bomb = [&no_txs[..], &[0u8; 4 + 64], &100_000u32.to_be_bytes()].concat();
+        assert_refused(Block::decode_all(&sig_bomb));
+
+        // A sync response (tag, tip) claiming 100,000 blocks in 13 bytes.
+        let sync_bomb = [&[0u8; 9][..], &100_000u32.to_be_bytes()].concat();
+        assert_refused(crate::sync::SyncResponse::decode_all(&sync_bomb));
+    }
+
+    #[test]
+    fn minimum_encodings_are_what_empty_values_encode_to() {
+        let vote = CheckpointVote {
+            node: String::new(),
+            block: 0,
+            state_hash: [0u8; 32],
+        };
+        assert_eq!(vote.encoded_len(), MIN_VOTE_ENCODING);
+        let empty = Block::build(0, [0u8; 32], vec![], "", vec![]);
+        assert_eq!(empty.encoded_len(), MIN_BLOCK_ENCODING);
+        // Real transactions sit above their floor.
+        let b = sample_block(Scheme::Sim);
+        assert!(b.txs.iter().all(|t| t.encoded_len() > MIN_TX_ENCODING));
+        assert_eq!(b.encoded_len(), b.encode_to_vec().len());
     }
 
     #[test]

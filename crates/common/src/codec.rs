@@ -10,24 +10,38 @@
 use crate::error::{Error, Result};
 use crate::value::Value;
 
-/// Incremental encoder over a growable buffer.
+/// Incremental encoder over a growable buffer — or, in counting mode
+/// ([`Encoder::counting`]), over no buffer at all: every `put_*` only
+/// advances the length, so measuring a message allocates nothing and a
+/// large `put_bytes` payload costs O(1). [`Encode::encoded_len`] is the
+/// one size any caller should charge for a message.
 #[derive(Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// `Some(n)` in counting mode: `n` bytes measured, none stored.
+    counted: Option<usize>,
 }
 
 impl Encoder {
     /// New empty encoder.
     pub fn new() -> Encoder {
-        Encoder {
-            buf: Vec::with_capacity(256),
-        }
+        Encoder::with_capacity(256)
     }
 
     /// New encoder with a capacity hint.
     pub fn with_capacity(cap: usize) -> Encoder {
         Encoder {
             buf: Vec::with_capacity(cap),
+            counted: None,
+        }
+    }
+
+    /// New encoder in counting mode: it measures what it is fed and
+    /// stores nothing ([`Encoder::finish`] returns an empty buffer).
+    pub fn counting() -> Encoder {
+        Encoder {
+            buf: Vec::new(),
+            counted: Some(0),
         }
     }
 
@@ -38,32 +52,39 @@ impl Encoder {
 
     /// Encoded length so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.counted.unwrap_or(self.buf.len())
     }
 
     /// True if nothing has been encoded yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.counted {
+            Some(n) => *n += bytes.len(),
+            None => self.buf.extend_from_slice(bytes),
+        }
     }
 
     /// Append a single byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.put(&[v]);
     }
 
     /// Append a big-endian u32.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Append a big-endian u64.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Append a big-endian i64.
     pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
+        self.put(&v.to_be_bytes());
     }
 
     /// Append an f64 via its IEEE-754 bit pattern.
@@ -73,13 +94,13 @@ impl Encoder {
 
     /// Append a bool as one byte.
     pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(u8::from(v));
+        self.put_u8(u8::from(v));
     }
 
     /// Append length-prefixed bytes.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
 
     /// Append a length-prefixed UTF-8 string.
@@ -89,7 +110,7 @@ impl Encoder {
 
     /// Append a fixed-width 32-byte digest (no length prefix).
     pub fn put_digest(&mut self, v: &[u8; 32]) {
-        self.buf.extend_from_slice(v);
+        self.put(v);
     }
 
     /// Append a tagged [`Value`].
@@ -241,15 +262,24 @@ impl<'a> Decoder<'a> {
         }
     }
 
+    /// Read a `u32` element count, rejecting it unless the input still
+    /// holds `min_size` bytes per claimed element (the least one `what`
+    /// can encode to) — so a corrupt or hostile count never makes the
+    /// caller reserve memory the input cannot back.
+    pub fn get_count(&mut self, min_size: usize, what: &str) -> Result<usize> {
+        let n = self.get_u32()? as usize;
+        if n.saturating_mul(min_size) > self.remaining() {
+            return Err(Error::Codec(format!(
+                "{what} count {n} exceeds remaining input"
+            )));
+        }
+        Ok(n)
+    }
+
     /// Read a row.
     pub fn get_row(&mut self) -> Result<Vec<Value>> {
-        let n = self.get_u32()? as usize;
-        // Defensive bound: a row cannot be larger than the remaining input
-        // (each value takes at least 1 byte), preventing huge preallocations
-        // from corrupt length prefixes.
-        if n > self.remaining() {
-            return Err(Error::Codec(format!("row length {n} exceeds input")));
-        }
+        // Each value takes at least its tag byte.
+        let n = self.get_count(1, "row value")?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.get_value()?);
@@ -268,6 +298,14 @@ pub trait Encode {
         let mut enc = Encoder::new();
         self.encode(&mut enc);
         enc.finish()
+    }
+
+    /// Exactly `encode_to_vec().len()`, without building the buffer —
+    /// the size the simulated network charges for this value.
+    fn encoded_len(&self) -> usize {
+        let mut enc = Encoder::counting();
+        self.encode(&mut enc);
+        enc.len()
     }
 }
 
@@ -360,6 +398,43 @@ mod tests {
         let mut b = Encoder::new();
         b.put_row(&row);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn counting_mode_measures_without_storing() {
+        struct Sample;
+        impl Encode for Sample {
+            fn encode(&self, enc: &mut Encoder) {
+                enc.put_u8(1);
+                enc.put_bool(true);
+                enc.put_u32(2);
+                enc.put_u64(3);
+                enc.put_f64(4.5);
+                enc.put_str("héllo");
+                enc.put_bytes(&[0u8; 1000]);
+                enc.put_digest(&[9u8; 32]);
+                enc.put_row(&[Value::Null, Value::Int(7), Value::Text("x".into())]);
+            }
+        }
+        assert_eq!(Sample.encoded_len(), Sample.encode_to_vec().len());
+        let mut enc = Encoder::counting();
+        Sample.encode(&mut enc);
+        assert_eq!(enc.finish().capacity(), 0, "counting stores nothing");
+    }
+
+    #[test]
+    fn counts_are_bounded_by_remaining_input() {
+        let mut enc = Encoder::new();
+        enc.put_u32(3);
+        enc.put_u64(0);
+        let bytes = enc.finish();
+        // 3 elements of ≥ 2 bytes fit in the 8 bytes that follow, …
+        assert_eq!(Decoder::new(&bytes).get_count(2, "item").unwrap(), 3);
+        // … 3 elements of ≥ 3 bytes do not.
+        let err = Decoder::new(&bytes).get_count(3, "item").unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("item count 3 exceeds remaining input"));
     }
 
     #[test]

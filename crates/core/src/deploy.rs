@@ -30,16 +30,15 @@
 //! registry locally — nothing secret crosses the wire at bootstrap,
 //! mirroring the out-of-band certificate distribution of §3.7.
 
-use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use bcrdb_chain::block::Block;
-use bcrdb_chain::sync::{SyncRequest, SyncResponse};
+use bcrdb_chain::sync::SyncRequest;
 use bcrdb_chain::tx::Transaction;
 use bcrdb_common::codec::{Decode, Encode};
 use bcrdb_common::error::{Error, Result};
@@ -52,21 +51,14 @@ use bcrdb_node::{Node, NodeConfig, NodeHooks};
 use bcrdb_ordering::tcp::serve_orderer;
 use bcrdb_ordering::{OrdererWire, OrderingConfig, OrderingService};
 use bcrdb_txn::ssi::Flow;
-use crossbeam_channel::{bounded, unbounded, Sender};
+use crossbeam_channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use crate::client::Client;
-use crate::network::{apply_bootstrap_sql, PeerMsg};
-use crate::session::Call;
+use crate::network::{apply_bootstrap_sql, await_nodes_height, PeerMsg, PeerSend, SyncClient};
 use crate::system;
-use crate::tcp::{serve_client_tcp, PeerFrame, TcpTransport};
-use crate::transport::NodeTransport;
-
-/// Stop-flag polling cadence for accept loops and socket readers.
-const POLL: Duration = Duration::from_millis(100);
-
-/// Bound on how long a stuck peer may block a socket write.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+use crate::tcp::{configure_stream, serve_client_tcp, PeerFrame, POLL};
+use crate::transport::{Connection, NodeTransport};
 
 /// First reconnect delay of a dialer; doubles per failure up to
 /// [`DIAL_BACKOFF_MAX`].
@@ -74,10 +66,6 @@ const DIAL_BACKOFF_MIN: Duration = Duration::from_millis(100);
 
 /// Reconnect backoff ceiling.
 const DIAL_BACKOFF_MAX: Duration = Duration::from_secs(2);
-
-/// How long one catch-up round trip may take per peer before failing
-/// over to the next (same budget as the simulated deployment).
-const SYNC_RPC_TIMEOUT: Duration = Duration::from_secs(15);
 
 /// How long a booting node waits for its orderer (and, on rejoin, at
 /// least one peer) before giving up.
@@ -286,55 +274,6 @@ impl PeerLink {
     }
 }
 
-/// TCP port of `network::SyncClient`: round-robin catch-up requests
-/// across the outbound peer links with failover on timeout or a downed
-/// link; responses come back on the same socket and are delivered by
-/// the link's reader.
-struct TcpSync {
-    links: Vec<Arc<PeerLink>>,
-    pending: Mutex<HashMap<u64, Sender<SyncResponse>>>,
-    seq: AtomicU64,
-    next: AtomicUsize,
-}
-
-impl TcpSync {
-    fn fetch(&self, req: SyncRequest) -> Result<SyncResponse> {
-        if self.links.is_empty() {
-            return Err(Error::NotFound("no peers to sync from".into()));
-        }
-        let start = self.next.fetch_add(1, Ordering::Relaxed);
-        let mut last_err = Error::Timeout("sync fetch never attempted".into());
-        for i in 0..self.links.len() {
-            let link = &self.links[(start + i) % self.links.len()];
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = bounded(1);
-            self.pending.lock().insert(seq, tx);
-            if let Err(e) = link.send(&PeerFrame::Msg(PeerMsg::SyncRequest { seq, req })) {
-                self.pending.lock().remove(&seq);
-                last_err = e;
-                continue;
-            }
-            match rx.recv_timeout(SYNC_RPC_TIMEOUT) {
-                Ok(resp) => return Ok(resp),
-                Err(_) => {
-                    self.pending.lock().remove(&seq);
-                    last_err = Error::Timeout(format!(
-                        "no sync response from {} within {SYNC_RPC_TIMEOUT:?}",
-                        link.org
-                    ));
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    fn deliver(&self, seq: u64, resp: &SyncResponse) {
-        if let Some(tx) = self.pending.lock().remove(&seq) {
-            let _ = tx.send(resp.clone());
-        }
-    }
-}
-
 /// Reply channel for frames that answer in place (sync responses go
 /// back on whichever socket the request arrived on).
 type PeerReply = Arc<dyn Fn(PeerFrame) -> Result<()> + Send + Sync>;
@@ -346,7 +285,7 @@ fn handle_peer_frame(
     frame: PeerFrame,
     node: &Arc<Node>,
     block_tx: &Sender<Arc<Block>>,
-    sync: &Arc<TcpSync>,
+    sync: &Arc<SyncClient>,
     reply: &PeerReply,
 ) -> bool {
     match frame {
@@ -377,12 +316,6 @@ fn handle_peer_frame(
     }
 }
 
-fn configure_stream(stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-}
-
 /// Maintain one outbound peer link: dial with exponential backoff, send
 /// `Hello`, publish the writer half, then read frames (sync responses,
 /// mainly) until the socket dies — and start over.
@@ -391,7 +324,7 @@ fn spawn_peer_dialer(
     my_org: String,
     node: Arc<Node>,
     block_tx: Sender<Arc<Block>>,
-    sync: Arc<TcpSync>,
+    sync: Arc<SyncClient>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     thread::Builder::new()
@@ -453,7 +386,7 @@ fn spawn_peer_acceptor(
     listener: TcpListener,
     node: Arc<Node>,
     block_tx: Sender<Arc<Block>>,
-    sync: Arc<TcpSync>,
+    sync: Arc<SyncClient>,
     stop: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
     let name = node.config.name.clone();
@@ -487,7 +420,7 @@ fn spawn_peer_acceptor(
 fn serve_peer_connection(
     node: Arc<Node>,
     block_tx: Sender<Arc<Block>>,
-    sync: Arc<TcpSync>,
+    sync: Arc<SyncClient>,
     stream: TcpStream,
     stop: Arc<AtomicBool>,
 ) {
@@ -689,12 +622,16 @@ pub fn run_node_process(cluster: &ClusterSpec, spec: NodeSpec) -> Result<NodePro
             })
         })
         .collect();
-    let sync = Arc::new(TcpSync {
-        links: links.clone(),
-        pending: Mutex::new(HashMap::new()),
-        seq: AtomicU64::new(1),
-        next: AtomicUsize::new(0),
-    });
+    let sync_peers = links
+        .iter()
+        .map(|link| {
+            let org = link.org.clone();
+            let link = Arc::clone(link);
+            let send: PeerSend = Box::new(move |msg| link.send(&PeerFrame::Msg(msg)));
+            (org, send)
+        })
+        .collect();
+    let sync = Arc::new(SyncClient::new(sync_peers, 0));
     for link in &links {
         handles.push(spawn_peer_dialer(
             Arc::clone(link),
@@ -881,27 +818,7 @@ pub fn tcp_client(cluster: &ClusterSpec, org: &str, user: &str, addr: &str) -> R
         format!("client-seed-{name}").as_bytes(),
         cluster.scheme,
     ));
-    let transport: Arc<dyn NodeTransport> = Arc::new(TcpTransport::connect(addr)?);
-    Ok(Client::new(
-        name,
-        key,
-        cluster.flow,
-        Arc::new(AtomicU64::new(1)),
-        transport,
-        1024,
-    ))
-}
-
-/// Connect `org`'s admin to a node's client-plane address over TCP.
-pub fn tcp_admin(cluster: &ClusterSpec, org: &str, addr: &str) -> Result<Client> {
-    cluster.org_index(org)?;
-    let name = format!("{org}/admin");
-    let key = Arc::new(KeyPair::generate(
-        name.clone(),
-        format!("admin-seed-{org}").as_bytes(),
-        cluster.scheme,
-    ));
-    let transport: Arc<dyn NodeTransport> = Arc::new(TcpTransport::connect(addr)?);
+    let transport: Arc<dyn NodeTransport> = Arc::new(Connection::tcp(addr)?);
     Ok(Client::new(
         name,
         key,
@@ -936,41 +853,6 @@ pub fn await_height_tcp(clients: &[Client], height: BlockHeight, timeout: Durati
         }
         thread::sleep(Duration::from_millis(20));
     }
-}
-
-/// Run the §3.7 deployment workflow for one DDL statement over TCP:
-/// `create_deploytx` by the first org's admin, `approve_deploytx` by
-/// every org's admin, then `submit_deploytx` — the TCP sibling of
-/// `Network::deploy_contract`. `admins[i]` must be `cluster.orgs[i]`'s
-/// admin connected to its own org's node.
-pub fn deploy_contract_tcp(
-    cluster: &ClusterSpec,
-    admins: &[Client],
-    deploy_id: i64,
-    sql: &str,
-) -> Result<()> {
-    if admins.len() != cluster.orgs.len() {
-        return Err(Error::Config(format!(
-            "{} admin clients for {} organizations",
-            admins.len(),
-            cluster.orgs.len()
-        )));
-    }
-    let timeout = Duration::from_secs(30);
-    let first = &admins[0];
-    let staged = first.submit_retrying(
-        Call::new("create_deploytx").arg(deploy_id).arg(sql),
-        timeout,
-    )?;
-    await_height_tcp(admins, staged.block, timeout)?;
-    let mut approved = staged.block;
-    for admin in admins {
-        let n = admin.submit_retrying(Call::new("approve_deploytx").arg(deploy_id), timeout)?;
-        approved = approved.max(n.block);
-    }
-    await_height_tcp(admins, approved, timeout)?;
-    first.submit_retrying(Call::new("submit_deploytx").arg(deploy_id), timeout)?;
-    Ok(())
 }
 
 // ------------------------------------------------------- utilities
@@ -1116,37 +998,10 @@ impl TcpCluster {
         tcp_client(&self.spec, org, user, &self.client_addrs[idx])
     }
 
-    /// `org`'s admin connected to its own node over TCP.
-    pub fn admin(&self, org: &str) -> Result<Client> {
-        let idx = self.spec.org_index(org)?;
-        tcp_admin(&self.spec, org, &self.client_addrs[idx])
-    }
-
     /// Wait until every node committed and post-committed `height`
     /// (in-process handles, no RPC).
     pub fn await_height(&self, height: BlockHeight, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self
-                .nodes
-                .iter()
-                .all(|p| p.node().height() >= height && p.node().postcommit_height() >= height)
-            {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                let heights: Vec<(BlockHeight, BlockHeight)> = self
-                    .nodes
-                    .iter()
-                    .map(|p| (p.node().height(), p.node().postcommit_height()))
-                    .collect();
-                return Err(Error::internal(format!(
-                    "timed out waiting for height {height}: nodes at \
-                     (committed, post-commit) {heights:?}"
-                )));
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
+        await_nodes_height(&self.nodes(), height, timeout)
     }
 
     /// Stop every node and the ordering service.

@@ -9,9 +9,9 @@
 //!
 //! Clients speak to their node through a [`NodeTransport`] (the paper's
 //! PostgreSQL-wire + libpq boundary, §4.3): [`InProcess`] for direct
-//! zero-overhead dispatch, or [`Simulated`] to route client traffic over
-//! the simulated network's latency/bandwidth model like peer and orderer
-//! traffic (see [`transport`]).
+//! zero-overhead dispatch, or a wire [`Connection`] — over the simulated
+//! network's latency/bandwidth model like peer and orderer traffic, or
+//! over a real TCP socket (see [`transport`]).
 //!
 //! ```no_run
 //! use bcrdb_core::{Network, NetworkConfig};
@@ -49,13 +49,12 @@ pub use bcrdb_node::pool_frames_by_env;
 pub use client::Client;
 pub use config::NetworkConfig;
 pub use deploy::{
-    await_height_tcp, deploy_contract_tcp, install_stop_signals, run_node_process,
-    run_ordering_process, tcp_admin, tcp_client, ClusterSpec, NodeProc, NodeSpec, OrderingProc,
-    TcpCluster, DEFAULT_GENESIS_SQL,
+    await_height_tcp, install_stop_signals, run_node_process, run_ordering_process, tcp_client,
+    ClusterSpec, NodeProc, NodeSpec, OrderingProc, TcpCluster, DEFAULT_GENESIS_SQL,
 };
 pub use network::Network;
 pub use session::{
     Call, CallBuilder, PendingBatch, PendingTx, Prepared, PreparedRun, QueryBuilder,
 };
-pub use tcp::{serve_client_tcp, PeerFrame, TcpTransport};
-pub use transport::{InProcess, NodeTransport, Simulated, TransportKind};
+pub use tcp::{serve_client_tcp, PeerFrame};
+pub use transport::{Connection, InProcess, NodeTransport, TransportKind};

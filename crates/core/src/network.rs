@@ -18,6 +18,7 @@ use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::BlockHeight;
 use bcrdb_crypto::identity::{Certificate, CertificateRegistry, KeyPair, Role, Scheme};
 use bcrdb_crypto::sha256::Digest;
+use bcrdb_network::wire::framed_len;
 use bcrdb_network::SimNetwork;
 use bcrdb_node::{Node, NodeConfig, NodeHooks};
 use bcrdb_ordering::OrderingService;
@@ -30,7 +31,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::client::Client;
 use crate::config::NetworkConfig;
 use crate::system;
-use crate::transport::{self, ClientWire, InProcess, NodeTransport, Simulated, TransportKind};
+use crate::transport::{self, Connection, InProcess, NodeTransport, SimClientMsg, TransportKind};
 
 /// Messages between peers (and from the orderer relay to peers).
 #[derive(Clone)]
@@ -60,17 +61,19 @@ pub enum PeerMsg {
 /// one batch/snapshot, not by commit times.
 const SYNC_RPC_TIMEOUT: Duration = Duration::from_secs(15);
 
-/// The requesting side of peer catch-up: sends [`PeerMsg::SyncRequest`]s
-/// from the node's own peer-network endpoint, round-robinning across the
-/// other organizations' peers with failover on timeout or send error.
-/// The node's dispatch thread routes [`PeerMsg::SyncResponse`]s back via
-/// [`SyncClient::deliver`].
-struct SyncClient {
-    net: Arc<SimNetwork<PeerMsg>>,
-    /// Our own endpoint (requests are sent, and answered, here).
-    me: String,
-    /// The other organizations' peer endpoints.
-    peers: Vec<String>,
+/// How a [`SyncClient`] sends one message to one peer: a simulated
+/// network send, or a write on that peer's TCP link.
+pub(crate) type PeerSend = Box<dyn Fn(PeerMsg) -> Result<()> + Send + Sync>;
+
+/// The requesting side of peer catch-up, for either deployment: sends
+/// [`PeerMsg::SyncRequest`]s round-robin across the other organizations'
+/// peers, failing over on timeout or send error. Whoever reads the
+/// node's inbound peer traffic routes [`PeerMsg::SyncResponse`]s back
+/// via [`SyncClient::deliver`].
+pub(crate) struct SyncClient {
+    /// The other organizations' peers: a name for error messages and the
+    /// way to reach each.
+    peers: Vec<(String, PeerSend)>,
     /// In-flight requests by correlation number.
     pending: Mutex<HashMap<u64, Sender<SyncResponse>>>,
     seq: AtomicU64,
@@ -78,23 +81,30 @@ struct SyncClient {
 }
 
 impl SyncClient {
-    fn fetch(&self, req: SyncRequest) -> Result<SyncResponse> {
+    /// A client over `peers`, sending its first request to peer
+    /// `first_peer` (modulo the peer count) so nodes spread their first
+    /// requests around.
+    pub(crate) fn new(peers: Vec<(String, PeerSend)>, first_peer: usize) -> SyncClient {
+        SyncClient {
+            peers,
+            pending: Mutex::new(HashMap::new()),
+            seq: AtomicU64::new(1),
+            next_peer: AtomicUsize::new(first_peer),
+        }
+    }
+
+    pub(crate) fn fetch(&self, req: SyncRequest) -> Result<SyncResponse> {
         if self.peers.is_empty() {
             return Err(Error::NotFound("no peers to sync from".into()));
         }
         let start = self.next_peer.fetch_add(1, Ordering::Relaxed);
         let mut last_err = Error::Timeout("sync fetch never attempted".into());
         for i in 0..self.peers.len() {
-            let peer = &self.peers[(start + i) % self.peers.len()];
+            let (peer, send) = &self.peers[(start + i) % self.peers.len()];
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = bounded(1);
             self.pending.lock().insert(seq, tx);
-            if let Err(e) = self.net.send(
-                &self.me,
-                peer,
-                PeerMsg::SyncRequest { seq, req },
-                req.wire_size(),
-            ) {
+            if let Err(e) = send(PeerMsg::SyncRequest { seq, req }) {
                 self.pending.lock().remove(&seq);
                 last_err = e;
                 continue;
@@ -112,10 +122,45 @@ impl SyncClient {
         Err(last_err)
     }
 
-    fn deliver(&self, seq: u64, resp: &SyncResponse) {
+    pub(crate) fn deliver(&self, seq: u64, resp: &SyncResponse) {
         if let Some(tx) = self.pending.lock().remove(&seq) {
             let _ = tx.send(resp.clone());
         }
+    }
+}
+
+/// Send `msg` over the simulated peer network, charged exactly the bytes
+/// `write_frame` would put on a peer socket for it.
+fn send_peer(net: &SimNetwork<PeerMsg>, from: &str, to: &str, msg: PeerMsg) -> Result<()> {
+    let size = framed_len(&msg);
+    net.send(from, to, msg, size)
+}
+
+/// The body of [`Network::await_height`] and `TcpCluster::await_height`.
+pub(crate) fn await_nodes_height(
+    nodes: &[Arc<Node>],
+    height: BlockHeight,
+    timeout: Duration,
+) -> Result<()> {
+    let deadline = Instant::now() + timeout;
+    loop {
+        if nodes
+            .iter()
+            .all(|n| n.height() >= height && n.postcommit_height() >= height)
+        {
+            return Ok(());
+        }
+        if Instant::now() >= deadline {
+            let heights: Vec<(BlockHeight, BlockHeight)> = nodes
+                .iter()
+                .map(|n| (n.height(), n.postcommit_height()))
+                .collect();
+            return Err(Error::internal(format!(
+                "timed out waiting for height {height}: nodes at \
+                 (committed, post-commit) {heights:?}"
+            )));
+        }
+        std::thread::sleep(Duration::from_millis(5));
     }
 }
 
@@ -128,8 +173,8 @@ pub(crate) struct NetworkInner {
     pub ordering: Arc<OrderingService>,
     pub peer_net: Arc<SimNetwork<PeerMsg>>,
     /// Client↔node RPC traffic (same profile as the peer network); every
-    /// node's frontend is served here, used by `Simulated` transports.
-    pub client_net: Arc<SimNetwork<ClientWire>>,
+    /// node's frontend is served here, for `TransportKind::Simulated` clients.
+    pub client_net: Arc<SimNetwork<SimClientMsg>>,
     admins: Vec<Arc<KeyPair>>,
     clients: Mutex<HashMap<String, Arc<KeyPair>>>,
     /// OE nonce source shared by every client handle.
@@ -165,7 +210,7 @@ impl Network {
         ordering_cfg.scheme = config.scheme;
         let ordering = OrderingService::start(ordering_cfg, &certs);
         let peer_net: Arc<SimNetwork<PeerMsg>> = SimNetwork::new(config.net_profile);
-        let client_net: Arc<SimNetwork<ClientWire>> = SimNetwork::new(config.net_profile);
+        let client_net: Arc<SimNetwork<SimClientMsg>> = SimNetwork::new(config.net_profile);
 
         // Per-org admins (their certificates are shared with every node at
         // startup, §3.7).
@@ -362,7 +407,7 @@ impl Network {
             TransportKind::Simulated => {
                 let seq = self.inner.conn_seq.fetch_add(1, Ordering::Relaxed);
                 let server = transport::frontend_endpoint(&node.config.name);
-                Arc::new(Simulated::connect(
+                Arc::new(Connection::simulated(
                     Arc::clone(&self.inner.client_net),
                     server,
                     format!("client:{who}#{seq}"),
@@ -417,8 +462,8 @@ impl Network {
     }
 
     /// Like [`Network::client`], but with an explicit transport backend —
-    /// e.g. a `Simulated` connection on a network whose default is
-    /// in-process, to measure client-observed latency.
+    /// e.g. a `TransportKind::Simulated` connection on a network whose
+    /// default is in-process, to measure client-observed latency.
     pub fn client_with_transport(
         &self,
         org: &str,
@@ -508,28 +553,7 @@ impl Network {
     /// height by a few blocks), so callers can assert on ledger and
     /// checkpoint state immediately after this returns.
     pub fn await_height(&self, height: BlockHeight, timeout: Duration) -> Result<()> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self
-                .nodes()
-                .iter()
-                .all(|n| n.height() >= height && n.postcommit_height() >= height)
-            {
-                return Ok(());
-            }
-            if Instant::now() >= deadline {
-                let heights: Vec<(BlockHeight, BlockHeight)> = self
-                    .nodes()
-                    .iter()
-                    .map(|n| (n.height(), n.postcommit_height()))
-                    .collect();
-                return Err(Error::internal(format!(
-                    "timed out waiting for height {height}: nodes at \
-                     (committed, post-commit) {heights:?}"
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        await_nodes_height(&self.nodes(), height, timeout)
     }
 
     /// Per-node full-state hashes (ledger excluded). Equal on honest nodes
@@ -580,7 +604,7 @@ fn launch_node(
     certs: &Arc<CertificateRegistry>,
     ordering: &Arc<OrderingService>,
     peer_net: &Arc<SimNetwork<PeerMsg>>,
-    client_net: &Arc<SimNetwork<ClientWire>>,
+    client_net: &Arc<SimNetwork<SimClientMsg>>,
     relay_stops: &RelayStops,
     sync_on_recover: bool,
 ) -> Result<Arc<Node>> {
@@ -626,19 +650,18 @@ fn launch_node(
         apply_bootstrap_sql(&node, genesis, config.flow)?;
     }
 
-    let sync_client = Arc::new(SyncClient {
-        net: Arc::clone(peer_net),
-        me: node_name.clone(),
-        peers: config
-            .orgs
-            .iter()
-            .filter(|o| o.as_str() != org)
-            .map(|o| peer_endpoint(o))
-            .collect(),
-        pending: Mutex::new(HashMap::new()),
-        seq: AtomicU64::new(1),
-        next_peer: AtomicUsize::new(idx), // spread first requests around
-    });
+    let sync_peers = config
+        .orgs
+        .iter()
+        .filter(|o| o.as_str() != org)
+        .map(|o| {
+            let (net, me, peer) = (Arc::clone(peer_net), node_name.clone(), peer_endpoint(o));
+            let name = peer.clone();
+            let send: PeerSend = Box::new(move |msg| send_peer(&net, &me, &peer, msg));
+            (name, send)
+        })
+        .collect();
+    let sync_client = Arc::new(SyncClient::new(sync_peers, idx));
 
     // Inbound: peer network endpoint → dispatch to the node. Registered
     // before recovery so blocks delivered while we catch up queue on the
@@ -672,12 +695,11 @@ fn launch_node(
                                 .name(format!("{me}-sync-serve"))
                                 .spawn(move || {
                                     let resp = Arc::new(node.serve_sync(&req));
-                                    let size = resp.wire_size();
-                                    let _ = peer_net.send(
+                                    let _ = send_peer(
+                                        &peer_net,
                                         &me,
                                         &to,
                                         PeerMsg::SyncResponse { seq, resp },
-                                        size,
                                     );
                                 })
                                 .expect("spawn sync server thread");
@@ -712,16 +734,8 @@ fn launch_node(
                     if stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    let size = block.wire_size();
-                    if peer_net
-                        .send(
-                            &format!("orderer-gw-{idx}"),
-                            &to,
-                            PeerMsg::Block(block),
-                            size,
-                        )
-                        .is_err()
-                    {
+                    let from = format!("orderer-gw-{idx}");
+                    if send_peer(&peer_net, &from, &to, PeerMsg::Block(block)).is_err() {
                         return;
                     }
                 }
@@ -745,8 +759,8 @@ fn launch_node(
                         return;
                     }
                 }
-                let size = tx.wire_size();
-                let _ = peer_net.broadcast(&from, &PeerMsg::Tx(Box::new(tx.clone())), size);
+                let msg = PeerMsg::Tx(Box::new(tx.clone()));
+                let _ = peer_net.broadcast(&from, &msg, framed_len(&msg));
             })
         }),
         submit_orderer: Some({
@@ -760,7 +774,7 @@ fn launch_node(
             })
         }),
         // A single-organization network has nobody to sync from.
-        sync_fetch: (!sync_client.peers.is_empty()).then(|| {
+        sync_fetch: (config.orgs.len() > 1).then(|| {
             let sync_client = Arc::clone(&sync_client);
             Arc::new(move |req: SyncRequest| sync_client.fetch(req)) as _
         }),
@@ -802,8 +816,8 @@ fn launch_node(
     node.start(block_rx);
 
     // Serve the node's client-facing RPC frontend on the client
-    // network (used by `Simulated` transports) — only now, after the
-    // node caught up, so clients never reach a stale replica.
+    // network (for `TransportKind::Simulated` clients) — only now, after
+    // the node caught up, so clients never reach a stale replica.
     transport::serve_frontend(
         Arc::clone(&node),
         Arc::clone(client_net),

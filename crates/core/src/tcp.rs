@@ -1,21 +1,20 @@
-//! The TCP backend of [`NodeTransport`], plus the node's client-plane
-//! TCP server and the peer-plane frame codec.
+//! The TCP link of [`Connection`], the node's client-plane TCP server,
+//! and the peer-plane frame codec.
 //!
-//! This is the third transport backend the trait was designed for: the
-//! same typed [`ClientRequest`]/[`ClientResponse`] surface as
-//! [`crate::transport::InProcess`] and [`crate::transport::Simulated`],
-//! but carried as length-prefixed canonical-codec frames
-//! ([`bcrdb_network::wire`]) over real sockets. The threading model
-//! mirrors the simulated backend exactly:
+//! A TCP client is the same [`Connection`] the simulated deployment
+//! uses — same sequence counter, pending-RPC map, notification demux,
+//! timeout and poison-on-loss (see [`crate::transport`]) — over a link
+//! that writes each [`ClientFrame`] as a length-prefixed canonical-codec
+//! frame ([`bcrdb_network::wire`]) to a real socket:
 //!
-//! * **client side** ([`TcpTransport`]): one writer (callers serialize
-//!   on a lock) and one reader thread demultiplexing responses by
-//!   sequence number and server-push notifications by transaction id;
+//! * **client side** ([`Connection::tcp`]): callers serialize their
+//!   writes on a lock; one reader thread decodes frames and feeds them
+//!   into the connection's demux;
 //! * **server side** ([`serve_client_tcp`]): one accept loop per node;
-//!   each connection gets its own worker thread owning a [`Frontend`] —
-//!   the backend-per-connection model — so a slow request on one
-//!   connection never head-of-line-blocks another, plus a pump thread
-//!   streaming the connection's notifications back.
+//!   each connection gets its own thread running the shared
+//!   per-connection backend (`transport::serve_connection`: a worker
+//!   owning a [`Frontend`](bcrdb_node::Frontend) plus a notification
+//!   pump), fed by a socket reader.
 //!
 //! Failure semantics differ from the simulated network in one honest
 //! way: sockets fail. A torn, oversized or malformed frame closes the
@@ -24,113 +23,88 @@
 //! fail with `Error::Io` immediately, and dropping the client end
 //! closes the socket, which drops the server's `Frontend` and thereby
 //! cancels every notification registration of that connection — the
-//! same leak-freedom guarantee the other two backends give.
+//! same leak-freedom guarantee the simulated link's `Disconnect` gives.
 
-use std::collections::HashMap;
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use bcrdb_common::codec::{Decode, Decoder, Encode, Encoder};
 use bcrdb_common::error::{Error, Result};
-use bcrdb_common::ids::GlobalTxId;
-use bcrdb_network::wire::{read_frame, write_frame, FrameEvent, MAX_CLIENT_FRAME, MAX_PEER_FRAME};
+use bcrdb_network::wire::{read_frame, write_frame, FrameEvent, MAX_CLIENT_FRAME};
 use bcrdb_node::wire::ClientFrame;
-use bcrdb_node::{ClientRequest, ClientResponse, Frontend, Node, TxNotification};
-use crossbeam_channel::{bounded, Receiver, Sender};
+use bcrdb_node::Node;
 use parking_lot::Mutex;
 
 use crate::network::PeerMsg;
-use crate::transport::NodeTransport;
-
-/// How long RPCs wait for their response (same budget as the simulated
-/// backend).
-const RPC_TIMEOUT: Duration = Duration::from_secs(30);
+use crate::transport::{serve_connection, Connection, Link, Mux};
 
 /// Stop-flag polling cadence for accept loops and server-side readers.
-const POLL: Duration = Duration::from_millis(100);
+pub(crate) const POLL: Duration = Duration::from_millis(100);
 
 /// Bound on how long a stuck peer may block a socket write.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
-// ------------------------------------------------------- client side
-
-struct TcpShared {
-    /// In-flight RPCs by sequence number.
-    rpc: Mutex<HashMap<u64, Sender<Result<ClientResponse>>>>,
-    /// Client-side demux of streamed notifications by transaction id.
-    waits: Mutex<HashMap<GlobalTxId, Vec<Sender<TxNotification>>>>,
-    /// Set when the reader exits: the connection is unusable.
-    dead: AtomicBool,
+/// Socket options of every server-side and node-to-node stream, on all
+/// three planes: reads poll the stop flag, writes cannot hang forever.
+pub(crate) fn configure_stream(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(POLL));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 }
 
-impl TcpShared {
-    /// The connection died: fail every in-flight RPC immediately and
-    /// drop all notification demux entries (their receivers observe a
-    /// disconnect instead of hanging).
-    fn poison(&self, why: &str) {
-        self.dead.store(true, Ordering::Release);
-        for (_, tx) in self.rpc.lock().drain() {
-            let _ = tx.send(Err(Error::Io(format!("connection lost: {why}"))));
-        }
-        self.waits.lock().clear();
+// ------------------------------------------------------- the TCP link
+
+/// A socket's writer half; either end of a connection sends through
+/// one.
+struct TcpLink {
+    writer: Mutex<TcpStream>,
+}
+
+impl Link for TcpLink {
+    /// Concurrent senders serialize on the lock, and `write_frame` emits
+    /// header and payload as one write.
+    fn send(&self, frame: ClientFrame) -> Result<()> {
+        let bytes = frame.encode_to_vec();
+        write_frame(&mut *self.writer.lock(), &bytes, MAX_CLIENT_FRAME)
+    }
+
+    fn close(&self) {
+        // Closing the socket is the disconnect message: the server's
+        // worker sees EOF and drops its Frontend, which cancels every
+        // hub registration of this connection.
+        let _ = self.writer.lock().shutdown(Shutdown::Both);
     }
 }
 
-/// TCP backend of [`NodeTransport`]: a real socket to a `bcrdb-node`
-/// server, one multiplexed connection per transport.
-pub struct TcpTransport {
-    writer: Mutex<TcpStream>,
-    seq: AtomicU64,
-    shared: Arc<TcpShared>,
-    /// Server address, for error messages.
-    server: String,
-}
+// ------------------------------------------------------- client side
 
-impl TcpTransport {
-    /// Connect to a node's client-plane listener and spawn the reader
-    /// that demultiplexes responses and notifications.
-    pub fn connect<A: ToSocketAddrs + std::fmt::Display>(addr: A) -> Result<TcpTransport> {
+impl Connection {
+    /// Connect to a node's client-plane listener over TCP and spawn the
+    /// reader that feeds decoded frames into the connection's demux.
+    pub fn tcp<A: ToSocketAddrs + std::fmt::Display>(addr: A) -> Result<Connection> {
         let server = addr.to_string();
         let stream = TcpStream::connect(&addr).map_err(|e| Error::Io(e.to_string()))?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let mut reader = stream.try_clone().map_err(|e| Error::Io(e.to_string()))?;
-        let shared = Arc::new(TcpShared {
-            rpc: Mutex::new(HashMap::new()),
-            waits: Mutex::new(HashMap::new()),
-            dead: AtomicBool::new(false),
-        });
+        let mux = Mux::new();
         {
-            let shared = Arc::clone(&shared);
+            let mux = Arc::clone(&mux);
             thread::Builder::new()
                 .name(format!("tcp-client-reader:{server}"))
                 .spawn(move || {
-                    // Blocking reads; `TcpTransport::drop` shuts the
-                    // socket down, which unblocks us with EOF.
+                    // Blocking reads; `TcpLink::close` shuts the socket
+                    // down, which unblocks us with EOF.
                     let why = loop {
                         match read_frame(&mut reader, MAX_CLIENT_FRAME) {
                             Ok(FrameEvent::Frame(payload)) => {
-                                match ClientFrame::decode_all(&payload) {
-                                    Ok(ClientFrame::Response { seq, resp }) => {
-                                        if let Some(tx) = shared.rpc.lock().remove(&seq) {
-                                            let _ = tx.send(resp);
-                                        }
-                                    }
-                                    Ok(ClientFrame::Notification(n)) => {
-                                        if let Some(ws) = shared.waits.lock().remove(&n.id) {
-                                            for w in ws {
-                                                let _ = w.send(n.clone());
-                                            }
-                                        }
-                                    }
-                                    // A Request from the server, or garbage.
-                                    Ok(ClientFrame::Request { .. }) => {
-                                        break "protocol violation".to_string()
-                                    }
-                                    Err(e) => break e.to_string(),
+                                let routed =
+                                    ClientFrame::decode_all(&payload).and_then(|f| mux.deliver(f));
+                                if let Err(e) = routed {
+                                    break e.to_string();
                                 }
                             }
                             Ok(FrameEvent::Eof) => break "server closed the connection".into(),
@@ -138,125 +112,14 @@ impl TcpTransport {
                             Err(e) => break e.to_string(),
                         }
                     };
-                    shared.poison(&why);
+                    mux.poison(&why);
                 })
                 .map_err(|e| Error::Io(e.to_string()))?;
         }
-        Ok(TcpTransport {
+        let link = TcpLink {
             writer: Mutex::new(stream),
-            seq: AtomicU64::new(1),
-            shared,
-            server,
-        })
-    }
-
-    fn rpc(&self, req: ClientRequest) -> Result<ClientResponse> {
-        if self.shared.dead.load(Ordering::Acquire) {
-            return Err(Error::Io(format!(
-                "connection to {} is closed",
-                self.server
-            )));
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.shared.rpc.lock().insert(seq, tx);
-        let bytes = ClientFrame::Request { seq, req }.encode_to_vec();
-        if let Err(e) = write_frame(&mut *self.writer.lock(), &bytes, MAX_CLIENT_FRAME) {
-            self.shared.rpc.lock().remove(&seq);
-            return Err(e);
-        }
-        match rx.recv_timeout(RPC_TIMEOUT) {
-            Ok(resp) => resp,
-            Err(crossbeam_channel::RecvTimeoutError::Timeout) => {
-                self.shared.rpc.lock().remove(&seq);
-                Err(Error::Timeout(format!(
-                    "no RPC response from {} within {RPC_TIMEOUT:?}",
-                    self.server
-                )))
-            }
-            // The reader poisoned the map and dropped our sender.
-            Err(crossbeam_channel::RecvTimeoutError::Disconnected) => {
-                Err(Error::Io(format!("connection to {} lost", self.server)))
-            }
-        }
-    }
-
-    fn unregister_local(&self, id: &GlobalTxId, tx: &Sender<TxNotification>) {
-        let mut waits = self.shared.waits.lock();
-        if let Some(ws) = waits.get_mut(id) {
-            ws.retain(|s| !s.same_channel(tx));
-            if ws.is_empty() {
-                waits.remove(id);
-            }
-        }
-    }
-}
-
-impl NodeTransport for TcpTransport {
-    fn call(&self, req: ClientRequest) -> Result<ClientResponse> {
-        self.rpc(req)
-    }
-
-    fn wait_for(&self, id: GlobalTxId) -> Result<Receiver<TxNotification>> {
-        // Local registration first: once the server acknowledges, a
-        // notification may already be racing back.
-        let (tx, rx) = bounded(1);
-        self.shared
-            .waits
-            .lock()
-            .entry(id)
-            .or_default()
-            .push(tx.clone());
-        match self.rpc(ClientRequest::WaitFor { id }) {
-            Ok(_) => Ok(rx),
-            Err(e) => {
-                self.unregister_local(&id, &tx);
-                Err(e)
-            }
-        }
-    }
-
-    fn wait_for_batch(&self, ids: &[GlobalTxId]) -> Result<Receiver<TxNotification>> {
-        let (tx, rx) = bounded(ids.len());
-        {
-            let mut waits = self.shared.waits.lock();
-            for id in ids {
-                waits.entry(*id).or_default().push(tx.clone());
-            }
-        }
-        match self.rpc(ClientRequest::WaitForBatch { ids: ids.to_vec() }) {
-            Ok(_) => Ok(rx),
-            Err(e) => {
-                for id in ids {
-                    self.unregister_local(id, &tx);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn cancel_wait(&self, id: &GlobalTxId) -> Result<()> {
-        // Drop only abandoned local registrations (receiver gone); the
-        // server removes exactly one registration per CancelWait.
-        {
-            let mut waits = self.shared.waits.lock();
-            if let Some(ws) = waits.get_mut(id) {
-                ws.retain(|s| !s.is_disconnected());
-                if ws.is_empty() {
-                    waits.remove(id);
-                }
-            }
-        }
-        self.rpc(ClientRequest::CancelWait { id: *id }).map(|_| ())
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        // Closing the socket is the disconnect message: the server's
-        // worker sees EOF, drops its Frontend, and the node's hub
-        // cancels every registration of this connection.
-        let _ = self.writer.lock().shutdown(Shutdown::Both);
+        };
+        Ok(Connection::open(link, mux, server))
     }
 }
 
@@ -264,12 +127,11 @@ impl Drop for TcpTransport {
 
 /// Serve `node`'s RPC frontend on `listener` until `stop` is set.
 ///
-/// One accept loop; per connection, a worker thread owning a fresh
-/// [`Frontend`] (requests are handled serially *within* a connection,
-/// concurrently *across* connections) and a pump thread streaming the
-/// connection's notifications. Any malformed frame, socket error, or
-/// EOF ends the connection; dropping the `Frontend` cancels its hub
-/// registrations.
+/// One accept loop; per connection, a thread running the shared
+/// per-connection backend (requests are handled serially *within* a
+/// connection, concurrently *across* connections). Any malformed frame,
+/// socket error, or EOF ends the connection; the backend then drops its
+/// `Frontend`, which cancels the connection's hub registrations.
 pub fn serve_client_tcp(
     node: Arc<Node>,
     listener: TcpListener,
@@ -290,7 +152,7 @@ pub fn serve_client_tcp(
                         let name = name.clone();
                         let _ = thread::Builder::new()
                             .name(format!("{name}-tcp-conn"))
-                            .spawn(move || serve_connection(node, stream, stop));
+                            .spawn(move || serve_socket(node, stream, stop));
                     }
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
                     Err(_) => thread::sleep(POLL),
@@ -300,67 +162,36 @@ pub fn serve_client_tcp(
         .expect("spawn client accept loop")
 }
 
-/// One connection's backend: frontend worker + notification pump.
-fn serve_connection(node: Arc<Node>, stream: TcpStream, stop: Arc<AtomicBool>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-    let Ok(write_half) = stream.try_clone() else {
+/// One accepted socket: its reader is the request stream of the shared
+/// per-connection backend, its writer half the backend's link.
+fn serve_socket(node: Arc<Node>, stream: TcpStream, stop: Arc<AtomicBool>) {
+    configure_stream(&stream);
+    let Ok(mut reader) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(write_half));
-    let mut reader = stream;
-
-    let (frontend, notify_rx) = Frontend::new(node);
-    let conn_done = Arc::new(AtomicBool::new(false));
-    let pump = {
-        let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
-        let conn_done = Arc::clone(&conn_done);
-        thread::Builder::new()
-            .name("tcp-notify-pump".into())
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) && !conn_done.load(Ordering::Relaxed) {
-                    match notify_rx.recv_timeout(POLL) {
-                        Ok(n) => {
-                            let bytes = ClientFrame::Notification(n).encode_to_vec();
-                            if write_frame(&mut *writer.lock(), &bytes, MAX_CLIENT_FRAME).is_err() {
-                                break;
-                            }
-                        }
-                        Err(crossbeam_channel::RecvTimeoutError::Timeout) => continue,
-                        Err(crossbeam_channel::RecvTimeoutError::Disconnected) => break,
-                    }
+    // The stream ends — and with it the connection — on EOF, a socket
+    // error, the stop flag, or any frame that is not a well-formed
+    // request: after garbage the stream can no longer be trusted.
+    let requests = std::iter::from_fn(move || {
+        while !stop.load(Ordering::Relaxed) {
+            match read_frame(&mut reader, MAX_CLIENT_FRAME) {
+                Ok(FrameEvent::Frame(payload)) => {
+                    return match ClientFrame::decode_all(&payload) {
+                        Ok(ClientFrame::Request { seq, req }) => Some((seq, req)),
+                        Ok(_) | Err(_) => None,
+                    };
                 }
-            })
-            .expect("spawn notification pump")
-    };
-
-    // Worker: drain requests serially through the frontend. The
-    // Frontend lives on this thread; every exit path drops it, which
-    // cancels the connection's notification registrations.
-    while !stop.load(Ordering::Relaxed) {
-        match read_frame(&mut reader, MAX_CLIENT_FRAME) {
-            Ok(FrameEvent::Frame(payload)) => match ClientFrame::decode_all(&payload) {
-                Ok(ClientFrame::Request { seq, req }) => {
-                    let resp = frontend.handle(req);
-                    let bytes = ClientFrame::Response { seq, resp }.encode_to_vec();
-                    if write_frame(&mut *writer.lock(), &bytes, MAX_CLIENT_FRAME).is_err() {
-                        break;
-                    }
-                }
-                // Responses/notifications from a client, or garbage:
-                // the stream can no longer be trusted.
-                Ok(_) | Err(_) => break,
-            },
-            Ok(FrameEvent::Idle) => continue,
-            Ok(FrameEvent::Eof) | Err(_) => break,
+                Ok(FrameEvent::Idle) => continue,
+                Ok(FrameEvent::Eof) | Err(_) => return None,
+            }
         }
-    }
-    drop(frontend);
-    conn_done.store(true, Ordering::Relaxed);
-    let _ = reader.shutdown(Shutdown::Both);
-    let _ = pump.join();
+        None
+    });
+    let link = Arc::new(TcpLink {
+        writer: Mutex::new(stream),
+    });
+    serve_connection(node, requests, link.clone());
+    link.close();
 }
 
 // ------------------------------------------------------- peer frames
@@ -457,14 +288,100 @@ fn decode_peer_msg_body(tag: u8, dec: &mut Decoder<'_>) -> Result<PeerMsg> {
     }
 }
 
-/// Re-exported peer-plane frame cap so deployment code sizes its
-/// buffers from one constant.
-pub const PEER_FRAME_CAP: u32 = MAX_PEER_FRAME;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bcrdb_chain::sync::SyncRequest;
+    use bcrdb_chain::block::{genesis_prev_hash, Block};
+    use bcrdb_chain::ledger::TxStatus;
+    use bcrdb_chain::sync::{SyncRequest, SyncResponse};
+    use bcrdb_chain::tx::{Payload, Transaction};
+    use bcrdb_common::ids::GlobalTxId;
+    use bcrdb_common::value::Value;
+    use bcrdb_crypto::identity::{KeyPair, Scheme};
+    use bcrdb_network::wire::{framed_len, MAX_PEER_FRAME};
+    use bcrdb_node::{ClientRequest, ClientResponse, TxNotification};
+
+    /// Sim charges what TCP writes: for every kind of message either
+    /// link can carry, the bytes `write_frame` puts on a socket equal
+    /// `framed_len` — the size every simulated send is charged.
+    #[test]
+    fn sim_charges_what_tcp_writes() {
+        fn written(msg: &impl Encode, cap: u32) -> usize {
+            let mut socket = Vec::new();
+            write_frame(&mut socket, &msg.encode_to_vec(), cap).unwrap();
+            socket.len()
+        }
+        let key = KeyPair::generate("org1/alice", b"alice", Scheme::Sim);
+        let tx = Transaction::new_order_execute(
+            "org1/alice",
+            Payload::new("f", vec![Value::Int(1), Value::Text("x".into())]),
+            1,
+            &key,
+        )
+        .unwrap();
+        let block = Block::build(1, genesis_prev_hash(), vec![tx.clone()], "solo", vec![]);
+
+        let client_frames = [
+            ClientFrame::Request {
+                seq: 1,
+                req: ClientRequest::Submit(Box::new(tx.clone())),
+            },
+            ClientFrame::Response {
+                seq: 1,
+                resp: Ok(ClientResponse::Height(7)),
+            },
+            ClientFrame::Response {
+                seq: 2,
+                resp: Err(Error::Busy("window full".into())),
+            },
+            ClientFrame::Notification(TxNotification {
+                id: GlobalTxId([4; 32]),
+                block: 9,
+                status: TxStatus::Aborted("stale read".into()),
+            }),
+        ];
+        for frame in &client_frames {
+            assert_eq!(
+                written(frame, MAX_CLIENT_FRAME),
+                framed_len(frame),
+                "{frame:?}"
+            );
+        }
+
+        let peer_msgs = [
+            PeerMsg::Tx(Box::new(tx)),
+            PeerMsg::Block(Arc::new(block.clone())),
+            PeerMsg::SyncRequest {
+                seq: 3,
+                req: SyncRequest {
+                    from_height: 1,
+                    max_blocks: 64,
+                    allow_snapshot: false,
+                },
+            },
+            PeerMsg::SyncResponse {
+                seq: 3,
+                resp: Arc::new(SyncResponse::Blocks {
+                    blocks: vec![block],
+                    tip: 1,
+                }),
+            },
+            PeerMsg::SyncResponse {
+                seq: 4,
+                resp: Arc::new(SyncResponse::Snapshot {
+                    height: 1,
+                    state: vec![7u8; 5000],
+                    tip: 1,
+                }),
+            },
+        ];
+        for msg in &peer_msgs {
+            // The TCP peer plane wraps every message in a `PeerFrame`,
+            // which adds no bytes of its own.
+            let on_tcp = written(&PeerFrame::Msg(msg.clone()), MAX_PEER_FRAME);
+            assert_eq!(on_tcp, framed_len(msg));
+        }
+    }
 
     #[test]
     fn peer_frames_roundtrip() {

@@ -104,22 +104,6 @@ pub enum Signature {
     Sim(Digest),
 }
 
-impl Signature {
-    /// Approximate wire size in bytes (used by the network simulator to
-    /// model bandwidth).
-    pub fn wire_size(&self) -> usize {
-        const DIGEST_WIRE: usize = std::mem::size_of::<Digest>();
-        match self {
-            // One WOTS chain value per chain, the auth path (digest plus
-            // direction byte per step), and the 8-byte leaf index.
-            Signature::HashBased(s) => {
-                crate::wots::CHAINS * DIGEST_WIRE + s.auth_path.steps.len() * (DIGEST_WIRE + 1) + 8
-            }
-            Signature::Sim(_) => DIGEST_WIRE,
-        }
-    }
-}
-
 /// A private signing key plus its public half.
 pub struct KeyPair {
     name: String,
@@ -394,13 +378,5 @@ mod tests {
         assert!(kp.sign(b"1").is_some());
         assert!(kp.sign(b"2").is_some());
         assert!(kp.sign(b"3").is_none());
-    }
-
-    #[test]
-    fn wire_size_shapes() {
-        let hb = KeyPair::generate("a", b"s", Scheme::HashBased { height: 2 });
-        let sim = KeyPair::generate("b", b"s", Scheme::Sim);
-        assert!(hb.sign(b"m").unwrap().wire_size() > 2000);
-        assert_eq!(sim.sign(b"m").unwrap().wire_size(), 32);
     }
 }

@@ -1,5 +1,5 @@
-//! `bcrdb-lint` — workspace static analysis for determinism, lock
-//! ordering, and wire-size drift.
+//! `bcrdb-lint` — workspace static analysis for determinism and lock
+//! ordering.
 //!
 //! The core safety claim of the system is that every node produces a
 //! byte-identical chain, checkpoint hashes, and ledger. That property
@@ -8,7 +8,7 @@
 //! This crate is the static standing guard: a hand-rolled token
 //! scanner (no external deps, consistent with the offline
 //! `crates/compat` policy) that walks every `crates/*/src/**.rs` file
-//! and enforces three rule families:
+//! and enforces two rule families:
 //!
 //! 1. **Determinism** ([`determinism`]) — order-sensitive iteration
 //!    over `HashMap`/`HashSet` and wall-clock reads inside the
@@ -18,10 +18,6 @@
 //!    `lock()`/`read()`/`write()` acquisition sequences, combined into
 //!    a cross-crate lock-order graph; any cycle is a finding. The
 //!    graph is emitted as a DOT artifact.
-//! 3. **Wire-size drift** ([`wire`]) — pairs `wire_size()` impls with
-//!    their type definitions, flagging enum arms missing from the size
-//!    match and magic `N * M` byte constants not derived from a named
-//!    slot table.
 
 #![warn(missing_docs)]
 
@@ -30,7 +26,6 @@ pub mod determinism;
 pub mod locks;
 pub mod scanner;
 pub mod textutil;
-pub mod wire;
 
 use scanner::SourceFile;
 use std::fmt;
@@ -154,7 +149,6 @@ pub fn analyze(files: &[SourceFile]) -> Analysis {
         if in_determinism_scope(file) {
             determinism::check(file, &mut findings);
         }
-        wire::check(file, &mut findings);
     }
     let graph = locks::build_graph(files);
     locks::check(&graph, &mut findings);

@@ -1,6 +1,6 @@
 //! Source preparation for the rule passes: comment/string-aware
-//! sanitization, suppression/directive parsing, and `#[cfg(test)]`
-//! module blanking.
+//! sanitization, suppression parsing, and `#[cfg(test)]` module
+//! blanking.
 //!
 //! Every rule works on [`SourceFile::code`], a copy of the file where
 //! comments, string literals and test modules are replaced by spaces
@@ -27,18 +27,6 @@ pub struct Allow {
     pub used: Cell<bool>,
 }
 
-/// One `// bcrdb-lint: slots(<Struct>)` directive marking a wire-slot
-/// const table (see the `wire-slots` rule).
-#[derive(Debug)]
-pub struct SlotsDirective {
-    /// The struct the following const table describes.
-    pub strukt: String,
-    /// 1-based line of the directive comment.
-    pub line: usize,
-    /// The string entries of the const table following the directive.
-    pub entries: Vec<String>,
-}
-
 /// A scanned source file, ready for the rule passes.
 #[derive(Debug)]
 pub struct SourceFile {
@@ -57,8 +45,6 @@ pub struct SourceFile {
     pub code: String,
     /// Suppression comments, in file order.
     pub allows: Vec<Allow>,
-    /// Wire-slot table directives, in file order.
-    pub slots: Vec<SlotsDirective>,
 }
 
 impl SourceFile {
@@ -67,7 +53,6 @@ impl SourceFile {
         let (mut code, comments) = sanitize(&raw);
         blank_test_modules(&mut code);
         let mut allows = Vec::new();
-        let mut slots = Vec::new();
         for (line, text) in &comments {
             let Some(rest) = text.trim().strip_prefix("bcrdb-lint:") else {
                 continue;
@@ -81,13 +66,6 @@ impl SourceFile {
                     line: *line,
                     used: Cell::new(false),
                 });
-            } else if let Some(args) = strip_call(rest, "slots") {
-                let entries = slot_entries_after(&raw, *line);
-                slots.push(SlotsDirective {
-                    strukt: args.trim().to_string(),
-                    line: *line,
-                    entries,
-                });
             }
         }
         SourceFile {
@@ -97,7 +75,6 @@ impl SourceFile {
             raw,
             code,
             allows,
-            slots,
         }
     }
 
@@ -144,25 +121,6 @@ fn parse_allow_args(args: &str) -> (String, String) {
         .trim()
         .to_string();
     (rule, reason)
-}
-
-/// Collect the string literals of the const table following a `slots`
-/// directive: every `"…"` from the directive line until the first `];`.
-fn slot_entries_after(raw: &str, directive_line: usize) -> Vec<String> {
-    let mut entries = Vec::new();
-    for line in raw.lines().skip(directive_line) {
-        let mut rest = line;
-        while let Some(start) = rest.find('"') {
-            let tail = &rest[start + 1..];
-            let Some(end) = tail.find('"') else { break };
-            entries.push(tail[..end].to_string());
-            rest = &tail[end + 1..];
-        }
-        if line.contains("];") {
-            break;
-        }
-    }
-    entries
 }
 
 /// Blank comments and string/char literals with spaces, preserving
@@ -458,15 +416,5 @@ mod tests {
         assert!(f.suppressed("hash-iter", 2), "line-above coverage");
         assert!(!f.suppressed("wall-clock", 4), "reasonless allow is inert");
         assert!(f.allows[0].used.get());
-    }
-
-    #[test]
-    fn slots_directive_captures_table() {
-        let src =
-            "// bcrdb-lint: slots(Snap)\npub const S: &[&str] = &[\n    \"a\", \"b.c\",\n];\n";
-        let f = scan(src);
-        assert_eq!(f.slots.len(), 1);
-        assert_eq!(f.slots[0].strukt, "Snap");
-        assert_eq!(f.slots[0].entries, vec!["a".to_string(), "b.c".into()]);
     }
 }

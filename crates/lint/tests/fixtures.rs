@@ -49,41 +49,3 @@ fn lock_cycle_fixture_is_flagged() {
     assert!(cycle.detail.contains("ordering::alpha"), "{cycle:?}");
     assert!(cycle.detail.contains("ordering::beta"), "{cycle:?}");
 }
-
-#[test]
-fn wire_drift_fixture_is_flagged() {
-    let out = run("wire_drift");
-    assert!(
-        out.iter()
-            .any(|f| f.rule == "wire-arms" && f.detail.contains("Msg::Ack")),
-        "missing variant must be drift: {out:?}"
-    );
-    assert!(
-        out.iter()
-            .any(|f| f.rule == "wire-arms" && f.detail.contains("wildcard")),
-        "wildcard arm must be drift: {out:?}"
-    );
-}
-
-#[test]
-fn magic_size_fixture_is_flagged() {
-    let out = run("magic_size");
-    assert_eq!(out.len(), 1, "{out:?}");
-    assert_eq!(out[0].rule, "magic-size");
-    assert!(out[0].detail.contains("29 * 8"), "{out:?}");
-}
-
-#[test]
-fn bad_slots_fixture_is_flagged() {
-    let out = run("bad_slots");
-    assert!(
-        out.iter()
-            .any(|f| f.rule == "wire-slots" && f.detail.contains("Snap.b has no slot entry")),
-        "uncovered field must be drift: {out:?}"
-    );
-    assert!(
-        out.iter()
-            .any(|f| f.rule == "wire-slots" && f.detail.contains("ghost")),
-        "unknown entry must be drift: {out:?}"
-    );
-}

@@ -27,8 +27,8 @@ fn committed_baseline_matches_fresh_scan() {
 #[test]
 fn workspace_scan_is_clean() {
     // Stronger than the baseline match: the workspace itself carries
-    // zero findings — every determinism exception is annotated, the
-    // lock graph is acyclic, and no wire size drifted.
+    // zero findings — every determinism exception is annotated and the
+    // lock graph is acyclic.
     let analysis = analyze_root(&workspace_root()).expect("workspace scan");
     assert!(
         analysis.findings.is_empty(),

@@ -102,16 +102,6 @@ impl<M: Send + Clone + 'static> SimNetwork<M> {
         net
     }
 
-    /// Replace the network profile (e.g. switch LAN → WAN mid-test).
-    pub fn set_profile(&self, profile: NetProfile) {
-        self.state.lock().profile = profile;
-    }
-
-    /// Current profile.
-    pub fn profile(&self) -> NetProfile {
-        self.state.lock().profile
-    }
-
     /// Register an endpoint; returns its receive channel.
     pub fn register(&self, name: impl Into<String>) -> Receiver<Delivered<M>> {
         let (tx, rx) = unbounded();

@@ -3,15 +3,16 @@
 //!
 //! Every plane of the system — client↔node RPC, peer↔peer forwarding and
 //! catch-up, node↔orderer submission and block delivery — moves
-//! canonical-codec payloads. The simulated network charges those
-//! payloads their codec-derived byte sizes; the TCP transport actually
-//! sends the bytes. This module is the single place where the on-wire
-//! envelope lives so the two backends cannot drift:
+//! canonical-codec payloads. The TCP transport sends the bytes; the
+//! simulated network charges their count ([`framed_len`], measured by
+//! the same encoder). This module is the single place where the on-wire
+//! envelope lives so the two cannot drift:
 //!
 //! * a frame is a 4-byte big-endian length followed by that many payload
 //!   bytes ([`write_frame`]/[`read_frame`]);
-//! * per-plane frame caps bound what a decoder will ever allocate,
-//!   derived from the codec's own decode limits (see the constants);
+//! * per-plane frame caps bound what a decoder will ever allocate: the
+//!   codecs bound every element count by the bytes that remain in the
+//!   frame, so no frame reserves more than a small multiple of its size;
 //! * endpoint names ([`frontend_endpoint`], [`peer_endpoint`],
 //!   [`orderer_endpoint`]) and socket-address pairs ([`PeerAddr`]) are
 //!   defined once for both backends.
@@ -24,6 +25,7 @@
 
 use std::io::{ErrorKind, Read, Write};
 
+use bcrdb_common::codec::Encode;
 use bcrdb_common::error::{Error, Result};
 
 /// Bytes of the frame header (one big-endian `u32` length).
@@ -41,18 +43,16 @@ pub const MAX_CLIENT_FRAME: u32 = 64 << 20;
 /// Frame cap for the peer plane (forwarded transactions, blocks,
 /// catch-up).
 ///
-/// Catch-up responses are the largest messages in the system: the sync
-/// codec accepts up to `MAX_SYNC_BLOCKS` (100 000) blocks or a full
-/// state snapshot in one `SyncResponse`. 1 GiB bounds the allocation a
-/// corrupt prefix can demand while never truncating an honest snapshot.
+/// Catch-up responses are the largest messages in the system: a batch
+/// of blocks or a full state snapshot in one `SyncResponse`. 1 GiB
+/// bounds the allocation a corrupt prefix can demand while never
+/// truncating an honest snapshot.
 pub const MAX_PEER_FRAME: u32 = 1 << 30;
 
 /// Frame cap for the node↔orderer plane.
 ///
-/// Bounded by one block: the block codec rejects more than 1 000 000
-/// transactions per block, and ordered blocks are cut at the configured
-/// `block_size` long before that. 256 MiB covers any block the decoder
-/// would accept downstream.
+/// Bounded by one block: ordered blocks are cut at the configured
+/// `block_size`, far below what 256 MiB holds.
 pub const MAX_ORDERER_FRAME: u32 = 256 << 20;
 
 /// Endpoint name of a node's RPC frontend on the client plane.
@@ -108,6 +108,14 @@ impl std::fmt::Display for PeerAddr {
 /// Total bytes a payload occupies on the wire (header + payload).
 pub fn framed_size(payload_len: usize) -> usize {
     FRAME_HEADER + payload_len
+}
+
+/// Total bytes [`write_frame`] puts on a socket for `msg` — and therefore
+/// what the simulated network charges for carrying it. Measured by the
+/// message's own encoder in counting mode: no buffer, no second
+/// description of the message to keep in step.
+pub fn framed_len(msg: &impl Encode) -> usize {
+    framed_size(msg.encoded_len())
 }
 
 /// One read attempt's outcome on a framed stream.

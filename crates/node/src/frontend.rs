@@ -9,11 +9,11 @@
 //! by a [`Frontend`].
 //!
 //! The frontend is transport-agnostic: an in-process transport calls
-//! [`Frontend::handle`] directly, while a simulated-network transport
-//! moves the same messages over a `SimNetwork` using the codec-derived
-//! [`ClientRequest::wire_size`]/[`response_wire_size`] byte counts, so
-//! latency/bandwidth profiles apply to client traffic exactly as they do
-//! to peer and orderer traffic.
+//! [`Frontend::handle`] directly, while a wire connection moves the same
+//! messages as [`crate::wire::ClientFrame`]s — written to a socket, or
+//! carried over a `SimNetwork` that charges each frame the bytes the
+//! socket write would take, so latency/bandwidth profiles apply to client
+//! traffic exactly as they do to peer and orderer traffic.
 //!
 //! Notification waits registered through a frontend all funnel into one
 //! per-connection channel; [`Frontend::disconnect`] (and `Drop`) cancels
@@ -23,7 +23,6 @@
 use std::sync::Arc;
 
 use bcrdb_chain::tx::Transaction;
-use bcrdb_common::codec::Encoder;
 use bcrdb_common::error::Result;
 use bcrdb_common::ids::{BlockHeight, GlobalTxId};
 use bcrdb_common::value::Value;
@@ -213,133 +212,5 @@ impl Frontend {
 impl Drop for Frontend {
     fn drop(&mut self) {
         self.disconnect();
-    }
-}
-
-// ------------------------------------------------------------ wire sizes
-//
-// The simulated transport charges each message its codec-derived size so
-// the latency/bandwidth model applies honestly. Requests/responses are
-// not re-encoded on the in-process hop — only their size is.
-
-impl ClientRequest {
-    /// Encoded size in bytes (1 tag byte + codec-encoded payload).
-    pub fn wire_size(&self) -> usize {
-        let mut enc = Encoder::new();
-        match self {
-            ClientRequest::Submit(tx) => return 1 + tx.wire_size(),
-            ClientRequest::Query { sql, params } => {
-                enc.put_str(sql);
-                enc.put_row(params);
-            }
-            ClientRequest::QueryAt {
-                sql,
-                params,
-                height,
-            } => {
-                enc.put_str(sql);
-                enc.put_row(params);
-                enc.put_u64(*height);
-            }
-            ClientRequest::Prepare { sql } => enc.put_str(sql),
-            ClientRequest::QueryPrepared {
-                handle,
-                params,
-                height,
-            } => {
-                enc.put_u64(*handle);
-                enc.put_row(params);
-                enc.put_u64(height.unwrap_or(0));
-            }
-            ClientRequest::WaitFor { id } | ClientRequest::CancelWait { id } => {
-                enc.put_digest(&id.0);
-            }
-            ClientRequest::WaitForBatch { ids } => {
-                enc.put_u32(ids.len() as u32);
-                for id in ids {
-                    enc.put_digest(&id.0);
-                }
-            }
-            ClientRequest::ChainHeight | ClientRequest::Metrics => {}
-        }
-        1 + enc.len()
-    }
-}
-
-/// Encoded size of a response (1 tag byte + codec-encoded payload;
-/// errors travel as their rendered message).
-pub fn response_wire_size(resp: &Result<ClientResponse>) -> usize {
-    let mut enc = Encoder::new();
-    match resp {
-        Ok(ClientResponse::Ack) => {}
-        Ok(ClientResponse::Rows(r)) => {
-            enc.put_u32(r.columns.len() as u32);
-            for c in &r.columns {
-                enc.put_str(c);
-            }
-            enc.put_u32(r.rows.len() as u32);
-            for row in &r.rows {
-                enc.put_row(row);
-            }
-        }
-        Ok(ClientResponse::Statement {
-            handle,
-            param_count,
-        }) => {
-            enc.put_u64(*handle);
-            enc.put_u32(*param_count as u32);
-        }
-        Ok(ClientResponse::Height(h)) => enc.put_u64(*h),
-        Ok(ClientResponse::Metrics(_)) => return 1 + MetricsSnapshot::WIRE_SIZE,
-        Err(e) => enc.put_str(&e.to_string()),
-    }
-    1 + enc.len()
-}
-
-/// Encoded size of a streamed notification (id + block + status).
-pub fn notification_wire_size(n: &TxNotification) -> usize {
-    use bcrdb_chain::ledger::TxStatus;
-    let status = match &n.status {
-        TxStatus::Committed => 1,
-        TxStatus::Aborted(reason) => 1 + 4 + reason.len(),
-    };
-    32 + 8 + status
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bcrdb_common::error::Error;
-
-    #[test]
-    fn request_sizes_scale_with_payload() {
-        let small = ClientRequest::Query {
-            sql: "SELECT 1".into(),
-            params: vec![],
-        };
-        let big = ClientRequest::Query {
-            sql: format!("SELECT {}", "x".repeat(4000)),
-            params: vec![Value::Int(1), Value::Text("abc".into())],
-        };
-        assert!(small.wire_size() < 40, "{}", small.wire_size());
-        assert!(big.wire_size() > 4000);
-        assert!(ClientRequest::ChainHeight.wire_size() <= 2);
-        let batch = ClientRequest::WaitForBatch {
-            ids: vec![GlobalTxId([1; 32]); 10],
-        };
-        assert!(batch.wire_size() >= 10 * 32);
-    }
-
-    #[test]
-    fn response_sizes_scale_with_rows() {
-        let empty = Ok(ClientResponse::Rows(QueryResult::empty(vec!["a".into()])));
-        let mut r = QueryResult::empty(vec!["a".into()]);
-        for i in 0..100 {
-            r.rows.push(vec![Value::Int(i), Value::Text("row".into())]);
-        }
-        let full = Ok(ClientResponse::Rows(r));
-        assert!(response_wire_size(&full) > response_wire_size(&empty) + 100);
-        let err: Result<ClientResponse> = Err(Error::Analysis("nope".into()));
-        assert!(response_wire_size(&err) > 4);
     }
 }

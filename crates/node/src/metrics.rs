@@ -197,60 +197,6 @@ pub struct MetricsSnapshot {
     pub ordering: OrderingSnapshot,
 }
 
-/// Wire slots of [`MetricsSnapshot`]: one entry per 8-byte field the
-/// Metrics RPC response is charged for, with the embedded
-/// [`OrderingSnapshot`] counters listed as `ordering.<field>`. The
-/// lint's wire-slots rule checks this table against the struct
-/// definitions, so adding a field without a slot entry (or vice versa)
-/// fails the build instead of silently under-charging the RPC.
-// bcrdb-lint: slots(MetricsSnapshot)
-pub const METRICS_WIRE_SLOTS: &[&str] = &[
-    "window_secs",
-    "brr",
-    "bpr",
-    "bpt_ms",
-    "bet_ms",
-    "bct_ms",
-    "tet_ms",
-    "mt_per_s",
-    "su",
-    "committed",
-    "aborted",
-    "commit_stage_ms",
-    "apply_stage_ms",
-    "post_stage_ms",
-    "pipeline_depth",
-    "postcommit_depth",
-    "halted",
-    "committed_height",
-    "postcommit_height",
-    "vacuum_runs",
-    "versions_reclaimed",
-    "held_back",
-    "gap_events",
-    "pending_evicted",
-    "sync_fetched",
-    "sync_replayed",
-    "sync_fast_syncs",
-    "pages_read",
-    "pages_written",
-    "pages_evicted",
-    "pool_hit_rate",
-    "plans_index_intersection",
-    "plans_covering",
-    "stats_rebuilds",
-    "ordering.forwarded",
-    "ordering.cut",
-    "ordering.delivered",
-    "ordering.current_view",
-    "ordering.view_changes",
-];
-
-impl MetricsSnapshot {
-    /// Charged wire size of one snapshot: 8 bytes per slot.
-    pub const WIRE_SIZE: usize = METRICS_WIRE_SLOTS.len() * 8;
-}
-
 impl NodeMetrics {
     /// Fresh metrics with the window starting now.
     pub fn new() -> NodeMetrics {

@@ -1,13 +1,10 @@
 //! Canonical binary codec for the client↔node RPC surface.
 //!
-//! The simulated transport moves [`ClientRequest`]/[`ClientResponse`]
-//! values by reference and only *charges* their codec-derived sizes
-//! ([`ClientRequest::wire_size`], [`crate::frontend::response_wire_size`]);
-//! the TCP
-//! transport actually serializes them with this module. The two views
-//! are kept consistent by construction — every encoder here emits
-//! exactly the bytes the size functions charge (`1` tag byte plus the
-//! same codec payload) — and by the round-trip tests at the bottom.
+//! This module is the *only* description of a client-plane message:
+//! the TCP link writes [`ClientFrame`]'s encoding to its socket, and the
+//! simulated link carries the same `ClientFrame` by value and charges
+//! `framed_size(frame.encoded_len())` — the byte count of that socket
+//! write, measured by the encoder itself.
 //!
 //! Errors cross the wire **variant-precise** ([`encode_error`] /
 //! [`decode_error`]): clients branch on `Error::NotFound` (transparent
@@ -31,12 +28,12 @@ use crate::frontend::{ClientRequest, ClientResponse};
 use crate::metrics::{MetricsSnapshot, OrderingSnapshot};
 use crate::notify::TxNotification;
 
-/// One message on a client↔node TCP connection, either direction.
+/// One message on a client↔node connection, either direction, on
+/// either link (socket or simulated network).
 ///
 /// Requests and responses are correlated by `seq` (one connection
 /// multiplexes many in-flight RPCs); notifications are server-push and
-/// carry no sequence number — they belong to the connection itself,
-/// exactly like the simulated backend's `ClientWire::Notification`.
+/// carry no sequence number — they belong to the connection itself.
 // Same rationale as `ClientResponse`: transient per-RPC frames with a
 // fixed-shape codec — boxing would add indirection without saving
 // resident memory.
@@ -136,9 +133,8 @@ impl Encode for ClientRequest {
                 enc.put_u8(4);
                 enc.put_u64(*handle);
                 enc.put_row(params);
-                // Height 0 encodes `None` ("current height"), matching
-                // the charged size: block heights start at 1, so 0 is
-                // never a real snapshot.
+                // Height 0 encodes `None` ("current height"): block
+                // heights start at 1, so 0 is never a real snapshot.
                 enc.put_u64(height.unwrap_or(0));
             }
             ClientRequest::WaitFor { id } => {
@@ -192,14 +188,7 @@ impl Decode for ClientRequest {
                 id: GlobalTxId(dec.get_digest()?),
             }),
             6 => {
-                let n = dec.get_u32()? as usize;
-                // Each id is 32 bytes; bound the count by the input so a
-                // corrupt prefix cannot force a huge allocation.
-                if n * 32 > dec.remaining() {
-                    return Err(Error::Codec(format!(
-                        "wait batch of {n} ids exceeds remaining input"
-                    )));
-                }
+                let n = dec.get_count(32, "wait-batch id")?;
                 let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     ids.push(GlobalTxId(dec.get_digest()?));
@@ -272,9 +261,8 @@ fn decode_response_body(tag: u8, dec: &mut Decoder<'_>) -> Result<ClientResponse
 const ERR_TAG: u8 = 0xFF;
 
 /// Encode a typed RPC outcome. `Ok` responses reuse the
-/// [`ClientResponse`] tag space so their wire bytes equal
-/// [`crate::frontend::response_wire_size`] exactly; errors use the
-/// reserved `ERR_TAG` (0xFF) followed by a variant-precise error payload.
+/// [`ClientResponse`] tag space; errors use the reserved `ERR_TAG`
+/// (0xFF) followed by a variant-precise error payload.
 pub fn encode_result(resp: &Result<ClientResponse>, enc: &mut Encoder) {
     match resp {
         Ok(r) => r.encode(enc),
@@ -341,22 +329,14 @@ pub fn encode_query_result(r: &QueryResult, enc: &mut Encoder) {
 /// Inverse of [`encode_query_result`]. Counts are bounds-checked
 /// against the remaining input before any allocation.
 pub fn decode_query_result(dec: &mut Decoder<'_>) -> Result<QueryResult> {
-    let ncols = dec.get_u32()? as usize;
     // Every column name costs at least its 4-byte length prefix.
-    if ncols * 4 > dec.remaining() {
-        return Err(Error::Codec(format!(
-            "{ncols} columns exceed remaining input"
-        )));
-    }
+    let ncols = dec.get_count(4, "column")?;
     let mut columns = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         columns.push(dec.get_str()?);
     }
-    let nrows = dec.get_u32()? as usize;
     // Every row costs at least its 4-byte value count.
-    if nrows * 4 > dec.remaining() {
-        return Err(Error::Codec(format!("{nrows} rows exceed remaining input")));
-    }
+    let nrows = dec.get_count(4, "row")?;
     let mut rows = Vec::with_capacity(nrows);
     for _ in 0..nrows {
         rows.push(dec.get_row()?);
@@ -367,9 +347,10 @@ pub fn decode_query_result(dec: &mut Decoder<'_>) -> Result<QueryResult> {
 // ----------------------------------------------------------- metrics
 
 impl Encode for MetricsSnapshot {
-    /// Emits exactly [`MetricsSnapshot::WIRE_SIZE`] bytes: one 8-byte
-    /// slot per `METRICS_WIRE_SLOTS` entry, in table order (`halted`
-    /// widens to a `u64` slot).
+    /// One 8-byte slot per field, in declaration order (`halted` widens
+    /// to a `u64` slot). The struct literals in `decode` and in the
+    /// round-trip test must name every field, so a field added without
+    /// its slot fails to compile or fails `metrics_snapshot_roundtrips_exactly`.
     fn encode(&self, enc: &mut Encoder) {
         enc.put_f64(self.window_secs);
         enc.put_f64(self.brr);
@@ -570,7 +551,6 @@ fn decode_abort_reason(dec: &mut Decoder<'_>) -> Result<AbortReason> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontend::response_wire_size;
     use bcrdb_common::value::Value;
 
     fn roundtrip_frame(f: &ClientFrame) -> ClientFrame {
@@ -624,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn request_encoding_matches_charged_wire_size() {
+    fn requests_roundtrip_byte_exact() {
         let requests = vec![
             ClientRequest::Query {
                 sql: "SELECT * FROM t WHERE a = $1".into(),
@@ -662,19 +642,14 @@ mod tests {
         ];
         for req in requests {
             let bytes = req.encode_to_vec();
-            assert_eq!(
-                bytes.len(),
-                req.wire_size(),
-                "charged size drifted for {req:?}"
-            );
+            assert_eq!(bytes.len(), req.encoded_len(), "{req:?}");
             let back = ClientRequest::decode_all(&bytes).unwrap();
-            assert_eq!(back.wire_size(), req.wire_size());
             assert_eq!(back.encode_to_vec(), bytes, "round trip for {req:?}");
         }
     }
 
     #[test]
-    fn response_encoding_matches_charged_wire_size() {
+    fn responses_roundtrip_byte_exact() {
         let mut r = QueryResult::empty(vec!["a".into(), "b".into()]);
         r.rows.push(vec![Value::Int(1), Value::Text("x".into())]);
         r.rows.push(vec![Value::Null, Value::Bool(true)]);
@@ -690,11 +665,7 @@ mod tests {
         ];
         for resp in responses {
             let bytes = resp.encode_to_vec();
-            assert_eq!(
-                bytes.len(),
-                response_wire_size(&Ok(resp.clone())),
-                "charged size drifted for {resp:?}"
-            );
+            assert_eq!(bytes.len(), resp.encoded_len(), "{resp:?}");
             let back = ClientResponse::decode_all(&bytes).unwrap();
             assert_eq!(back.encode_to_vec(), bytes, "round trip for {resp:?}");
         }
@@ -704,7 +675,6 @@ mod tests {
     fn metrics_snapshot_roundtrips_exactly() {
         let m = sample_metrics();
         let bytes = m.encode_to_vec();
-        assert_eq!(bytes.len(), MetricsSnapshot::WIRE_SIZE);
         assert_eq!(MetricsSnapshot::decode_all(&bytes).unwrap(), m);
     }
 
@@ -784,8 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn notification_encoding_matches_charged_wire_size() {
-        use crate::frontend::notification_wire_size;
+    fn notifications_roundtrip_byte_exact() {
         for n in [
             TxNotification {
                 id: GlobalTxId([1; 32]),
@@ -798,7 +767,9 @@ mod tests {
                 status: TxStatus::Aborted("stale read".into()),
             },
         ] {
-            assert_eq!(n.encode_to_vec().len(), notification_wire_size(&n));
+            let bytes = n.encode_to_vec();
+            assert_eq!(bytes.len(), n.encoded_len());
+            assert_eq!(TxNotification::decode_all(&bytes).unwrap(), n);
         }
     }
 

@@ -47,6 +47,7 @@ use std::time::{Duration, Instant};
 use crate::service::BlockSubscribers;
 use bcrdb_chain::block::{genesis_prev_hash, Block, CheckpointVote};
 use bcrdb_chain::tx::Transaction;
+use bcrdb_common::codec::Encode;
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::{BlockHeight, GlobalTxId};
 use bcrdb_crypto::identity::KeyPair;
@@ -283,10 +284,13 @@ pub fn start(
                 }
                 let (wire, size) = match msg {
                     Input::Tx(tx) => {
-                        let size = tx.wire_size();
+                        let size = tx.encoded_len();
                         (BftMsg::Forward(tx), size)
                     }
-                    Input::Vote(v) => (BftMsg::ForwardVote(v), CheckpointVote::WIRE_SIZE),
+                    Input::Vote(v) => {
+                        let size = v.encoded_len();
+                        (BftMsg::ForwardVote(v), size)
+                    }
                     Input::Stop => return,
                 };
                 let _ = pump_net.broadcast("client-gateway", &wire, size);
@@ -591,7 +595,7 @@ impl Replica {
                     ));
                     self.stats.cut.fetch_add(1, Ordering::Relaxed);
                     st.in_flight = Some(block.number);
-                    let size = block.wire_size();
+                    let size = block.encoded_len();
                     let view = st.view;
                     self.broadcast(
                         BftMsg::PrePrepare {
@@ -710,7 +714,7 @@ impl Replica {
                     next += 1;
                 }
                 if !blocks.is_empty() {
-                    let size: usize = blocks.iter().map(|b| b.wire_size()).sum();
+                    let size: usize = blocks.iter().map(|b| b.encoded_len()).sum();
                     let _ = self.net.send(
                         &replica_endpoint(self.idx),
                         &d.from,
@@ -827,7 +831,7 @@ impl Replica {
             .cloned()
             .or_else(|| st.rounds.get(&next).and_then(|r| r.block.as_ref()).cloned());
         let proposals: Vec<Arc<Block>> = re_proposal.into_iter().collect();
-        let size = 16 + proposals.iter().map(|b| b.wire_size()).sum::<usize>();
+        let size = 16 + proposals.iter().map(|b| b.encoded_len()).sum::<usize>();
         self.broadcast(
             BftMsg::NewView {
                 view,
@@ -899,7 +903,7 @@ impl Replica {
             .get(&(st.last_delivered + 1))
             .and_then(|r| r.block.as_ref())
             .cloned();
-        let size = 32 + in_flight.as_ref().map_or(0, |b| b.wire_size());
+        let size = 32 + in_flight.as_ref().map_or(0, |b| b.encoded_len());
         self.broadcast(
             BftMsg::ViewChange {
                 new_view,

@@ -47,7 +47,7 @@ impl Encode for OrdererWire {
             }
             OrdererWire::Vote(v) => {
                 enc.put_u8(2);
-                encode_checkpoint_vote(v, enc);
+                v.encode(enc);
             }
             OrdererWire::Block(b) => {
                 enc.put_u8(3);
@@ -64,29 +64,11 @@ impl Decode for OrdererWire {
                 node: dec.get_str()?,
             }),
             1 => Ok(OrdererWire::Submit(Box::new(Transaction::decode(dec)?))),
-            2 => Ok(OrdererWire::Vote(decode_checkpoint_vote(dec)?)),
+            2 => Ok(OrdererWire::Vote(CheckpointVote::decode(dec)?)),
             3 => Ok(OrdererWire::Block(Arc::new(Block::decode(dec)?))),
             t => Err(Error::Codec(format!("unknown orderer wire tag {t}"))),
         }
     }
-}
-
-/// Encode a [`CheckpointVote`] in the same field order the block codec
-/// uses for embedded votes (free function: `CheckpointVote` and
-/// `Encode` both live in other crates).
-pub fn encode_checkpoint_vote(v: &CheckpointVote, enc: &mut Encoder) {
-    enc.put_str(&v.node);
-    enc.put_u64(v.block);
-    enc.put_digest(&v.state_hash);
-}
-
-/// Inverse of [`encode_checkpoint_vote`].
-pub fn decode_checkpoint_vote(dec: &mut Decoder<'_>) -> Result<CheckpointVote> {
-    Ok(CheckpointVote {
-        node: dec.get_str()?,
-        block: dec.get_u64()?,
-        state_hash: dec.get_digest()?,
-    })
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //! and the paper-experiment index.
 
 pub use bcrdb_core::{
-    Call, CallBuilder, Client, ClusterSpec, InProcess, Network, NetworkConfig, NodeTransport,
-    PendingBatch, PendingTx, Prepared, PreparedRun, QueryBuilder, Simulated, TcpCluster,
-    TcpTransport, TransportKind,
+    Call, CallBuilder, Client, ClusterSpec, Connection, InProcess, Network, NetworkConfig,
+    NodeTransport, PendingBatch, PendingTx, Prepared, PreparedRun, QueryBuilder, TcpCluster,
+    TransportKind,
 };
 
 pub use bcrdb_chain as chain;
