@@ -3,69 +3,60 @@
 //! length-prefixed canonical-codec frames over localhost or a real
 //! network.
 //!
-//! This module is the process-granular sibling of [`crate::network`]:
-//! [`run_node_process`] replicates `launch_node`'s wiring recipe exactly
-//! (certificates from deterministic seeds, bootstrap, peer dispatch,
-//! orderer relay, outbound hooks, recovery ordering, block processor,
-//! client frontend — in that order), but every arrow that used to be a
-//! [`bcrdb_network::SimNetwork`] send is a TCP socket:
+//! A node is assembled by the same recipe as on the simulated network
+//! ([`crate::launch`]); [`run_node_process`] supplies only the planes,
+//! each a use of the shared socket toolkit ([`bcrdb_network::tcp`]):
 //!
 //! * **peer plane** — every node listens on its peer address and dials
-//!   every other organization once, with reconnect-and-backoff. The
+//!   every other organization once, over a reconnecting link. The
 //!   outbound link carries forwarded transactions and catch-up requests;
 //!   the serving side answers sync requests on whichever socket they
-//!   arrived on (off-thread, so a snapshot transfer never stalls
-//!   dispatch).
+//!   arrived on.
 //! * **ordering plane** — one TCP listener per orderer replica
 //!   ([`run_ordering_process`]); a node dials its replica, identifies
 //!   itself, streams submissions and checkpoint votes up and receives
 //!   the block stream down. A reconnect resubscribes from the current
 //!   block; anything missed in between is healed by the node's normal
 //!   delivery-gap catch-up.
-//! * **client plane** — [`crate::tcp::serve_client_tcp`], started only
-//!   after recovery so clients never reach a stale replica.
+//! * **client plane** — `tcp::serve_client_connection` per accepted
+//!   socket, started only after recovery so clients never reach a stale
+//!   replica.
 //!
 //! Every identity (admins, peers, orderers, bench users) derives from a
-//! deterministic seed, so each process rebuilds the same certificate
-//! registry locally — nothing secret crosses the wire at bootstrap,
-//! mirroring the out-of-band certificate distribution of §3.7.
+//! deterministic seed (the `identity` module), so each process rebuilds
+//! the same certificate registry locally — nothing secret crosses the
+//! wire at bootstrap, mirroring the out-of-band certificate distribution
+//! of §3.7.
 
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use bcrdb_chain::block::Block;
-use bcrdb_chain::sync::SyncRequest;
 use bcrdb_chain::tx::Transaction;
 use bcrdb_common::codec::{Decode, Encode};
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::BlockHeight;
-use bcrdb_crypto::identity::{Certificate, CertificateRegistry, KeyPair, Role, Scheme};
+use bcrdb_crypto::identity::{CertificateRegistry, Scheme};
+use bcrdb_network::tcp::{accept_loop, read_frames, ReconnectingLink};
 use bcrdb_network::wire::{
-    peer_endpoint, read_frame, write_frame, FrameEvent, PeerAddr, MAX_ORDERER_FRAME, MAX_PEER_FRAME,
+    peer_endpoint, write_frame, PeerAddr, MAX_ORDERER_FRAME, MAX_PEER_FRAME,
 };
 use bcrdb_node::{Node, NodeConfig, NodeHooks};
+use bcrdb_ordering::service::orderer_identity;
 use bcrdb_ordering::tcp::serve_orderer;
 use bcrdb_ordering::{OrdererWire, OrderingConfig, OrderingService};
 use bcrdb_txn::ssi::Flow;
-use crossbeam_channel::{unbounded, Sender};
 use parking_lot::Mutex;
 
 use crate::client::Client;
-use crate::network::{apply_bootstrap_sql, await_nodes_height, PeerMsg, PeerSend, SyncClient};
-use crate::system;
-use crate::tcp::{configure_stream, serve_client_tcp, PeerFrame, POLL};
+use crate::identity::{admin_identity, client_identity, peer_identity};
+use crate::launch::{org_index, shutdown_all, Inbound, Launch, NodeProc, PeerSend, Planes};
+use crate::network::await_nodes_height;
+use crate::tcp::{serve_client_connection, PeerFrame};
 use crate::transport::{Connection, NodeTransport};
-
-/// First reconnect delay of a dialer; doubles per failure up to
-/// [`DIAL_BACKOFF_MAX`].
-const DIAL_BACKOFF_MIN: Duration = Duration::from_millis(100);
-
-/// Reconnect backoff ceiling.
-const DIAL_BACKOFF_MAX: Duration = Duration::from_secs(2);
 
 /// How long a booting node waits for its orderer (and, on rejoin, at
 /// least one peer) before giving up.
@@ -151,69 +142,17 @@ impl ClusterSpec {
     pub fn certs(&self) -> Arc<CertificateRegistry> {
         let certs = CertificateRegistry::new();
         for org in &self.orgs {
-            let name = format!("{org}/admin");
-            let key = KeyPair::generate(
-                name.clone(),
-                format!("admin-seed-{org}").as_bytes(),
-                self.scheme,
-            );
-            certs.register(Certificate {
-                name,
-                org: org.clone(),
-                role: Role::Admin,
-                public_key: key.public_key(),
-            });
-            let peer = peer_endpoint(org);
-            let key = KeyPair::generate(
-                peer.clone(),
-                format!("peer-seed-{org}").as_bytes(),
-                Scheme::Sim,
-            );
-            certs.register(Certificate {
-                name: peer,
-                org: org.clone(),
-                role: Role::Peer,
-                public_key: key.public_key(),
-            });
+            certs.register(admin_identity(org, self.scheme).1);
+            certs.register(peer_identity(org).1);
             for i in 0..self.bench_clients {
-                let name = format!("{org}/{}", ClusterSpec::bench_user(i));
-                let key = KeyPair::generate(
-                    name.clone(),
-                    format!("client-seed-{name}").as_bytes(),
-                    self.scheme,
-                );
-                certs.register(Certificate {
-                    name: name.clone(),
-                    org: org.clone(),
-                    role: Role::Client,
-                    public_key: key.public_key(),
-                });
+                let user = ClusterSpec::bench_user(i);
+                certs.register(client_identity(org, &user, self.scheme).1);
             }
         }
-        // Must mirror `OrderingService::start`'s registration exactly,
-        // or nodes reject every block signature.
         for i in 0..self.orgs.len() {
-            let name = bcrdb_ordering::service::orderer_name(i);
-            let key = KeyPair::generate(
-                name.clone(),
-                format!("orderer-seed-{i}").as_bytes(),
-                self.scheme,
-            );
-            certs.register(Certificate {
-                name,
-                org: "ordering".into(),
-                role: Role::Orderer,
-                public_key: key.public_key(),
-            });
+            certs.register(orderer_identity(i, self.scheme).1);
         }
         certs
-    }
-
-    fn org_index(&self, org: &str) -> Result<usize> {
-        self.orgs
-            .iter()
-            .position(|o| o == org)
-            .ok_or_else(|| Error::NotFound(format!("organization {org}")))
     }
 }
 
@@ -246,324 +185,38 @@ pub struct NodeSpec {
     pub rejoin: bool,
 }
 
-// ------------------------------------------------------- peer plane
+// --------------------------------------------------- node processes
 
-/// The writer half of one outbound peer link. `None` while the dialer
-/// is reconnecting; sends fail fast instead of queueing into the void.
-struct PeerLink {
-    org: String,
-    addr: String,
-    writer: Mutex<Option<TcpStream>>,
-    up: AtomicBool,
-}
+/// Writes one frame back on the socket a peer frame arrived on.
+type SendBack = Arc<dyn Fn(&[u8]) + Send + Sync>;
 
-impl PeerLink {
-    fn send(&self, frame: &PeerFrame) -> Result<()> {
-        let bytes = frame.encode_to_vec();
-        let mut guard = self.writer.lock();
-        let Some(stream) = guard.as_mut() else {
-            return Err(Error::Io(format!("peer link to {} is down", self.org)));
-        };
-        if let Err(e) = write_frame(stream, &bytes, MAX_PEER_FRAME) {
-            let _ = stream.shutdown(Shutdown::Both);
-            *guard = None;
-            self.up.store(false, Ordering::Relaxed);
-            return Err(e);
-        }
-        Ok(())
-    }
-}
-
-/// Reply channel for frames that answer in place (sync responses go
-/// back on whichever socket the request arrived on).
-type PeerReply = Arc<dyn Fn(PeerFrame) -> Result<()> + Send + Sync>;
-
-/// Route one inbound peer frame exactly like `launch_node`'s dispatch
-/// thread routes [`PeerMsg`]s. Returns `false` when the connection can
-/// no longer be trusted and must be severed.
-fn handle_peer_frame(
-    frame: PeerFrame,
-    node: &Arc<Node>,
-    block_tx: &Sender<Arc<Block>>,
-    sync: &Arc<SyncClient>,
-    reply: &PeerReply,
-) -> bool {
-    match frame {
+/// One frame off a peer socket — an outbound link's or an accepted
+/// connection's — into the shared handler. An undecodable frame is an
+/// error, which severs the connection.
+fn on_peer_frame(inbound: &Inbound, payload: &[u8], send_back: &SendBack) -> Result<()> {
+    match PeerFrame::decode_all(payload)? {
         // A repeated Hello is harmless.
-        PeerFrame::Hello { .. } => true,
-        PeerFrame::Msg(PeerMsg::Tx(tx)) => {
-            node.on_peer_tx(*tx);
-            true
-        }
-        PeerFrame::Msg(PeerMsg::Block(b)) => block_tx.send(b).is_ok(),
-        PeerFrame::Msg(PeerMsg::SyncRequest { seq, req }) => {
-            // Serve off-thread: a large batch or snapshot must not
-            // stall transaction/block dispatch on this connection.
-            let node = Arc::clone(node);
-            let reply = Arc::clone(reply);
-            thread::Builder::new()
-                .name(format!("{}-sync-serve", node.config.name))
-                .spawn(move || {
-                    let resp = Arc::new(node.serve_sync(&req));
-                    let _ = reply(PeerFrame::Msg(PeerMsg::SyncResponse { seq, resp }));
-                })
-                .is_ok()
-        }
-        PeerFrame::Msg(PeerMsg::SyncResponse { seq, resp }) => {
-            sync.deliver(seq, &resp);
-            true
-        }
+        PeerFrame::Hello { .. } => Ok(()),
+        PeerFrame::Msg(msg) => inbound.handle(msg, || {
+            let send_back = Arc::clone(send_back);
+            Box::new(move |resp| send_back(&resp.encode_to_vec()))
+        }),
     }
 }
 
-/// Maintain one outbound peer link: dial with exponential backoff, send
-/// `Hello`, publish the writer half, then read frames (sync responses,
-/// mainly) until the socket dies — and start over.
-fn spawn_peer_dialer(
-    link: Arc<PeerLink>,
-    my_org: String,
-    node: Arc<Node>,
-    block_tx: Sender<Arc<Block>>,
-    sync: Arc<SyncClient>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("peer-dial:{}", link.org))
-        .spawn(move || {
-            let reply: PeerReply = {
-                let link = Arc::clone(&link);
-                Arc::new(move |f| link.send(&f))
-            };
-            let mut backoff = DIAL_BACKOFF_MIN;
-            while !stop.load(Ordering::Relaxed) {
-                let Ok(stream) = TcpStream::connect(&link.addr) else {
-                    thread::sleep(backoff);
-                    backoff = (backoff * 2).min(DIAL_BACKOFF_MAX);
-                    continue;
-                };
-                configure_stream(&stream);
-                let Ok(write_half) = stream.try_clone() else {
-                    continue;
-                };
-                *link.writer.lock() = Some(write_half);
-                if link
-                    .send(&PeerFrame::Hello {
-                        org: my_org.clone(),
-                    })
-                    .is_err()
-                {
-                    continue;
-                }
-                link.up.store(true, Ordering::Relaxed);
-                backoff = DIAL_BACKOFF_MIN;
-                let mut reader = stream;
-                while !stop.load(Ordering::Relaxed) {
-                    match read_frame(&mut reader, MAX_PEER_FRAME) {
-                        Ok(FrameEvent::Frame(payload)) => match PeerFrame::decode_all(&payload) {
-                            Ok(f) => {
-                                if !handle_peer_frame(f, &node, &block_tx, &sync, &reply) {
-                                    break;
-                                }
-                            }
-                            Err(_) => break,
-                        },
-                        Ok(FrameEvent::Idle) => continue,
-                        Ok(FrameEvent::Eof) | Err(_) => break,
-                    }
-                }
-                link.up.store(false, Ordering::Relaxed);
-                *link.writer.lock() = None;
-                let _ = reader.shutdown(Shutdown::Both);
-            }
-        })
-        .expect("spawn peer dialer")
-}
-
-/// Accept loop of the peer plane: one handler thread per inbound
-/// connection, routing frames through [`handle_peer_frame`] and
-/// answering sync requests on the same socket.
-fn spawn_peer_acceptor(
-    listener: TcpListener,
-    node: Arc<Node>,
-    block_tx: Sender<Arc<Block>>,
-    sync: Arc<SyncClient>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    let name = node.config.name.clone();
-    thread::Builder::new()
-        .name(format!("{name}-peer-accept"))
-        .spawn(move || {
-            listener
-                .set_nonblocking(true)
-                .expect("listener nonblocking");
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let node = Arc::clone(&node);
-                        let block_tx = block_tx.clone();
-                        let sync = Arc::clone(&sync);
-                        let stop = Arc::clone(&stop);
-                        let _ = thread::Builder::new()
-                            .name(format!("{}-peer-conn", node.config.name))
-                            .spawn(move || {
-                                serve_peer_connection(node, block_tx, sync, stream, stop)
-                            });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-                    Err(_) => thread::sleep(POLL),
-                }
-            }
-        })
-        .expect("spawn peer accept loop")
-}
-
-fn serve_peer_connection(
-    node: Arc<Node>,
-    block_tx: Sender<Arc<Block>>,
-    sync: Arc<SyncClient>,
-    stream: TcpStream,
-    stop: Arc<AtomicBool>,
-) {
-    configure_stream(&stream);
+/// One accepted peer connection, until it ends or the node stops.
+fn serve_peer_connection(inbound: &Inbound, stream: TcpStream, stop: &AtomicBool) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let writer = Arc::new(Mutex::new(write_half));
-    let reply: PeerReply = {
-        let writer = Arc::clone(&writer);
-        Arc::new(move |f| write_frame(&mut *writer.lock(), &f.encode_to_vec(), MAX_PEER_FRAME))
-    };
-    let mut reader = stream;
-    while !stop.load(Ordering::Relaxed) {
-        match read_frame(&mut reader, MAX_PEER_FRAME) {
-            Ok(FrameEvent::Frame(payload)) => match PeerFrame::decode_all(&payload) {
-                Ok(f) => {
-                    if !handle_peer_frame(f, &node, &block_tx, &sync, &reply) {
-                        break;
-                    }
-                }
-                Err(_) => break,
-            },
-            Ok(FrameEvent::Idle) => continue,
-            Ok(FrameEvent::Eof) | Err(_) => break,
-        }
-    }
-    let _ = reader.shutdown(Shutdown::Both);
-}
-
-// --------------------------------------------------- ordering plane
-
-/// Writer half of the node's link to its orderer replica; same
-/// fail-fast-while-down discipline as [`PeerLink`].
-struct OrdererLink {
-    addr: String,
-    writer: Mutex<Option<TcpStream>>,
-    up: AtomicBool,
-}
-
-impl OrdererLink {
-    fn send(&self, msg: &OrdererWire) -> Result<()> {
-        let bytes = msg.encode_to_vec();
-        let mut guard = self.writer.lock();
-        let Some(stream) = guard.as_mut() else {
-            return Err(Error::Io(format!("orderer link to {} is down", self.addr)));
-        };
-        if let Err(e) = write_frame(stream, &bytes, MAX_ORDERER_FRAME) {
-            let _ = stream.shutdown(Shutdown::Both);
-            *guard = None;
-            self.up.store(false, Ordering::Relaxed);
-            return Err(e);
-        }
-        Ok(())
-    }
-}
-
-/// Maintain the orderer link: dial with backoff, identify with `Hello`,
-/// feed the pushed block stream into the node's block channel. Each
-/// reconnect resubscribes from the replica's current block; the node's
-/// gap detection plus peer catch-up heal whatever was missed.
-fn spawn_orderer_dialer(
-    link: Arc<OrdererLink>,
-    node_name: String,
-    block_tx: Sender<Arc<Block>>,
-    stop: Arc<AtomicBool>,
-) -> JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("{node_name}-orderer-dial"))
-        .spawn(move || {
-            let mut backoff = DIAL_BACKOFF_MIN;
-            while !stop.load(Ordering::Relaxed) {
-                let Ok(stream) = TcpStream::connect(&link.addr) else {
-                    thread::sleep(backoff);
-                    backoff = (backoff * 2).min(DIAL_BACKOFF_MAX);
-                    continue;
-                };
-                configure_stream(&stream);
-                let Ok(write_half) = stream.try_clone() else {
-                    continue;
-                };
-                *link.writer.lock() = Some(write_half);
-                if link
-                    .send(&OrdererWire::Hello {
-                        node: node_name.clone(),
-                    })
-                    .is_err()
-                {
-                    continue;
-                }
-                link.up.store(true, Ordering::Relaxed);
-                backoff = DIAL_BACKOFF_MIN;
-                let mut reader = stream;
-                while !stop.load(Ordering::Relaxed) {
-                    match read_frame(&mut reader, MAX_ORDERER_FRAME) {
-                        Ok(FrameEvent::Frame(payload)) => {
-                            match OrdererWire::decode_all(&payload) {
-                                Ok(OrdererWire::Block(b)) => {
-                                    if block_tx.send(b).is_err() {
-                                        return; // node shut down
-                                    }
-                                }
-                                // Anything else from an orderer is a
-                                // protocol violation: sever, redial.
-                                _ => break,
-                            }
-                        }
-                        Ok(FrameEvent::Idle) => continue,
-                        Ok(FrameEvent::Eof) | Err(_) => break,
-                    }
-                }
-                link.up.store(false, Ordering::Relaxed);
-                *link.writer.lock() = None;
-                let _ = reader.shutdown(Shutdown::Both);
-            }
-        })
-        .expect("spawn orderer dialer")
-}
-
-// --------------------------------------------------- node processes
-
-/// A running node process: the node plus its accept loops and dialers.
-pub struct NodeProc {
-    node: Arc<Node>,
-    stop: Arc<AtomicBool>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl NodeProc {
-    /// The node itself (metrics, heights, hub introspection).
-    pub fn node(&self) -> &Arc<Node> {
-        &self.node
-    }
-
-    /// Stop everything: node threads, accept loops, dialers, and —
-    /// through the shared stop flag — every per-connection worker.
-    pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.node.shutdown();
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
+    let writer = Mutex::new(write_half);
+    let send_back: SendBack =
+        Arc::new(move |bytes| drop(write_frame(&mut *writer.lock(), bytes, MAX_PEER_FRAME)));
+    let stopped = || stop.load(Ordering::Relaxed);
+    let _ = read_frames(&mut &stream, MAX_PEER_FRAME, stopped, |payload| {
+        on_peer_frame(inbound, &payload, &send_back)
+    });
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
 fn await_link(up: impl Fn() -> bool, what: &str) -> Result<()> {
@@ -579,19 +232,13 @@ fn await_link(up: impl Fn() -> bool, what: &str) -> Result<()> {
     Ok(())
 }
 
-/// Construct, wire up and start one organization's node over TCP —
-/// the process-granular equivalent of the simulated deployment's
-/// `launch_node`, with the identical recovery ordering: certificates
-/// and bootstrap first, peer plane and orderer link before recovery
-/// (so blocks delivered during catch-up queue instead of being lost),
-/// the client frontend only after the node is caught up.
+/// Launch one organization's node over TCP: what the socket deployment
+/// supplies to the shared recipe (`Launch::run`). Peer traffic travels
+/// one reconnecting link per other organization plus the peer listener,
+/// the ordering service is reached over a link to this node's orderer
+/// replica, and clients are served on the client listener.
 pub fn run_node_process(cluster: &ClusterSpec, spec: NodeSpec) -> Result<NodeProc> {
-    cluster.org_index(&spec.org)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    let certs = cluster.certs();
     let node_name = peer_endpoint(&spec.org);
-
     let mut cfg = NodeConfig::new(node_name.clone(), spec.org.clone(), cluster.flow);
     cfg.fsync = cluster.fsync;
     cfg.data_dir = spec.data_dir.clone();
@@ -599,159 +246,103 @@ pub fn run_node_process(cluster: &ClusterSpec, spec: NodeSpec) -> Result<NodePro
         cfg.page_dir = spec.data_dir.as_ref().map(|d| d.join("pages"));
         cfg.buffer_pool_frames = spec.pool_frames.max(1);
     }
-    let node = Node::new(cfg, Arc::clone(&certs), cluster.orgs.clone())?;
-    system::bootstrap_node(&node)?;
-    if let Some(genesis) = &cluster.genesis_sql {
-        apply_bootstrap_sql(&node, genesis, cluster.flow)?;
+
+    let orderer = ReconnectingLink::new(spec.orderer_addr.clone(), MAX_ORDERER_FRAME);
+    let (mut links, mut peers) = (Vec::new(), Vec::new());
+    for peer in &spec.peers {
+        let link = ReconnectingLink::new(peer.addr.clone(), MAX_PEER_FRAME);
+        links.push((peer.org.clone(), Arc::clone(&link)));
+        // A `PeerFrame::Msg` is encoded exactly as its `PeerMsg`.
+        let send: PeerSend = Box::new(move |msg| link.send(&msg.encode_to_vec()));
+        peers.push((peer.org.clone(), send));
     }
 
-    let (block_tx, block_rx) = unbounded();
-
-    // Peer plane: one outbound link per other organization, plus the
-    // inbound accept loop — both up before recovery, like the sim
-    // deployment registers its peer endpoint before recovering.
-    let links: Vec<Arc<PeerLink>> = spec
-        .peers
-        .iter()
-        .map(|p| {
-            Arc::new(PeerLink {
-                org: p.org.clone(),
-                addr: p.addr.clone(),
-                writer: Mutex::new(None),
-                up: AtomicBool::new(false),
-            })
-        })
-        .collect();
-    let sync_peers = links
-        .iter()
-        .map(|link| {
-            let org = link.org.clone();
-            let link = Arc::clone(link);
-            let send: PeerSend = Box::new(move |msg| link.send(&PeerFrame::Msg(msg)));
-            (org, send)
-        })
-        .collect();
-    let sync = Arc::new(SyncClient::new(sync_peers, 0));
-    for link in &links {
-        handles.push(spawn_peer_dialer(
-            Arc::clone(link),
-            spec.org.clone(),
-            Arc::clone(&node),
-            block_tx.clone(),
-            Arc::clone(&sync),
-            Arc::clone(&stop),
-        ));
-    }
-    handles.push(spawn_peer_acceptor(
-        spec.peer_listener,
-        Arc::clone(&node),
-        block_tx.clone(),
-        Arc::clone(&sync),
-        Arc::clone(&stop),
-    ));
-
-    // Ordering plane.
-    let orderer = Arc::new(OrdererLink {
-        addr: spec.orderer_addr.clone(),
-        writer: Mutex::new(None),
-        up: AtomicBool::new(false),
-    });
-    handles.push(spawn_orderer_dialer(
-        Arc::clone(&orderer),
-        node_name.clone(),
-        block_tx.clone(),
-        Arc::clone(&stop),
-    ));
-
-    // Unwind a partial launch on any failure from here on.
-    let abort = |e: Error, handles: Vec<JoinHandle<()>>| {
-        stop.store(true, Ordering::Relaxed);
-        node.shutdown();
-        for h in handles {
-            let _ = h.join();
-        }
-        Err(e)
+    let launch = Launch {
+        cfg,
+        certs: cluster.certs(),
+        orgs: &cluster.orgs,
+        genesis_sql: cluster.genesis_sql.as_deref(),
+        peers,
+        rejoin: spec.rejoin,
     };
+    let (peer_listener, client_listener) = (spec.peer_listener, spec.client_listener);
+    launch.run(
+        |proc, inbound| {
+            let (planes, stop) = (&proc.planes, || proc.planes.stop_flag());
+            // Peer plane: the outbound links (their inbound direction
+            // carries sync responses, mainly) and the accept loop.
+            let hello = PeerFrame::Hello {
+                org: spec.org.clone(),
+            };
+            for (org, link) in &links {
+                let (inbound, reply_on) = (Arc::clone(&inbound), Arc::clone(link));
+                let send_back: SendBack = Arc::new(move |bytes| drop(reply_on.send(bytes)));
+                let on_frame =
+                    move |payload: Vec<u8>| on_peer_frame(&inbound, &payload, &send_back);
+                let name = format!("peer-dial:{org}");
+                planes.own(link.dial(name, hello.encode_to_vec(), stop(), on_frame));
+            }
+            let (name, conn_inbound) = (format!("{node_name}-peer"), Arc::clone(&inbound));
+            let serve = move |stream: TcpStream, stop: &AtomicBool| {
+                serve_peer_connection(&conn_inbound, stream, stop)
+            };
+            planes.own(accept_loop(peer_listener, name, stop(), serve));
 
-    // Without its orderer the node can neither submit nor receive
-    // blocks; a rejoining node additionally needs someone to sync from.
-    if let Err(e) = await_link(|| orderer.up.load(Ordering::Relaxed), "orderer") {
-        return abort(e, handles);
-    }
-    if spec.rejoin && !links.is_empty() {
-        if let Err(e) = await_link(
-            || links.iter().any(|l| l.up.load(Ordering::Relaxed)),
-            "any peer",
-        ) {
-            return abort(e, handles);
-        }
-    }
+            // Ordering plane: the pushed block stream feeds the node's
+            // block channel. Each reconnect resubscribes from the
+            // replica's current block; the node's gap detection plus
+            // peer catch-up heal whatever was missed.
+            let hello = OrdererWire::Hello {
+                node: node_name.clone(),
+            };
+            let name = format!("{node_name}-orderer-dial");
+            let on_frame = move |payload: Vec<u8>| match OrdererWire::decode_all(&payload)? {
+                OrdererWire::Block(block) => inbound.block(block),
+                // Anything else from an orderer is a protocol
+                // violation: sever, redial.
+                _ => Err(Error::Decode("unexpected frame from an orderer".into())),
+            };
+            planes.own(orderer.dial(name, hello.encode_to_vec(), stop(), on_frame));
 
-    let hooks = NodeHooks {
-        forward_tx: Some({
-            let links = links.clone();
-            Arc::new(move |tx: &Transaction| {
-                let frame = PeerFrame::Msg(PeerMsg::Tx(Box::new(tx.clone())));
-                for link in &links {
-                    let _ = link.send(&frame);
-                }
+            // Without its orderer the node can neither submit nor
+            // receive blocks; a rejoining node additionally needs
+            // someone to sync from.
+            await_link(|| orderer.is_up(), "orderer")?;
+            if spec.rejoin && !links.is_empty() {
+                await_link(|| links.iter().any(|(_, l)| l.is_up()), "any peer")?;
+            }
+
+            let (submit, vote) = (Arc::clone(&orderer), Arc::clone(&orderer));
+            Ok(NodeHooks {
+                submit_orderer: Some(Arc::new(move |tx: Transaction| {
+                    submit.send(&OrdererWire::Submit(Box::new(tx)).encode_to_vec())
+                })),
+                submit_checkpoint: Some(Arc::new(move |v| {
+                    drop(vote.send(&OrdererWire::Vote(v).encode_to_vec()))
+                })),
+                // The ordering service runs in another process; its
+                // counters are in that process's metrics, not this
+                // node's (`ordering_stats` stays unset).
+                ..NodeHooks::default()
             })
-        }),
-        submit_orderer: Some({
-            let orderer = Arc::clone(&orderer);
-            Arc::new(move |tx: Transaction| orderer.send(&OrdererWire::Submit(Box::new(tx))))
-        }),
-        submit_checkpoint: Some({
-            let orderer = Arc::clone(&orderer);
-            Arc::new(move |vote| {
-                let _ = orderer.send(&OrdererWire::Vote(vote));
-            })
-        }),
-        sync_fetch: (!links.is_empty()).then(|| {
-            let sync = Arc::clone(&sync);
-            Arc::new(move |req: SyncRequest| sync.fetch(req)) as _
-        }),
-        // The ordering service runs in another process; its counters
-        // are in that process's metrics, not this node's.
-        ordering_stats: None,
-    };
-    let recovered = if spec.rejoin {
-        node.set_hooks(hooks);
-        node.recover()
-    } else {
-        node.set_hooks(NodeHooks {
-            sync_fetch: None,
-            ..hooks.clone()
-        });
-        let r = node.recover();
-        node.set_hooks(hooks);
-        r
-    };
-    if let Err(e) = recovered {
-        return abort(e, handles);
-    }
-    node.start(block_rx);
-
-    // Serve clients only now, after catch-up, so they never reach a
-    // stale replica.
-    handles.push(serve_client_tcp(
-        Arc::clone(&node),
-        spec.client_listener,
-        Arc::clone(&stop),
-    ));
-    Ok(NodeProc {
-        node,
-        stop,
-        handles: Mutex::new(handles),
-    })
+        },
+        |proc| {
+            let (name, stop) = (format!("{node_name}-tcp"), proc.planes.stop_flag());
+            let node = Arc::clone(proc.node());
+            let serve = move |stream: TcpStream, stop: &AtomicBool| {
+                serve_client_connection(Arc::clone(&node), stream, stop)
+            };
+            proc.planes
+                .own(accept_loop(client_listener, name, stop, serve));
+        },
+    )
 }
 
 /// The ordering-service process: the full (in-process) consensus
 /// backend plus one TCP listener per orderer replica.
 pub struct OrderingProc {
     service: Arc<OrderingService>,
-    stop: Arc<AtomicBool>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    planes: Planes,
 }
 
 impl OrderingProc {
@@ -760,13 +351,11 @@ impl OrderingProc {
         &self.service
     }
 
-    /// Stop the listeners and the consensus threads.
+    /// Stop the consensus threads and the listeners; every listener
+    /// thread and its connections are joined before this returns.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
         self.service.shutdown();
-        for h in self.handles.lock().drain(..) {
-            let _ = h.join();
-        }
+        self.planes.close();
     }
 }
 
@@ -785,19 +374,13 @@ pub fn run_ordering_process(
             cfg.orderers
         )));
     }
-    let certs = cluster.certs();
-    let service = OrderingService::start(cfg, &certs);
-    let stop = Arc::new(AtomicBool::new(false));
-    let handles = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(i, l)| serve_orderer(Arc::clone(&service), i, l, Arc::clone(&stop)))
-        .collect();
-    Ok(OrderingProc {
-        service,
-        stop,
-        handles: Mutex::new(handles),
-    })
+    let service = OrderingService::start(cfg, &cluster.certs());
+    let planes = Planes::new();
+    for (i, listener) in listeners.into_iter().enumerate() {
+        let (service, stop) = (Arc::clone(&service), planes.stop_flag());
+        planes.own(serve_orderer(service, i, listener, stop));
+    }
+    Ok(OrderingProc { service, planes })
 }
 
 // ----------------------------------------------------- client side
@@ -812,16 +395,11 @@ pub fn run_ordering_process(
 /// clients for the *same* user would mint colliding transaction ids,
 /// so give every connection its own user (the bench fleet does).
 pub fn tcp_client(cluster: &ClusterSpec, org: &str, user: &str, addr: &str) -> Result<Client> {
-    let name = format!("{org}/{user}");
-    let key = Arc::new(KeyPair::generate(
-        name.clone(),
-        format!("client-seed-{name}").as_bytes(),
-        cluster.scheme,
-    ));
+    let (key, cert) = client_identity(org, user, cluster.scheme);
     let transport: Arc<dyn NodeTransport> = Arc::new(Connection::tcp(addr)?);
     Ok(Client::new(
-        name,
-        key,
+        cert.name,
+        Arc::new(key),
         cluster.flow,
         Arc::new(AtomicU64::new(1)),
         transport,
@@ -893,82 +471,61 @@ pub struct TcpCluster {
     client_addrs: Vec<String>,
 }
 
+/// `n` listeners on ephemeral localhost ports, with their addresses.
+fn bind_local(n: usize) -> Result<(Vec<TcpListener>, Vec<String>)> {
+    let io_err = |e: std::io::Error| Error::Io(e.to_string());
+    let (mut listeners, mut addrs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for _ in 0..n {
+        let listener = TcpListener::bind("127.0.0.1:0").map_err(io_err)?;
+        addrs.push(listener.local_addr().map_err(io_err)?.to_string());
+        listeners.push(listener);
+    }
+    Ok((listeners, addrs))
+}
+
 impl TcpCluster {
     /// Bind ephemeral listeners for every plane, start the ordering
     /// process and one node per organization (fresh boot, no rejoin).
     /// With `data_root`, each node persists under `<root>/<org>/`.
     pub fn launch(spec: ClusterSpec, data_root: Option<PathBuf>) -> Result<TcpCluster> {
-        let io_err = |e: std::io::Error| Error::Io(e.to_string());
         let n = spec.orgs.len();
-        let mut ord_listeners = Vec::with_capacity(n);
-        for _ in 0..n {
-            ord_listeners.push(TcpListener::bind("127.0.0.1:0").map_err(io_err)?);
-        }
-        let ord_addrs: Vec<String> = ord_listeners
-            .iter()
-            .map(|l| Ok(l.local_addr().map_err(io_err)?.to_string()))
-            .collect::<Result<_>>()?;
+        let (ord_listeners, ord_addrs) = bind_local(n)?;
+        let (peer_listeners, peer_addrs) = bind_local(n)?;
+        let (client_listeners, client_addrs) = bind_local(n)?;
         let ordering = run_ordering_process(&spec, ord_listeners)?;
-
-        let mut peer_listeners = Vec::with_capacity(n);
-        let mut client_listeners = Vec::with_capacity(n);
-        for _ in 0..n {
-            peer_listeners.push(TcpListener::bind("127.0.0.1:0").map_err(io_err)?);
-            client_listeners.push(TcpListener::bind("127.0.0.1:0").map_err(io_err)?);
-        }
-        let peer_addrs: Vec<String> = peer_listeners
-            .iter()
-            .map(|l| Ok(l.local_addr().map_err(io_err)?.to_string()))
-            .collect::<Result<_>>()?;
-        let client_addrs: Vec<String> = client_listeners
-            .iter()
-            .map(|l| Ok(l.local_addr().map_err(io_err)?.to_string()))
-            .collect::<Result<_>>()?;
-
-        let mut nodes: Vec<NodeProc> = Vec::with_capacity(n);
-        for ((i, org), (client_listener, peer_listener)) in spec
-            .orgs
-            .iter()
-            .enumerate()
-            .zip(client_listeners.into_iter().zip(peer_listeners))
-        {
+        let mut cluster = TcpCluster {
+            spec,
+            ordering,
+            nodes: Vec::with_capacity(n),
+            client_addrs,
+        };
+        let listeners = client_listeners.into_iter().zip(peer_listeners);
+        for (i, (client_listener, peer_listener)) in listeners.enumerate() {
+            let orgs = &cluster.spec.orgs;
+            let others = orgs.iter().zip(&peer_addrs).filter(|(o, _)| **o != orgs[i]);
             let node_spec = NodeSpec {
-                org: org.clone(),
+                org: orgs[i].clone(),
                 client_listener,
                 peer_listener,
-                peers: spec
-                    .orgs
-                    .iter()
-                    .enumerate()
-                    .filter(|(j, _)| *j != i)
-                    .map(|(j, o)| PeerAddr {
-                        org: o.clone(),
-                        addr: peer_addrs[j].clone(),
+                peers: others
+                    .map(|(org, addr)| PeerAddr {
+                        org: org.clone(),
+                        addr: addr.clone(),
                     })
                     .collect(),
                 orderer_addr: ord_addrs[i].clone(),
-                data_dir: data_root.as_ref().map(|r| r.join(org)),
+                data_dir: data_root.as_ref().map(|r| r.join(&orgs[i])),
                 paged: false,
                 pool_frames: bcrdb_node::pool_frames_by_env(),
                 rejoin: false,
             };
-            match run_node_process(&spec, node_spec) {
-                Ok(proc) => nodes.push(proc),
-                Err(e) => {
-                    for proc in &nodes {
-                        proc.shutdown();
-                    }
-                    ordering.shutdown();
-                    return Err(e);
-                }
-            }
+            // A partial launch is unwound like a complete one.
+            let launched = run_node_process(&cluster.spec, node_spec);
+            cluster
+                .nodes
+                .push(launched.inspect_err(|_| cluster.shutdown())?);
         }
-        Ok(TcpCluster {
-            spec,
-            ordering,
-            nodes,
-            client_addrs,
-        })
+        Ok(cluster)
     }
 
     /// The cluster's spec.
@@ -994,7 +551,7 @@ impl TcpCluster {
 
     /// A TCP client for `user` connected to `org`'s node.
     pub fn client(&self, org: &str, user: &str) -> Result<Client> {
-        let idx = self.spec.org_index(org)?;
+        let idx = org_index(&self.spec.orgs, org)?;
         tcp_client(&self.spec, org, user, &self.client_addrs[idx])
     }
 
@@ -1006,9 +563,7 @@ impl TcpCluster {
 
     /// Stop every node and the ordering service.
     pub fn shutdown(&self) {
-        for proc in &self.nodes {
-            proc.shutdown();
-        }
+        shutdown_all(&self.nodes);
         self.ordering.shutdown();
     }
 }
@@ -1037,6 +592,51 @@ mod tests {
             let cb = b.lookup(name).expect("second registry");
             assert_eq!(ca.public_key.to_bytes(), cb.public_key.to_bytes());
         }
+    }
+
+    /// Both deployments are one recipe: the same identities, and the same
+    /// decision about who to catch up from.
+    #[test]
+    fn sim_and_tcp_deployments_agree() {
+        use crate::{Network, NetworkConfig};
+
+        // The same orgs and scheme register byte-equal public keys.
+        let orgs = ["org1", "org2"];
+        let spec = ClusterSpec::new(&orgs, Flow::OrderThenExecute);
+        let mut cfg = NetworkConfig::quick(&orgs, Flow::OrderThenExecute);
+        cfg.ordering = spec.ordering_config();
+        let net = Network::build(cfg).unwrap();
+        net.client("org1", "bench0").unwrap();
+        let tcp_certs = spec.certs();
+        for name in [
+            "org1/admin",
+            "org1/peer",
+            "org1/bench0",
+            "ordering/orderer0",
+        ] {
+            let sim = net.certs().lookup(name).expect(name);
+            let tcp = tcp_certs.lookup(name).expect(name);
+            assert_eq!(
+                sim.public_key.to_bytes(),
+                tcp.public_key.to_bytes(),
+                "{name}"
+            );
+            assert_eq!((sim.org, sim.role), (tcp.org, tcp.role), "{name}");
+        }
+        net.shutdown();
+
+        // A single-organization deployment has nobody to sync from, so
+        // `sync_fetch` stays unset: catch-up is a no-op, where a hook
+        // over an empty peer list would fail with "no peers".
+        let alone = ["org1"];
+        let net = Network::build(NetworkConfig::quick(&alone, Flow::OrderThenExecute)).unwrap();
+        let cluster =
+            TcpCluster::launch(ClusterSpec::new(&alone, Flow::OrderThenExecute), None).unwrap();
+        for node in net.nodes().iter().chain(&cluster.nodes()) {
+            assert_eq!(node.catch_up(false).unwrap().rounds, 0);
+        }
+        net.shutdown();
+        cluster.shutdown();
     }
 
     #[test]

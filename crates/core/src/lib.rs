@@ -39,6 +39,8 @@
 pub mod client;
 pub mod config;
 pub mod deploy;
+mod identity;
+pub mod launch;
 pub mod network;
 pub mod session;
 pub mod system;
@@ -50,11 +52,12 @@ pub use client::Client;
 pub use config::NetworkConfig;
 pub use deploy::{
     await_height_tcp, install_stop_signals, run_node_process, run_ordering_process, tcp_client,
-    ClusterSpec, NodeProc, NodeSpec, OrderingProc, TcpCluster, DEFAULT_GENESIS_SQL,
+    ClusterSpec, NodeSpec, OrderingProc, TcpCluster, DEFAULT_GENESIS_SQL,
 };
+pub use launch::NodeProc;
 pub use network::Network;
 pub use session::{
     Call, CallBuilder, PendingBatch, PendingTx, Prepared, PreparedRun, QueryBuilder,
 };
-pub use tcp::{serve_client_tcp, PeerFrame};
+pub use tcp::PeerFrame;
 pub use transport::{Connection, InProcess, NodeTransport, TransportKind};

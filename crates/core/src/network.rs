@@ -1,13 +1,14 @@
-//! Assembling a permissioned network (§3.7 "Network Bootstrapping"),
-//! including the peer catch-up plumbing (§3.6): every node serves sync
-//! requests from its block store over the peer network, and a lagging
-//! node's `sync_fetch` hook round-robins those requests across its peers
-//! with failover. [`Network::stop_node`]/[`Network::rejoin_node`] model
-//! crash-restart and late join; [`Network::partition`]/[`Network::heal`]
-//! model a network partition.
+//! Assembling a permissioned network (§3.7 "Network Bootstrapping") over
+//! the simulated network: one [`NodeProc`] per organization — each
+//! assembled by the shared recipe ([`crate::launch`]) — a shared
+//! in-process ordering service, and [`SimNetwork`]s in between that
+//! charge every message the bytes a socket would carry (§5 / Fig. 8a).
+//! [`Network::stop_node`]/[`Network::rejoin_node`] model crash-restart
+//! and late join (§3.6); [`Network::partition`]/[`Network::heal`] model
+//! a network partition.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,21 +17,23 @@ use bcrdb_chain::sync::{SyncRequest, SyncResponse};
 use bcrdb_chain::tx::Transaction;
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::BlockHeight;
-use bcrdb_crypto::identity::{Certificate, CertificateRegistry, KeyPair, Role, Scheme};
+use bcrdb_crypto::identity::{CertificateRegistry, KeyPair};
 use bcrdb_crypto::sha256::Digest;
-use bcrdb_network::wire::framed_len;
-use bcrdb_network::SimNetwork;
+use bcrdb_network::tcp::POLL;
+use bcrdb_network::wire::{framed_len, peer_endpoint};
+use bcrdb_network::{Delivered, SimNetwork};
 use bcrdb_node::{Node, NodeConfig, NodeHooks};
 use bcrdb_ordering::OrderingService;
 use bcrdb_sql::ast::Statement;
 use bcrdb_sql::validate::DeterminismRules;
 use bcrdb_txn::ssi::Flow;
-use crossbeam_channel::{bounded, unbounded, Sender};
+use crossbeam_channel::RecvTimeoutError;
 use parking_lot::{Mutex, RwLock};
 
 use crate::client::Client;
 use crate::config::NetworkConfig;
-use crate::system;
+use crate::identity::{admin_identity, client_identity};
+use crate::launch::{org_index, shutdown_all, Launch, NodeProc, PeerSend, SyncReply};
 use crate::transport::{self, Connection, InProcess, NodeTransport, SimClientMsg, TransportKind};
 
 /// Messages between peers (and from the orderer relay to peers).
@@ -54,79 +57,6 @@ pub enum PeerMsg {
         /// The serving peer's response.
         resp: Arc<SyncResponse>,
     },
-}
-
-/// How long a catch-up round trip may take per peer before failing over
-/// to the next one. Bounded by profile latency plus the transfer time of
-/// one batch/snapshot, not by commit times.
-const SYNC_RPC_TIMEOUT: Duration = Duration::from_secs(15);
-
-/// How a [`SyncClient`] sends one message to one peer: a simulated
-/// network send, or a write on that peer's TCP link.
-pub(crate) type PeerSend = Box<dyn Fn(PeerMsg) -> Result<()> + Send + Sync>;
-
-/// The requesting side of peer catch-up, for either deployment: sends
-/// [`PeerMsg::SyncRequest`]s round-robin across the other organizations'
-/// peers, failing over on timeout or send error. Whoever reads the
-/// node's inbound peer traffic routes [`PeerMsg::SyncResponse`]s back
-/// via [`SyncClient::deliver`].
-pub(crate) struct SyncClient {
-    /// The other organizations' peers: a name for error messages and the
-    /// way to reach each.
-    peers: Vec<(String, PeerSend)>,
-    /// In-flight requests by correlation number.
-    pending: Mutex<HashMap<u64, Sender<SyncResponse>>>,
-    seq: AtomicU64,
-    next_peer: AtomicUsize,
-}
-
-impl SyncClient {
-    /// A client over `peers`, sending its first request to peer
-    /// `first_peer` (modulo the peer count) so nodes spread their first
-    /// requests around.
-    pub(crate) fn new(peers: Vec<(String, PeerSend)>, first_peer: usize) -> SyncClient {
-        SyncClient {
-            peers,
-            pending: Mutex::new(HashMap::new()),
-            seq: AtomicU64::new(1),
-            next_peer: AtomicUsize::new(first_peer),
-        }
-    }
-
-    pub(crate) fn fetch(&self, req: SyncRequest) -> Result<SyncResponse> {
-        if self.peers.is_empty() {
-            return Err(Error::NotFound("no peers to sync from".into()));
-        }
-        let start = self.next_peer.fetch_add(1, Ordering::Relaxed);
-        let mut last_err = Error::Timeout("sync fetch never attempted".into());
-        for i in 0..self.peers.len() {
-            let (peer, send) = &self.peers[(start + i) % self.peers.len()];
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = bounded(1);
-            self.pending.lock().insert(seq, tx);
-            if let Err(e) = send(PeerMsg::SyncRequest { seq, req }) {
-                self.pending.lock().remove(&seq);
-                last_err = e;
-                continue;
-            }
-            match rx.recv_timeout(SYNC_RPC_TIMEOUT) {
-                Ok(resp) => return Ok(resp),
-                Err(_) => {
-                    self.pending.lock().remove(&seq);
-                    last_err = Error::Timeout(format!(
-                        "no sync response from {peer} within {SYNC_RPC_TIMEOUT:?}"
-                    ));
-                }
-            }
-        }
-        Err(last_err)
-    }
-
-    pub(crate) fn deliver(&self, seq: u64, resp: &SyncResponse) {
-        if let Some(tx) = self.pending.lock().remove(&seq) {
-            let _ = tx.send(resp.clone());
-        }
-    }
 }
 
 /// Send `msg` over the simulated peer network, charged exactly the bytes
@@ -169,7 +99,7 @@ pub(crate) struct NetworkInner {
     pub certs: Arc<CertificateRegistry>,
     /// One node per organization, in `config.orgs` order. Behind a lock
     /// because [`Network::rejoin_node`] replaces a slot in place.
-    pub nodes: RwLock<Vec<Arc<Node>>>,
+    nodes: RwLock<Vec<NodeProc>>,
     pub ordering: Arc<OrderingService>,
     pub peer_net: Arc<SimNetwork<PeerMsg>>,
     /// Client↔node RPC traffic (same profile as the peer network); every
@@ -181,15 +111,7 @@ pub(crate) struct NetworkInner {
     pub nonce: Arc<AtomicU64>,
     /// Unique suffix for client transport endpoints.
     conn_seq: AtomicU64,
-    /// Per-org kill switches for the orderer relay threads, so
-    /// [`Network::stop_node`] can retire a relay (it exits at its next
-    /// delivery without sending) and a rejoined node's fresh relay never
-    /// duplicates block traffic.
-    relay_stops: RelayStops,
 }
-
-/// See `NetworkInner::relay_stops`.
-type RelayStops = Arc<Mutex<HashMap<String, Arc<AtomicBool>>>>;
 
 /// A running permissioned network: one database node per organization, a
 /// shared ordering service, and a simulated network in between.
@@ -218,46 +140,17 @@ impl Network {
             .orgs
             .iter()
             .map(|org| {
-                let name = format!("{org}/admin");
-                let key = Arc::new(KeyPair::generate(
-                    name.clone(),
-                    format!("admin-seed-{org}").as_bytes(),
-                    config.scheme,
-                ));
-                certs.register(Certificate {
-                    name,
-                    org: org.clone(),
-                    role: Role::Admin,
-                    public_key: key.public_key(),
-                });
-                key
+                let (key, cert) = admin_identity(org, config.scheme);
+                certs.register(cert);
+                Arc::new(key)
             })
             .collect();
 
-        let relay_stops: RelayStops = Arc::new(Mutex::new(HashMap::new()));
-        let mut nodes = Vec::with_capacity(config.orgs.len());
-        for (i, org) in config.orgs.iter().enumerate() {
-            // A fresh network has nothing to catch up on, and peers later
-            // in the build order are not even registered yet — so recovery
-            // here is local-only (`sync_on_recover: false`).
-            nodes.push(launch_node(
-                &config,
-                org,
-                i,
-                &certs,
-                &ordering,
-                &peer_net,
-                &client_net,
-                &relay_stops,
-                false,
-            )?);
-        }
-
-        Ok(Network {
+        let net = Network {
             inner: Arc::new(NetworkInner {
                 config,
                 certs,
-                nodes: RwLock::new(nodes),
+                nodes: RwLock::new(Vec::new()),
                 ordering,
                 peer_net,
                 client_net,
@@ -265,9 +158,16 @@ impl Network {
                 clients: Mutex::new(HashMap::new()),
                 nonce: Arc::new(AtomicU64::new(1)),
                 conn_seq: AtomicU64::new(1),
-                relay_stops,
             }),
-        })
+        };
+        for idx in 0..net.inner.config.orgs.len() {
+            // A fresh network has nothing to catch up on (`rejoin: false`);
+            // a partial build is unwound like a complete one.
+            let launched = net.inner.run_node(idx, false);
+            let proc = launched.inspect_err(|_| net.shutdown())?;
+            net.inner.nodes.write().push(proc);
+        }
+        Ok(net)
     }
 
     /// A second handle to the same running network (cheap: the network is
@@ -296,31 +196,25 @@ impl Network {
     /// The database node of `org`.
     pub fn node(&self, org: &str) -> Result<Arc<Node>> {
         let idx = self.org_index(org)?;
-        Ok(Arc::clone(&self.inner.nodes.read()[idx]))
+        Ok(Arc::clone(self.inner.nodes.read()[idx].node()))
     }
 
     /// All nodes, in organization order (a snapshot: rejoined nodes
     /// replace their slot, so re-read after [`Network::rejoin_node`]).
     pub fn nodes(&self) -> Vec<Arc<Node>> {
-        self.inner.nodes.read().clone()
+        let nodes = self.inner.nodes.read();
+        nodes.iter().map(|p| Arc::clone(p.node())).collect()
     }
 
-    /// Stop `org`'s node, simulating a crash: the node's processing
-    /// threads wind down and its peer- and client-network endpoints
-    /// vanish (sends to them fail; the orderer relay stops). The block
-    /// store and state snapshot on disk — if the network is persistent —
-    /// are left exactly as the crash left them. Restart with
-    /// [`Network::rejoin_node`].
+    /// Stop `org`'s node, simulating a crash ([`NodeProc::shutdown`]):
+    /// the node's processing threads wind down and its peer- and
+    /// client-network endpoints vanish (sends to them fail; the orderer
+    /// relay stops). The block store and state snapshot on disk — if the
+    /// network is persistent — are left exactly as the crash left them.
+    /// Restart with [`Network::rejoin_node`].
     pub fn stop_node(&self, org: &str) -> Result<()> {
-        let node = self.node(org)?;
-        node.shutdown();
-        if let Some(stop) = self.inner.relay_stops.lock().get(org) {
-            stop.store(true, Ordering::Relaxed);
-        }
-        self.inner.peer_net.unregister(&node.config.name);
-        self.inner
-            .client_net
-            .unregister(&transport::frontend_endpoint(&node.config.name));
+        let idx = self.org_index(org)?;
+        self.inner.nodes.read()[idx].shutdown();
         Ok(())
     }
 
@@ -333,18 +227,9 @@ impl Network {
     /// clients after a rejoin.
     pub fn rejoin_node(&self, org: &str) -> Result<Arc<Node>> {
         let idx = self.org_index(org)?;
-        let node = launch_node(
-            &self.inner.config,
-            org,
-            idx,
-            &self.inner.certs,
-            &self.inner.ordering,
-            &self.inner.peer_net,
-            &self.inner.client_net,
-            &self.inner.relay_stops,
-            true,
-        )?;
-        self.inner.nodes.write()[idx] = Arc::clone(&node);
+        let proc = self.inner.run_node(idx, true)?;
+        let node = Arc::clone(proc.node());
+        self.inner.nodes.write()[idx] = proc;
         Ok(node)
     }
 
@@ -391,17 +276,12 @@ impl Network {
     }
 
     fn org_index(&self, org: &str) -> Result<usize> {
-        self.inner
-            .config
-            .orgs
-            .iter()
-            .position(|o| o == org)
-            .ok_or_else(|| Error::NotFound(format!("organization {org}")))
+        org_index(&self.inner.config.orgs, org)
     }
 
     /// Open a transport connection to the node at `idx`.
     fn connect(&self, idx: usize, kind: TransportKind, who: &str) -> Arc<dyn NodeTransport> {
-        let node = Arc::clone(&self.inner.nodes.read()[idx]);
+        let node = Arc::clone(self.inner.nodes.read()[idx].node());
         match kind {
             TransportKind::InProcess => Arc::new(InProcess::new(node)),
             TransportKind::Simulated => {
@@ -434,25 +314,14 @@ impl Network {
         )
     }
 
-    fn client_key(&self, org: &str, name: &str) -> Arc<KeyPair> {
+    fn client_key(&self, org: &str, user: &str) -> Arc<KeyPair> {
         let mut clients = self.inner.clients.lock();
-        if let Some(k) = clients.get(name) {
-            Arc::clone(k)
-        } else {
-            let key = Arc::new(KeyPair::generate(
-                name.to_string(),
-                format!("client-seed-{name}").as_bytes(),
-                self.inner.config.scheme,
-            ));
-            self.inner.certs.register(Certificate {
-                name: name.to_string(),
-                org: org.to_string(),
-                role: Role::Client,
-                public_key: key.public_key(),
-            });
-            clients.insert(name.to_string(), Arc::clone(&key));
-            key
-        }
+        let key = clients.entry(format!("{org}/{user}")).or_insert_with(|| {
+            let (key, cert) = client_identity(org, user, self.inner.config.scheme);
+            self.inner.certs.register(cert);
+            Arc::new(key)
+        });
+        Arc::clone(key)
     }
 
     /// Create (and register) a client user of `org`, connected through
@@ -471,9 +340,8 @@ impl Network {
         kind: TransportKind,
     ) -> Result<Client> {
         let idx = self.org_index(org)?;
-        let name = format!("{org}/{user}");
-        let key = self.client_key(org, &name);
-        Ok(self.make_client(idx, name, key, kind))
+        let key = self.client_key(org, user);
+        Ok(self.make_client(idx, format!("{org}/{user}"), key, kind))
     }
 
     /// Attach a client whose certificate was registered *on-chain* via
@@ -565,265 +433,155 @@ impl Network {
             .collect()
     }
 
-    /// A fresh nonce for OE transaction ids.
-    pub fn next_nonce(&self) -> u64 {
-        self.inner.nonce.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Stop every component.
+    /// Stop every component: each node through [`NodeProc::shutdown`],
+    /// then the ordering service and both simulated networks (which drop
+    /// their endpoints, ending any client connection still open).
     pub fn shutdown(&self) {
-        for n in self.nodes() {
-            n.shutdown();
-        }
+        shutdown_all(&self.inner.nodes.read());
         self.inner.ordering.shutdown();
         self.inner.peer_net.shutdown();
         self.inner.client_net.shutdown();
     }
 }
 
-// The peer-network endpoint name of `org`'s database node — shared
-// with the TCP deployment via `bcrdb_network::wire`.
-use bcrdb_network::wire::peer_endpoint;
+/// Simulated lossy or malicious forwarding (`forward_drop_permille`): a
+/// deterministic pseudo-random drop keyed by the transaction id, so every
+/// peer misses the same transactions and the block processor executes
+/// them as missing when their block arrives.
+fn forwarding_drops(msg: &PeerMsg, permille: u64) -> bool {
+    let PeerMsg::Tx(tx) = msg else { return false };
+    let h = u64::from_be_bytes(tx.id.0[..8].try_into().expect("8 bytes"));
+    permille > 0 && h % 1000 < permille
+}
 
-/// Construct, wire up and start one organization's node: certificates,
-/// bootstrap, peer-network dispatch (transactions, blocks, sync
-/// requests/responses), the orderer relay, outbound hooks (including
-/// `sync_fetch`), recovery, the block processor and the client-facing
-/// RPC frontend.
-///
-/// With `sync_on_recover`, the `sync_fetch` hook is installed *before*
-/// [`Node::recover`], so recovery replays the local store and then
-/// catches up from peers to the network head — the crash-restart /
-/// late-join path. Without it (fresh network build, where peers may not
-/// exist yet), recovery is local-only and the hook is installed after.
-#[allow(clippy::too_many_arguments)]
-fn launch_node(
-    config: &NetworkConfig,
-    org: &str,
-    idx: usize,
-    certs: &Arc<CertificateRegistry>,
-    ordering: &Arc<OrderingService>,
-    peer_net: &Arc<SimNetwork<PeerMsg>>,
-    client_net: &Arc<SimNetwork<SimClientMsg>>,
-    relay_stops: &RelayStops,
-    sync_on_recover: bool,
-) -> Result<Arc<Node>> {
-    let node_name = peer_endpoint(org);
-    // Peer identity (used to attribute checkpoint votes). Deterministic
-    // from the org seed, so a rejoining node keeps its identity.
-    let peer_key = KeyPair::generate(
-        node_name.clone(),
-        format!("peer-seed-{org}").as_bytes(),
-        Scheme::Sim,
-    );
-    certs.register(Certificate {
-        name: node_name.clone(),
-        org: org.to_string(),
-        role: Role::Peer,
-        public_key: peer_key.public_key(),
-    });
+impl NetworkInner {
+    /// Launch organization `idx`'s node: what the simulated deployment
+    /// supplies to the shared recipe ([`Launch::run`]). Peer traffic
+    /// travels `peer_net`; the in-process ordering service is called
+    /// directly, but its blocks are relayed over `peer_net` so delivery
+    /// pays the profile's cost; clients are served on `client_net`.
+    fn run_node(&self, idx: usize, rejoin: bool) -> Result<NodeProc> {
+        let config = &self.config;
+        let org = &config.orgs[idx];
+        let me = peer_endpoint(org);
+        let thread = |role: &str| std::thread::Builder::new().name(format!("{me}-{role}"));
+        // What a closure sending from this node on the peer network owns.
+        let seat = || (Arc::clone(&self.peer_net), me.clone());
 
-    let mut node_cfg = NodeConfig::new(node_name.clone(), org.to_string(), config.flow);
-    node_cfg.verify_signatures = config.verify_signatures;
-    node_cfg.executor_threads = config.executor_threads;
-    node_cfg.serial_execution = config.serial_execution;
-    node_cfg.snapshot_interval = config.snapshot_interval;
-    node_cfg.min_exec_micros = config.min_exec_micros;
-    node_cfg.statement_cache_cap = config.statement_cache_cap;
-    node_cfg.fsync = config.fsync;
-    node_cfg.gap_timeout = config.gap_timeout;
-    node_cfg.sync_batch = config.sync_batch;
-    node_cfg.snapshot_lag_threshold = config.snapshot_lag_threshold;
-    node_cfg.vacuum_interval = config.vacuum_interval;
-    node_cfg.data_dir = config.data_root.as_ref().map(|root| root.join(org));
-    if config.paged {
-        node_cfg.page_dir = config
-            .data_root
-            .as_ref()
-            .map(|root| root.join(org).join("pages"));
-        node_cfg.buffer_pool_frames = config.buffer_pool_frames.max(1);
-        node_cfg.spill_retention = config.spill_retention.max(1);
-    }
-    let node = Node::new(node_cfg, Arc::clone(certs), config.orgs.clone())?;
-    system::bootstrap_node(&node)?;
-    if let Some(genesis) = &config.genesis_sql {
-        apply_bootstrap_sql(&node, genesis, config.flow)?;
-    }
+        let mut cfg = NodeConfig::new(me.clone(), org.clone(), config.flow);
+        cfg.verify_signatures = config.verify_signatures;
+        cfg.executor_threads = config.executor_threads;
+        cfg.serial_execution = config.serial_execution;
+        cfg.snapshot_interval = config.snapshot_interval;
+        cfg.min_exec_micros = config.min_exec_micros;
+        cfg.statement_cache_cap = config.statement_cache_cap;
+        cfg.fsync = config.fsync;
+        cfg.gap_timeout = config.gap_timeout;
+        cfg.sync_batch = config.sync_batch;
+        cfg.snapshot_lag_threshold = config.snapshot_lag_threshold;
+        cfg.vacuum_interval = config.vacuum_interval;
+        cfg.data_dir = config.data_root.as_ref().map(|root| root.join(org));
+        if config.paged {
+            cfg.page_dir = cfg.data_dir.as_ref().map(|dir| dir.join("pages"));
+            cfg.buffer_pool_frames = config.buffer_pool_frames.max(1);
+            cfg.spill_retention = config.spill_retention.max(1);
+        }
 
-    let sync_peers = config
-        .orgs
-        .iter()
-        .filter(|o| o.as_str() != org)
-        .map(|o| {
-            let (net, me, peer) = (Arc::clone(peer_net), node_name.clone(), peer_endpoint(o));
-            let name = peer.clone();
-            let send: PeerSend = Box::new(move |msg| send_peer(&net, &me, &peer, msg));
-            (name, send)
-        })
-        .collect();
-    let sync_client = Arc::new(SyncClient::new(sync_peers, idx));
-
-    // Inbound: peer network endpoint → dispatch to the node. Registered
-    // before recovery so blocks delivered while we catch up queue on the
-    // block channel instead of being lost.
-    let net_rx = peer_net.register(node_name.clone());
-    let (block_tx, block_rx) = unbounded();
-    {
-        let node = Arc::clone(&node);
-        let peer_net = Arc::clone(peer_net);
-        let sync_client = Arc::clone(&sync_client);
-        let me = node_name.clone();
-        std::thread::Builder::new()
-            .name(format!("{node_name}-dispatch"))
-            .spawn(move || {
-                for delivered in net_rx.iter() {
-                    match delivered.msg {
-                        PeerMsg::Tx(tx) => node.on_peer_tx(*tx),
-                        PeerMsg::Block(b) => {
-                            if block_tx.send(b).is_err() {
-                                return;
-                            }
-                        }
-                        PeerMsg::SyncRequest { seq, req } => {
-                            // Serve off-thread: a large batch or snapshot
-                            // must not stall transaction/block dispatch.
-                            let node = Arc::clone(&node);
-                            let peer_net = Arc::clone(&peer_net);
-                            let me = me.clone();
-                            let to = delivered.from.clone();
-                            std::thread::Builder::new()
-                                .name(format!("{me}-sync-serve"))
-                                .spawn(move || {
-                                    let resp = Arc::new(node.serve_sync(&req));
-                                    let _ = send_peer(
-                                        &peer_net,
-                                        &me,
-                                        &to,
-                                        PeerMsg::SyncResponse { seq, resp },
-                                    );
-                                })
-                                .expect("spawn sync server thread");
-                        }
-                        PeerMsg::SyncResponse { seq, resp } => {
-                            sync_client.deliver(seq, &resp);
-                        }
-                    }
-                }
-            })
-            .expect("spawn dispatch thread");
-    }
-
-    // Orderer → peer relay, modeling delivery latency/bandwidth. The
-    // stop flag retires a stopped node's relay at its next delivery
-    // (without sending), so a rejoined node's fresh relay never
-    // duplicates block traffic; the retired relay's dropped receiver is
-    // then pruned from the ordering service's subscriber list.
-    let relay_stop = Arc::new(AtomicBool::new(false));
-    relay_stops
-        .lock()
-        .insert(org.to_string(), Arc::clone(&relay_stop));
-    let orderer_rx = ordering.subscribe_to(idx);
-    {
-        let peer_net = Arc::clone(peer_net);
-        let to = node_name.clone();
-        let stop = Arc::clone(&relay_stop);
-        std::thread::Builder::new()
-            .name(format!("{to}-orderer-relay"))
-            .spawn(move || {
-                for block in orderer_rx.iter() {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let from = format!("orderer-gw-{idx}");
-                    if send_peer(&peer_net, &from, &to, PeerMsg::Block(block)).is_err() {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn orderer relay");
-    }
-
-    // Outbound hooks.
-    let hooks = NodeHooks {
-        forward_tx: Some({
-            let peer_net = Arc::clone(peer_net);
-            let from = node_name.clone();
-            let drop_permille = config.forward_drop_permille;
-            Arc::new(move |tx: &Transaction| {
-                // Deterministic pseudo-random drop keyed by the tx
-                // id: simulates lossy/malicious forwarding; the
-                // block processor executes these as missing txs.
-                if drop_permille > 0 {
-                    let h = u64::from_be_bytes(tx.id.0[..8].try_into().expect("8 bytes"));
-                    if h % 1000 < drop_permille {
-                        return;
-                    }
-                }
-                let msg = PeerMsg::Tx(Box::new(tx.clone()));
-                let _ = peer_net.broadcast(&from, &msg, framed_len(&msg));
-            })
-        }),
-        submit_orderer: Some({
-            let ordering = Arc::clone(ordering);
-            Arc::new(move |tx: Transaction| ordering.submit(tx))
-        }),
-        submit_checkpoint: Some({
-            let ordering = Arc::clone(ordering);
-            Arc::new(move |vote| {
-                let _ = ordering.submit_checkpoint(vote);
-            })
-        }),
-        // A single-organization network has nobody to sync from.
-        sync_fetch: (config.orgs.len() > 1).then(|| {
-            let sync_client = Arc::clone(&sync_client);
-            Arc::new(move |req: SyncRequest| sync_client.fetch(req)) as _
-        }),
-        ordering_stats: Some({
-            let ordering = Arc::clone(ordering);
-            Arc::new(move || {
-                let s = ordering.stats_snapshot();
-                bcrdb_node::OrderingSnapshot {
-                    forwarded: s.forwarded,
-                    cut: s.cut,
-                    delivered: s.delivered,
-                    current_view: s.current_view,
-                    view_changes: s.view_changes,
-                }
-            }) as _
-        }),
-    };
-    let recovered = if sync_on_recover {
-        node.set_hooks(hooks);
-        node.recover()
-    } else {
-        node.set_hooks(NodeHooks {
-            sync_fetch: None,
-            ..hooks.clone()
+        let drop_permille = config.forward_drop_permille;
+        let others = config.orgs.iter().filter(|o| *o != org);
+        let peers = others.map(|o| {
+            let ((net, me), peer) = (seat(), peer_endpoint(o));
+            let send: PeerSend = Box::new(move |msg| match forwarding_drops(msg, drop_permille) {
+                true => Ok(()),
+                false => send_peer(&net, &me, &peer, msg.clone()),
+            });
+            (peer_endpoint(o), send)
         });
-        let r = node.recover();
-        node.set_hooks(hooks);
-        r
-    };
-    if let Err(e) = recovered {
-        // Unwind the partial launch: without this, the registered peer
-        // endpoint would keep absorbing blocks into a processor channel
-        // that never starts.
-        node.shutdown();
-        relay_stop.store(true, Ordering::Relaxed);
-        peer_net.unregister(&node_name);
-        return Err(e);
-    }
-    node.start(block_rx);
 
-    // Serve the node's client-facing RPC frontend on the client
-    // network (for `TransportKind::Simulated` clients) — only now, after
-    // the node caught up, so clients never reach a stale replica.
-    transport::serve_frontend(
-        Arc::clone(&node),
-        Arc::clone(client_net),
-        transport::frontend_endpoint(&node_name),
-    );
-    Ok(node)
+        let launch = Launch {
+            cfg,
+            certs: Arc::clone(&self.certs),
+            orgs: &config.orgs,
+            genesis_sql: config.genesis_sql.as_deref(),
+            peers: peers.collect(),
+            rejoin,
+        };
+        launch.run(
+            |proc, inbound| {
+                // Inbound pump: the node's peer endpoint → the shared
+                // handler, until the endpoint is unregistered. A sync
+                // answer goes back to whoever asked.
+                let net_rx = self.peer_net.register(me.clone());
+                let (net, name) = seat();
+                proc.planes.on_close(move || net.unregister(&name));
+                let (net, me) = seat();
+                let pump = thread("dispatch").spawn(move || {
+                    for Delivered { from, msg } in net_rx.iter() {
+                        let reply = || -> SyncReply {
+                            let (net, me) = (Arc::clone(&net), me.clone());
+                            Box::new(move |resp| drop(send_peer(&net, &me, &from, resp)))
+                        };
+                        if inbound.handle(msg, reply).is_err() {
+                            return;
+                        }
+                    }
+                });
+                proc.planes.own(pump.expect("spawn dispatch thread"));
+
+                // Orderer → peer relay, modeling delivery latency and
+                // bandwidth. It polls the stop flag, so a stopped node's
+                // relay is joined before a rejoined node's fresh relay
+                // subscribes (block traffic is never duplicated), and the
+                // ordering service prunes its dropped receiver.
+                let orderer_rx = self.ordering.subscribe_to(idx);
+                let ((net, to), stop) = (seat(), proc.planes.stop_flag());
+                let relay = thread("orderer-relay").spawn(move || {
+                    let from = format!("orderer-gw-{idx}");
+                    while !stop.load(Ordering::Relaxed) {
+                        let sent = match orderer_rx.recv_timeout(POLL) {
+                            Ok(block) => send_peer(&net, &from, &to, PeerMsg::Block(block)),
+                            Err(RecvTimeoutError::Timeout) => continue,
+                            Err(RecvTimeoutError::Disconnected) => return,
+                        };
+                        if sent.is_err() {
+                            return;
+                        }
+                    }
+                });
+                proc.planes.own(relay.expect("spawn orderer relay"));
+
+                // The ordering service is in-process: call it directly.
+                let ordering = &self.ordering;
+                let (submit, vote, stats) = (ordering.clone(), ordering.clone(), ordering.clone());
+                Ok(NodeHooks {
+                    submit_orderer: Some(Arc::new(move |tx: Transaction| submit.submit(tx))),
+                    submit_checkpoint: Some(Arc::new(move |v| drop(vote.submit_checkpoint(v)))),
+                    ordering_stats: Some(Arc::new(move || {
+                        let s = stats.stats_snapshot();
+                        bcrdb_node::OrderingSnapshot {
+                            forwarded: s.forwarded,
+                            cut: s.cut,
+                            delivered: s.delivered,
+                            current_view: s.current_view,
+                            view_changes: s.view_changes,
+                        }
+                    })),
+                    ..NodeHooks::default()
+                })
+            },
+            |proc| {
+                // The RPC frontend on the client network, for
+                // `TransportKind::Simulated` clients.
+                let endpoint = transport::frontend_endpoint(&me);
+                let (net, name) = (Arc::clone(&self.client_net), endpoint.clone());
+                proc.planes.on_close(move || net.unregister(&name));
+                let node = Arc::clone(proc.node());
+                let frontend =
+                    transport::serve_frontend(node, Arc::clone(&self.client_net), endpoint);
+                proc.planes.own(frontend);
+            },
+        )
+    }
 }
 
 /// Apply bootstrap DDL (tables, indexes, contracts) on one node.

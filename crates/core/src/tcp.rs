@@ -5,16 +5,17 @@
 //! uses — same sequence counter, pending-RPC map, notification demux,
 //! timeout and poison-on-loss (see [`crate::transport`]) — over a link
 //! that writes each [`ClientFrame`] as a length-prefixed canonical-codec
-//! frame ([`bcrdb_network::wire`]) to a real socket:
+//! frame ([`bcrdb_network::wire`]) to a real socket. The sockets are run
+//! by the shared toolkit ([`bcrdb_network::tcp`]); this module says what
+//! a client-plane frame means:
 //!
 //! * **client side** ([`Connection::tcp`]): callers serialize their
 //!   writes on a lock; one reader thread decodes frames and feeds them
 //!   into the connection's demux;
-//! * **server side** ([`serve_client_tcp`]): one accept loop per node;
-//!   each connection gets its own thread running the shared
-//!   per-connection backend (`transport::serve_connection`: a worker
-//!   owning a [`Frontend`](bcrdb_node::Frontend) plus a notification
-//!   pump), fed by a socket reader.
+//! * **server side** (`serve_client_connection`): each accepted
+//!   connection's thread runs the shared per-connection backend
+//!   (`transport::serve_connection`: a worker owning a
+//!   [`Frontend`](bcrdb_node::Frontend) plus a notification pump).
 //!
 //! Failure semantics differ from the simulated network in one honest
 //! way: sockets fail. A torn, oversized or malformed frame closes the
@@ -25,35 +26,21 @@
 //! cancels every notification registration of that connection — the
 //! same leak-freedom guarantee the simulated link's `Disconnect` gives.
 
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
 
 use bcrdb_common::codec::{Decode, Decoder, Encode, Encoder};
 use bcrdb_common::error::{Error, Result};
-use bcrdb_network::wire::{read_frame, write_frame, FrameEvent, MAX_CLIENT_FRAME};
+use bcrdb_network::tcp::{next_frame, read_frames, WRITE_TIMEOUT};
+use bcrdb_network::wire::{write_frame, MAX_CLIENT_FRAME};
 use bcrdb_node::wire::ClientFrame;
 use bcrdb_node::Node;
 use parking_lot::Mutex;
 
 use crate::network::PeerMsg;
 use crate::transport::{serve_connection, Connection, Link, Mux};
-
-/// Stop-flag polling cadence for accept loops and server-side readers.
-pub(crate) const POLL: Duration = Duration::from_millis(100);
-
-/// Bound on how long a stuck peer may block a socket write.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Socket options of every server-side and node-to-node stream, on all
-/// three planes: reads poll the stop flag, writes cannot hang forever.
-pub(crate) fn configure_stream(stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
-}
 
 // ------------------------------------------------------- the TCP link
 
@@ -96,21 +83,14 @@ impl Connection {
             thread::Builder::new()
                 .name(format!("tcp-client-reader:{server}"))
                 .spawn(move || {
-                    // Blocking reads; `TcpLink::close` shuts the socket
-                    // down, which unblocks us with EOF.
-                    let why = loop {
-                        match read_frame(&mut reader, MAX_CLIENT_FRAME) {
-                            Ok(FrameEvent::Frame(payload)) => {
-                                let routed =
-                                    ClientFrame::decode_all(&payload).and_then(|f| mux.deliver(f));
-                                if let Err(e) = routed {
-                                    break e.to_string();
-                                }
-                            }
-                            Ok(FrameEvent::Eof) => break "server closed the connection".into(),
-                            Ok(FrameEvent::Idle) => {} // no read timeout set; defensive
-                            Err(e) => break e.to_string(),
-                        }
+                    let deliver = |payload: Vec<u8>| {
+                        ClientFrame::decode_all(&payload).and_then(|f| mux.deliver(f))
+                    };
+                    // Blocking reads, no stop flag: `TcpLink::close`
+                    // shuts the socket down, which unblocks us with EOF.
+                    let why = match read_frames(&mut reader, MAX_CLIENT_FRAME, || false, deliver) {
+                        Ok(()) => "server closed the connection".into(),
+                        Err(e) => e.to_string(),
                     };
                     mux.poison(&why);
                 })
@@ -125,47 +105,14 @@ impl Connection {
 
 // ------------------------------------------------------- server side
 
-/// Serve `node`'s RPC frontend on `listener` until `stop` is set.
-///
-/// One accept loop; per connection, a thread running the shared
-/// per-connection backend (requests are handled serially *within* a
-/// connection, concurrently *across* connections). Any malformed frame,
-/// socket error, or EOF ends the connection; the backend then drops its
-/// `Frontend`, which cancels the connection's hub registrations.
-pub fn serve_client_tcp(
-    node: Arc<Node>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-) -> thread::JoinHandle<()> {
-    let name = node.config.name.clone();
-    thread::Builder::new()
-        .name(format!("{name}-tcp-accept"))
-        .spawn(move || {
-            listener
-                .set_nonblocking(true)
-                .expect("listener nonblocking");
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let node = Arc::clone(&node);
-                        let stop = Arc::clone(&stop);
-                        let name = name.clone();
-                        let _ = thread::Builder::new()
-                            .name(format!("{name}-tcp-conn"))
-                            .spawn(move || serve_socket(node, stream, stop));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-                    Err(_) => thread::sleep(POLL),
-                }
-            }
-        })
-        .expect("spawn client accept loop")
-}
-
-/// One accepted socket: its reader is the request stream of the shared
-/// per-connection backend, its writer half the backend's link.
-fn serve_socket(node: Arc<Node>, stream: TcpStream, stop: Arc<AtomicBool>) {
-    configure_stream(&stream);
+/// Serve `node`'s RPC frontend on one accepted socket until `stop` is
+/// set: the socket's reader is the request stream of the shared
+/// per-connection backend, its writer half the backend's link (requests
+/// are handled serially *within* a connection, concurrently *across*
+/// connections). Any malformed frame, socket error, or EOF ends the
+/// connection; the backend then drops its `Frontend`, which cancels the
+/// connection's hub registrations.
+pub(crate) fn serve_client_connection(node: Arc<Node>, stream: TcpStream, stop: &AtomicBool) {
     let Ok(mut reader) = stream.try_clone() else {
         return;
     };
@@ -173,19 +120,12 @@ fn serve_socket(node: Arc<Node>, stream: TcpStream, stop: Arc<AtomicBool>) {
     // error, the stop flag, or any frame that is not a well-formed
     // request: after garbage the stream can no longer be trusted.
     let requests = std::iter::from_fn(move || {
-        while !stop.load(Ordering::Relaxed) {
-            match read_frame(&mut reader, MAX_CLIENT_FRAME) {
-                Ok(FrameEvent::Frame(payload)) => {
-                    return match ClientFrame::decode_all(&payload) {
-                        Ok(ClientFrame::Request { seq, req }) => Some((seq, req)),
-                        Ok(_) | Err(_) => None,
-                    };
-                }
-                Ok(FrameEvent::Idle) => continue,
-                Ok(FrameEvent::Eof) | Err(_) => return None,
-            }
+        let stopped = || stop.load(Ordering::Relaxed);
+        let payload = next_frame(&mut reader, MAX_CLIENT_FRAME, stopped).ok()??;
+        match ClientFrame::decode_all(&payload) {
+            Ok(ClientFrame::Request { seq, req }) => Some((seq, req)),
+            Ok(_) | Err(_) => None,
         }
-        None
     });
     let link = Arc::new(TcpLink {
         writer: Mutex::new(stream),

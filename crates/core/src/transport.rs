@@ -28,6 +28,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bcrdb_common::error::{Error, Result};
@@ -494,11 +495,14 @@ pub(crate) fn serve_connection(
 /// Serve a node's RPC frontend on the simulated client network. One
 /// dispatcher thread per node routes request frames to per-connection
 /// queues; each queue is drained by its own [`serve_connection`] thread.
+/// The dispatcher runs until `endpoint` is unregistered (or the network
+/// shuts down) and joins its connections' backends before it ends, so
+/// joining the returned handle waits for all of them.
 pub(crate) fn serve_frontend(
     node: Arc<Node>,
     net: Arc<SimNetwork<SimClientMsg>>,
     endpoint: String,
-) {
+) -> JoinHandle<()> {
     let rx = net.register(endpoint.clone());
     std::thread::Builder::new()
         .name(format!("{endpoint}-dispatch"))
@@ -506,12 +510,16 @@ pub(crate) fn serve_frontend(
             // Dropping a connection's sender ends its request stream and
             // with it the backend.
             let mut conns: HashMap<String, Sender<(u64, ClientRequest)>> = HashMap::new();
+            let mut backends: Vec<JoinHandle<()>> = Vec::new();
             for d in rx.iter() {
                 match d.msg {
                     SimClientMsg::Frame(ClientFrame::Request { seq, req }) => {
-                        let conn = conns
-                            .entry(d.from.clone())
-                            .or_insert_with(|| open_conn(&node, &net, &endpoint, &d.from));
+                        let conn = conns.entry(d.from.clone()).or_insert_with(|| {
+                            backends.retain(|b| !b.is_finished());
+                            let (queue, backend) = open_conn(&node, &net, &endpoint, &d.from);
+                            backends.push(backend);
+                            queue
+                        });
                         let _ = conn.send((seq, req));
                     }
                     // The client said goodbye — or sent a frame only a
@@ -521,18 +529,22 @@ pub(crate) fn serve_frontend(
                     }
                 }
             }
+            drop(conns);
+            for backend in backends {
+                let _ = backend.join();
+            }
         })
-        .expect("spawn frontend dispatcher");
+        .expect("spawn frontend dispatcher")
 }
 
 /// Spawn the backend of one simulated connection and return its request
-/// queue.
+/// queue and thread.
 fn open_conn(
     node: &Arc<Node>,
     net: &Arc<SimNetwork<SimClientMsg>>,
     server: &str,
     client: &str,
-) -> Sender<(u64, ClientRequest)> {
+) -> (Sender<(u64, ClientRequest)>, JoinHandle<()>) {
     let (req_tx, req_rx) = crossbeam_channel::unbounded::<(u64, ClientRequest)>();
     let node = Arc::clone(node);
     let link = Arc::new(SimLink {
@@ -540,11 +552,11 @@ fn open_conn(
         from: server.to_string(),
         to: client.to_string(),
     });
-    std::thread::Builder::new()
+    let backend = std::thread::Builder::new()
         .name(format!("{client}-backend"))
         .spawn(move || serve_connection(node, req_rx.into_iter(), link))
         .expect("spawn connection backend");
-    req_tx
+    (req_tx, backend)
 }
 
 #[cfg(test)]

@@ -222,9 +222,17 @@ impl<M: Send + Clone + 'static> SimNetwork<M> {
         Ok(sent)
     }
 
-    /// Stop the delivery thread (queued messages are dropped).
+    /// Stop the delivery thread and release everything the network
+    /// holds: queued messages are dropped, and so is every endpoint —
+    /// which closes its channel, so a thread blocked receiving on one
+    /// ends instead of outliving the network (and keeping alive whatever
+    /// it serves).
     pub fn shutdown(&self) {
-        self.state.lock().shutdown = true;
+        let mut st = self.state.lock();
+        st.shutdown = true;
+        st.endpoints.clear();
+        st.queue.clear();
+        drop(st);
         self.wake.notify_all();
     }
 

@@ -13,9 +13,9 @@
 //! * per-plane frame caps bound what a decoder will ever allocate: the
 //!   codecs bound every element count by the bytes that remain in the
 //!   frame, so no frame reserves more than a small multiple of its size;
-//! * endpoint names ([`frontend_endpoint`], [`peer_endpoint`],
-//!   [`orderer_endpoint`]) and socket-address pairs ([`PeerAddr`]) are
-//!   defined once for both backends.
+//! * endpoint names ([`frontend_endpoint`], [`peer_endpoint`]) and
+//!   socket-address pairs ([`PeerAddr`]) are defined once for both
+//!   backends.
 //!
 //! A malformed frame is a protocol error, never a panic or a hang: an
 //! oversized length prefix is [`Error::Decode`], a mid-frame EOF or
@@ -63,11 +63,6 @@ pub fn frontend_endpoint(node_name: &str) -> String {
 /// Endpoint name of `org`'s database node on the peer plane.
 pub fn peer_endpoint(org: &str) -> String {
     format!("{org}/peer")
-}
-
-/// Endpoint name of orderer replica `i` on the ordering plane.
-pub fn orderer_endpoint(i: usize) -> String {
-    format!("ordering/orderer{i}")
 }
 
 /// An `org=host:port` pair naming one peer's listening socket — the
@@ -272,7 +267,6 @@ mod tests {
     fn endpoint_names_are_stable() {
         assert_eq!(frontend_endpoint("org1/peer"), "org1/peer/rpc");
         assert_eq!(peer_endpoint("org1"), "org1/peer");
-        assert_eq!(orderer_endpoint(2), "ordering/orderer2");
         assert_eq!(framed_size(10), 14);
     }
 }

@@ -12,6 +12,12 @@
 //! once the node completes processing all blocks and transactions up to
 //! the specified snapshot-height"); the node re-releases them as blocks
 //! commit.
+//!
+//! Lifetime: the pool owns the task channel's only sender, and the
+//! workers own only the environment and the parking map — never the
+//! pool, or they would keep their own channel open. Dropping the node's
+//! pool therefore ends every worker and frees the node's committed state
+//! (`ExecEnv`: catalog, SSI manager, contracts).
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -104,33 +110,37 @@ pub struct ExecEnv {
 /// The pool: a task channel plus a parking area for future-height tasks.
 pub struct ExecPool {
     sender: Sender<ExecTask>,
-    waiting: Mutex<BTreeMap<BlockHeight, Vec<ExecTask>>>,
+    shop: Arc<Workshop>,
+}
+
+/// What a worker needs to run a task: the environment and the parking
+/// map it shares with [`ExecPool::release_waiting`].
+struct Workshop {
     env: Arc<ExecEnv>,
+    waiting: Mutex<BTreeMap<BlockHeight, Vec<ExecTask>>>,
 }
 
 impl ExecPool {
     /// Spawn `threads` workers over `env`.
     pub fn start(env: Arc<ExecEnv>, threads: usize) -> Arc<ExecPool> {
         let (sender, receiver) = unbounded::<ExecTask>();
-        let pool = Arc::new(ExecPool {
-            sender,
+        let shop = Arc::new(Workshop {
+            env,
             waiting: Mutex::new(BTreeMap::new()),
-            env: Arc::clone(&env),
         });
         for i in 0..threads.max(1) {
             let rx: Receiver<ExecTask> = receiver.clone();
-            let env = Arc::clone(&env);
-            let pool_ref = Arc::clone(&pool);
+            let shop = Arc::clone(&shop);
             std::thread::Builder::new()
                 .name(format!("exec-worker-{i}"))
                 .spawn(move || {
                     for task in rx.iter() {
-                        pool_ref.run_task(&env, task);
+                        shop.run_task(task);
                     }
                 })
                 .expect("spawn executor worker");
         }
-        pool
+        Arc::new(ExecPool { sender, shop })
     }
 
     /// Submit a task (the caller has already claimed its slot).
@@ -141,14 +151,14 @@ impl ExecPool {
     /// Execute a task synchronously on the calling thread (serial mode and
     /// recovery replay).
     pub fn run_inline(&self, task: ExecTask) {
-        self.run_task(&self.env, task);
+        self.shop.run_task(task);
     }
 
     /// Release parked tasks whose snapshot height is now committed.
     pub fn release_waiting(&self, committed: BlockHeight) {
         let mut ready = Vec::new();
         {
-            let mut waiting = self.waiting.lock();
+            let mut waiting = self.shop.waiting.lock();
             let keys: Vec<BlockHeight> = waiting.range(..=committed).map(|(k, _)| *k).collect();
             for k in keys {
                 if let Some(tasks) = waiting.remove(&k) {
@@ -160,8 +170,11 @@ impl ExecPool {
             let _ = self.sender.send(t);
         }
     }
+}
 
-    fn run_task(&self, env: &Arc<ExecEnv>, task: ExecTask) {
+impl Workshop {
+    fn run_task(&self, task: ExecTask) {
+        let env = &self.env;
         // Already decided elsewhere (duplicate or deterministic abort):
         // drop the task and free its slot.
         if env.processed.lock().contains(&task.tx.id) {

@@ -14,7 +14,7 @@ use bcrdb_chain::block::{genesis_prev_hash, Block, CheckpointVote};
 use bcrdb_chain::tx::Transaction;
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::BlockHeight;
-use bcrdb_crypto::identity::{Certificate, CertificateRegistry, KeyPair, Role};
+use bcrdb_crypto::identity::{Certificate, CertificateRegistry, KeyPair, Role, Scheme};
 use bcrdb_crypto::sha256::Digest;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -93,7 +93,6 @@ pub struct OrderingService {
     config: OrderingConfig,
     input: Sender<Input>,
     subscribers: BlockSubscribers,
-    keys: Vec<Arc<KeyPair>>,
     next_sub: AtomicUsize,
     height: Arc<AtomicU64>,
     stats: Arc<OrderingStats>,
@@ -109,25 +108,32 @@ pub fn orderer_name(i: usize) -> String {
     format!("ordering/orderer{i}")
 }
 
+/// The identity of orderer node `i`: its signing key, derived from a
+/// deterministic seed, and the certificate nodes verify its block
+/// signatures against. [`OrderingService::start`] signs with it; a
+/// process that only *verifies* blocks (a TCP-deployed node) registers
+/// the same certificate from the same derivation.
+pub fn orderer_identity(i: usize, scheme: Scheme) -> (KeyPair, Certificate) {
+    let name = orderer_name(i);
+    let key = KeyPair::generate(name.clone(), format!("orderer-seed-{i}").as_bytes(), scheme);
+    let cert = Certificate {
+        name,
+        org: "ordering".into(),
+        role: Role::Orderer,
+        public_key: key.public_key(),
+    };
+    (key, cert)
+}
+
 impl OrderingService {
     /// Start the service: generates orderer identities (registering their
     /// certificates with `certs`) and spawns the consensus threads.
     pub fn start(config: OrderingConfig, certs: &Arc<CertificateRegistry>) -> Arc<OrderingService> {
         let keys: Vec<Arc<KeyPair>> = (0..config.orderers)
             .map(|i| {
-                let name = orderer_name(i);
-                let key = Arc::new(KeyPair::generate(
-                    name.clone(),
-                    format!("orderer-seed-{i}").as_bytes(),
-                    config.scheme,
-                ));
-                certs.register(Certificate {
-                    name,
-                    org: "ordering".into(),
-                    role: Role::Orderer,
-                    public_key: key.public_key(),
-                });
-                key
+                let (key, cert) = orderer_identity(i, config.scheme);
+                certs.register(cert);
+                Arc::new(key)
             })
             .collect();
 
@@ -144,7 +150,7 @@ impl OrderingService {
             OrderingKind::Solo | OrderingKind::Kafka => {
                 let seq = Sequencer {
                     config: config.clone(),
-                    keys: keys.clone(),
+                    keys,
                     subscribers: Arc::clone(&subscribers),
                     height: Arc::clone(&height),
                     stats: Arc::clone(&stats),
@@ -157,7 +163,7 @@ impl OrderingService {
             }
             OrderingKind::Bft => Some(bft::start(
                 &config,
-                keys.clone(),
+                keys,
                 Arc::clone(&subscribers),
                 Arc::clone(&height),
                 Arc::clone(&stats),
@@ -172,7 +178,6 @@ impl OrderingService {
             config,
             input: input_tx,
             subscribers,
-            keys,
             next_sub: AtomicUsize::new(0),
             height,
             stats,
@@ -184,11 +189,6 @@ impl OrderingService {
     /// The service configuration.
     pub fn config(&self) -> &OrderingConfig {
         &self.config
-    }
-
-    /// Orderer identities (for tests and peers that pin an orderer).
-    pub fn orderer_names(&self) -> Vec<String> {
-        self.keys.iter().map(|k| k.name().to_string()).collect()
     }
 
     /// Submit a transaction for ordering.
@@ -420,7 +420,6 @@ mod tests {
     use super::*;
     use bcrdb_chain::tx::Payload;
     use bcrdb_common::value::Value;
-    use bcrdb_crypto::identity::Scheme;
 
     fn client() -> (KeyPair, Arc<CertificateRegistry>) {
         let key = KeyPair::generate("org1/alice", b"alice", Scheme::Sim);
@@ -442,6 +441,26 @@ mod tests {
             key,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn orderer_identities_are_stable() {
+        assert_eq!(orderer_name(2), "ordering/orderer2");
+        // What the service signs with is what `orderer_identity` derives —
+        // a process that only verifies blocks registers the latter.
+        let certs = CertificateRegistry::new();
+        let svc = OrderingService::start(OrderingConfig::kafka(3, 1, Duration::ZERO), &certs);
+        let (_, derived) = orderer_identity(2, Scheme::Sim);
+        let registered = certs.lookup("ordering/orderer2").unwrap();
+        assert_eq!(
+            registered.public_key.to_bytes(),
+            derived.public_key.to_bytes()
+        );
+        assert_eq!(
+            (derived.name, derived.role),
+            (registered.name, Role::Orderer)
+        );
+        svc.shutdown();
     }
 
     #[test]

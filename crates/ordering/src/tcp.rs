@@ -1,8 +1,10 @@
 //! TCP front door of the ordering service.
 //!
-//! One listener per orderer replica. A database node dials its
-//! replica's listener, identifies itself with [`OrdererWire::Hello`],
-//! and from then on the connection is full duplex: the node streams
+//! One listener per orderer replica, run by the shared socket toolkit
+//! ([`bcrdb_network::tcp`]); this module says what an orderer-plane
+//! frame means. A database node dials its replica's listener,
+//! identifies itself with [`OrdererWire::Hello`] (within 5 s), and from
+//! then on the connection is full duplex: the node streams
 //! [`OrdererWire::Submit`]/[`OrdererWire::Vote`] frames up, and a
 //! pusher thread streams every block delivered by
 //! [`OrderingService::subscribe_to`] back down — the same per-node
@@ -23,98 +25,62 @@ use std::thread;
 use std::time::Duration;
 
 use bcrdb_common::codec::{Decode, Encode};
-use bcrdb_network::wire::{read_frame, write_frame, FrameEvent, MAX_ORDERER_FRAME};
+use bcrdb_common::error::Error;
+use bcrdb_network::tcp::{accept_loop, next_frame, read_frames, POLL};
+use bcrdb_network::wire::{write_frame, MAX_ORDERER_FRAME};
 
 use crate::service::OrderingService;
 use crate::wire::OrdererWire;
-
-/// How long the accept loop and frame readers sleep/block between
-/// checks of the stop flag.
-const POLL: Duration = Duration::from_millis(100);
 
 /// A connection must complete its `Hello` within this long of being
 /// accepted, or it is dropped.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// A stuck peer may block a block write for at most this long before
-/// the connection is severed.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-
 /// Serve orderer replica `idx` of `service` on `listener` until `stop`
 /// is set. Returns the accept loop's join handle; per-connection
-/// threads observe the same stop flag and wind down with it.
+/// threads observe the same stop flag and are joined with it.
 pub fn serve_orderer(
     service: Arc<OrderingService>,
     idx: usize,
     listener: TcpListener,
     stop: Arc<AtomicBool>,
 ) -> thread::JoinHandle<()> {
-    thread::Builder::new()
-        .name(format!("orderer{idx}-accept"))
-        .spawn(move || {
-            listener
-                .set_nonblocking(true)
-                .expect("listener nonblocking");
-            while !stop.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let service = Arc::clone(&service);
-                        let stop = Arc::clone(&stop);
-                        let _ = thread::Builder::new()
-                            .name(format!("orderer{idx}-conn"))
-                            .spawn(move || serve_connection(service, idx, stream, stop));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL),
-                    Err(_) => thread::sleep(POLL),
-                }
-            }
-        })
-        .expect("spawn orderer accept loop")
+    accept_loop(
+        listener,
+        format!("orderer{idx}"),
+        stop,
+        move |stream, stop| serve_connection(&service, idx, stream, stop),
+    )
 }
 
 /// One node's connection: handshake, then a reader (submissions, votes)
 /// with a paired pusher (delivered blocks).
-fn serve_connection(
-    service: Arc<OrderingService>,
-    idx: usize,
-    stream: TcpStream,
-    stop: Arc<AtomicBool>,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(POLL));
-    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+fn serve_connection(service: &OrderingService, idx: usize, stream: TcpStream, stop: &AtomicBool) {
+    let stopped = || stop.load(Ordering::Relaxed);
     let mut reader = stream;
 
     // Handshake: the first frame must be Hello, within the deadline.
     // bcrdb-lint: allow(wall-clock, reason = "socket handshake deadline; bounds how long a silent connection may hold a thread, never influences block content")
     let accepted_at = std::time::Instant::now();
-    let node = loop {
-        if stop.load(Ordering::Relaxed) || accepted_at.elapsed() > HANDSHAKE_TIMEOUT {
-            return;
-        }
-        match read_frame(&mut reader, MAX_ORDERER_FRAME) {
-            Ok(FrameEvent::Frame(payload)) => match OrdererWire::decode_all(&payload) {
-                Ok(OrdererWire::Hello { node }) => break node,
-                _ => return, // protocol violation: sever
-            },
-            Ok(FrameEvent::Idle) => continue,
-            Ok(FrameEvent::Eof) | Err(_) => return,
-        }
+    let expired = || stopped() || accepted_at.elapsed() > HANDSHAKE_TIMEOUT;
+    let Ok(Some(first)) = next_frame(&mut reader, MAX_ORDERER_FRAME, expired) else {
+        return;
+    };
+    let Ok(OrdererWire::Hello { node }) = OrdererWire::decode_all(&first) else {
+        return; // protocol violation: sever
     };
 
-    // Pusher: stream this replica's block deliveries down the socket.
-    let conn_done = Arc::new(AtomicBool::new(false));
-    let pusher = {
-        let rx = service.subscribe_to(idx);
-        let Ok(mut writer) = reader.try_clone() else {
-            return;
-        };
-        let stop = Arc::clone(&stop);
-        let conn_done = Arc::clone(&conn_done);
+    let rx = service.subscribe_to(idx);
+    let Ok(mut writer) = reader.try_clone() else {
+        return;
+    };
+    let conn_done = AtomicBool::new(false);
+    thread::scope(|conn| {
+        // Pusher: stream this replica's block deliveries down the socket.
         thread::Builder::new()
             .name(format!("orderer{idx}-push:{node}"))
-            .spawn(move || {
-                while !stop.load(Ordering::Relaxed) && !conn_done.load(Ordering::Relaxed) {
+            .spawn_scoped(conn, || {
+                while !stopped() && !conn_done.load(Ordering::Relaxed) {
                     match rx.recv_timeout(POLL) {
                         Ok(block) => {
                             let bytes = OrdererWire::Block(block).encode_to_vec();
@@ -128,33 +94,21 @@ fn serve_connection(
                 }
                 let _ = writer.shutdown(Shutdown::Both);
             })
-            .expect("spawn orderer pusher")
-    };
+            .expect("spawn orderer pusher");
 
-    // Reader: submissions and votes until EOF, a bad frame, or stop.
-    while !stop.load(Ordering::Relaxed) {
-        match read_frame(&mut reader, MAX_ORDERER_FRAME) {
-            Ok(FrameEvent::Frame(payload)) => match OrdererWire::decode_all(&payload) {
-                Ok(OrdererWire::Submit(tx)) => {
-                    if service.submit(*tx).is_err() {
-                        break; // service shut down
-                    }
-                }
-                Ok(OrdererWire::Vote(vote)) => {
-                    if service.submit_checkpoint(vote).is_err() {
-                        break;
-                    }
-                }
+        // Reader: submissions and votes until EOF, a bad frame, a
+        // stopped service, or stop.
+        let _ = read_frames(&mut reader, MAX_ORDERER_FRAME, stopped, |payload| {
+            match OrdererWire::decode_all(&payload)? {
+                OrdererWire::Submit(tx) => service.submit(*tx),
+                OrdererWire::Vote(vote) => service.submit_checkpoint(vote),
                 // A duplicate Hello is harmless; a Block from a node is
                 // a protocol violation — sever.
-                Ok(OrdererWire::Hello { .. }) => {}
-                Ok(OrdererWire::Block(_)) | Err(_) => break,
-            },
-            Ok(FrameEvent::Idle) => continue,
-            Ok(FrameEvent::Eof) | Err(_) => break,
-        }
-    }
-    conn_done.store(true, Ordering::Relaxed);
-    let _ = reader.shutdown(Shutdown::Both);
-    let _ = pusher.join();
+                OrdererWire::Hello { .. } => Ok(()),
+                OrdererWire::Block(_) => Err(Error::Decode("a node sent a block".into())),
+            }
+        });
+        conn_done.store(true, Ordering::Relaxed);
+        let _ = reader.shutdown(Shutdown::Both);
+    });
 }
