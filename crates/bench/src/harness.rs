@@ -16,7 +16,7 @@ use bcrdb_common::error::Result;
 use bcrdb_common::ids::GlobalTxId;
 use bcrdb_common::ids::TxId;
 use bcrdb_common::value::Value;
-use bcrdb_core::{Network, NetworkConfig, TransportKind};
+use bcrdb_core::{Network, NetworkConfig};
 use bcrdb_node::MetricsSnapshot;
 use bcrdb_storage::version::Version;
 use parking_lot::Mutex;
@@ -45,8 +45,10 @@ impl BenchNetwork {
 }
 
 /// Install identical committed rows at genesis (height 0) on every node —
-/// the pre-loaded reference data of the paper's complex contracts. Must be
-/// called before any traffic.
+/// the pre-loaded reference data of the paper's complex contracts — and
+/// seal the planner statistics over them, as a node restoring a snapshot
+/// does: rows appended behind the commit path's back are otherwise
+/// planned for as an empty table. Must be called before any traffic.
 pub fn seed_genesis_rows(net: &Network, table: &str, rows: &[Vec<Value>]) -> Result<()> {
     for node in net.nodes() {
         let t = node.catalog().get(table)?;
@@ -56,6 +58,7 @@ pub fn seed_genesis_rows(net: &Network, table: &str, rows: &[Vec<Value>]) -> Res
             let rid = t.alloc_row_id();
             t.append_restored(Version::restored(TxId::INVALID, row, rid, 0, None, None));
         }
+        t.rebuild_stats(0);
     }
     Ok(())
 }
@@ -81,32 +84,13 @@ pub struct RunStats {
     pub micro: MetricsSnapshot,
 }
 
-impl RunStats {
-    /// One-line table row matching the paper's metric naming.
-    pub fn micro_row(&self, block_size: usize) -> String {
-        format!(
-            "{:>4}  {:>7.1}  {:>7.1}  {:>7.2}  {:>7.2}  {:>7.2}  {:>7.3}  {:>6.0}  {:>5.1}%",
-            block_size,
-            self.micro.brr,
-            self.micro.bpr,
-            self.micro.bpt_ms,
-            self.micro.bet_ms,
-            self.micro.bct_ms,
-            self.micro.tet_ms,
-            self.micro.mt_per_s,
-            self.micro.su * 100.0
-        )
-    }
-}
-
-/// Drive the workload open-loop at `arrival_tps` for `duration`, starting
-/// transaction ids at `id_base` (so successive runs on one network never
-/// collide). Returns measured statistics.
+/// Drive the workload open-loop at `arrival_tps` for `duration` on a
+/// network that has seen no other run (transaction numbers start at 0).
+/// Returns measured statistics.
 pub fn run_open_loop(
     bench: &BenchNetwork,
     arrival_tps: f64,
     duration: Duration,
-    id_base: u64,
 ) -> Result<RunStats> {
     let orgs: Vec<String> = bench.net.config().orgs.clone();
     let clients: Vec<_> = orgs
@@ -179,41 +163,53 @@ pub fn run_open_loop(
     aborted.store(0, Ordering::Relaxed);
     let _ = bench.net.nodes()[0].metrics().take();
 
-    // Paced submission loop.
+    // Paced submission: one generator thread per organization's client,
+    // each offering an equal share on its own absolute schedule (no drift
+    // under slow submission), so a synchronous `submit` on one client
+    // does not cap the offered load. Lane `l` of `k` numbers its
+    // transactions l, l + k, l + 2k, …
     let start = Instant::now();
-    let mut submitted = 0u64;
-    let interval = Duration::from_secs_f64(1.0 / arrival_tps.max(1.0));
-    while start.elapsed() < duration {
-        let n = id_base + submitted;
-        let client = &clients[(submitted as usize) % clients.len()];
-        let args = bench.workload.args(n);
-        match client.call(bench.workload.contract()).args(args).submit() {
-            Ok(pending) => {
-                submit_times.lock().insert(pending.id, Instant::now());
-                submitted += 1;
-            }
-            Err(_) => {
-                submitted += 1; // counted as offered load; never commits
-            }
-        }
-        // Pace: absolute schedule avoids drift under slow submission.
-        let next = start + interval.mul_f64(submitted as f64);
-        let now = Instant::now();
-        if next > now {
-            std::thread::sleep(next - now);
-        }
-    }
+    let interval = Duration::from_secs_f64(clients.len() as f64 / arrival_tps.max(1.0));
+    let lane_count = clients.len() as u64;
+    let submitted: u64 = std::thread::scope(|s| {
+        let lanes: Vec<_> = (clients.iter().zip(0u64..))
+            .map(|(client, lane)| {
+                let submit_times = &submit_times;
+                s.spawn(move || {
+                    let mut sent = 0u64;
+                    while start.elapsed() < duration {
+                        let args = bench.workload.args(sent * lane_count + lane);
+                        // A refused submission counts as offered load
+                        // that never commits.
+                        if let Ok(p) = client.call(bench.workload.contract()).args(args).submit() {
+                            submit_times.lock().insert(p.id, Instant::now());
+                        }
+                        sent += 1;
+                        let next = start + interval.mul_f64(sent as f64);
+                        std::thread::sleep(next.saturating_duration_since(Instant::now()));
+                    }
+                    sent
+                })
+            })
+            .collect();
+        lanes
+            .into_iter()
+            .map(|lane| lane.join().expect("generator thread"))
+            .sum()
+    });
     let offered_duration = start.elapsed();
     // Steady-state throughput: commits observed within the offered window
     // only (commits during the drain would overstate a saturated system).
     let committed_in_window = committed.load(Ordering::Relaxed);
+    // The micro-metrics cover the same window, so a saturated run's rates
+    // are not diluted by the drain.
+    let micro = bench.net.nodes()[0].metrics().take();
 
     // Drain: wait for in-flight transactions to resolve (bounded).
     let drain_deadline = Instant::now() + Duration::from_secs(15);
     while !submit_times.lock().is_empty() && Instant::now() < drain_deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let micro = bench.net.nodes()[0].metrics().take();
 
     let committed = committed.load(Ordering::Relaxed);
     let aborted = aborted.load(Ordering::Relaxed);
@@ -239,93 +235,6 @@ pub fn run_open_loop(
         avg_latency_ms: avg,
         p95_latency_ms: p95,
         micro,
-    })
-}
-
-/// Client-observed latency statistics from [`run_latency_probe`].
-///
-/// Check `samples` before trusting the means: with zero committed
-/// probe transactions both latencies read 0.0 and must be reported as
-/// "no data", not as a measurement.
-#[derive(Clone, Debug)]
-pub struct ProbeStats {
-    /// Committed transactions sampled.
-    pub samples: usize,
-    /// Mean submit-call → notification latency as the **client**
-    /// experiences it over the wire (includes every client↔node hop).
-    pub client_ms: f64,
-    /// Mean submit-ack → notification latency: the node-side commit
-    /// latency as estimable from the client (the submission round trips
-    /// cancel out of this difference).
-    pub node_ms: f64,
-}
-
-/// Drive `threads` closed-loop probe clients connected through the
-/// **`Simulated` transport**, measuring commit latency as a remote
-/// client observes it (Fig. 8a's client-observed series). Each probe
-/// submits, waits for the commit notification, and records two numbers
-/// per transaction: latency from the submit *call* (`client_ms`) and
-/// latency from the submit *acknowledgement* (`node_ms`). Their
-/// difference is exactly the wire cost of submission — at least one
-/// client↔node round trip under any non-instant profile.
-pub fn run_latency_probe(
-    bench: &BenchNetwork,
-    threads: usize,
-    duration: Duration,
-    id_base: u64,
-) -> Result<ProbeStats> {
-    let orgs: Vec<String> = bench.net.config().orgs.clone();
-    let samples: Mutex<Vec<(f64, f64)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| -> Result<()> {
-        let mut joins = Vec::new();
-        for t in 0..threads {
-            let client = bench.net.client_with_transport(
-                &orgs[t % orgs.len()],
-                &format!("probe-{t}"),
-                TransportKind::Simulated,
-            )?;
-            let samples = &samples;
-            let workload = &bench.workload;
-            joins.push(s.spawn(move || {
-                let start = Instant::now();
-                let mut n = 0u64;
-                while start.elapsed() < duration {
-                    let id = id_base + (t as u64) * 1_000_000 + n;
-                    n += 1;
-                    let t_call = Instant::now();
-                    let pending = match client
-                        .call(workload.contract())
-                        .args(workload.args(id))
-                        .submit()
-                    {
-                        Ok(p) => p,
-                        Err(_) => continue,
-                    };
-                    let t_ack = Instant::now();
-                    let Ok(notif) = pending.wait(Duration::from_secs(30)) else {
-                        continue;
-                    };
-                    if matches!(notif.status, TxStatus::Committed) {
-                        let done = Instant::now();
-                        samples.lock().push((
-                            done.duration_since(t_call).as_secs_f64() * 1000.0,
-                            done.duration_since(t_ack).as_secs_f64() * 1000.0,
-                        ));
-                    }
-                }
-            }));
-        }
-        for j in joins {
-            let _ = j.join();
-        }
-        Ok(())
-    })?;
-    let lat = samples.into_inner();
-    let count = lat.len().max(1) as f64;
-    Ok(ProbeStats {
-        samples: lat.len(),
-        client_ms: lat.iter().map(|(c, _)| c).sum::<f64>() / count,
-        node_ms: lat.iter().map(|(_, n)| n).sum::<f64>() / count,
     })
 }
 
@@ -385,10 +294,4 @@ pub fn bench_config(
     cfg.ordering = bcrdb_ordering::OrderingConfig::kafka(3, block_size, block_timeout);
     cfg.executor_threads = 8;
     cfg
-}
-
-/// Header for micro-metric tables (Tables 4 and 5 of the paper).
-pub fn micro_header() -> &'static str {
-    "  bs      brr      bpr      bpt      bet      bct      tet      mt     su\n\
-     ----  -------  -------  -------  -------  -------  -------  ------  ------"
 }

@@ -1,40 +1,19 @@
 //! # bcrdb-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation (§5). Each `[[bench]]` target under `benches/`
-//! reproduces one experiment and prints the same rows/series the paper
-//! reports, annotated with the paper's reference numbers.
+//! What measures bcrdb, beside the repo benchmark (`BENCHMARK.json`,
+//! `src/bin/benchmark/`): the paper's evaluation contracts
+//! ([`contracts`]), one open/closed-loop driver ([`harness`]) and the
+//! `reproduce` binary, a table of the paper's §5 experiments that prints
+//! for each its claim, our rows and whether the shape matches.
 //!
 //! Absolute throughput differs from the paper (their testbed: 32-vCPU
 //! Xeon VMs running modified PostgreSQL; ours: an in-process simulator),
 //! so the reproduction target is the *shape*: which flow wins, by what
-//! rough factor, and where the crossovers fall. See `EXPERIMENTS.md` for
-//! the paper-vs-measured record.
-//!
-//! Environment knobs:
-//! * `BCRDB_BENCH_FULL=1` — longer runs and larger seeds.
+//! rough factor, and where the crossovers fall. `docs/REPRODUCTION.md`
+//! is the committed paper-vs-measured record.
 
 pub mod contracts;
 pub mod harness;
 
 pub use contracts::{Workload, WorkloadKind};
-pub use harness::{
-    run_batch, run_latency_probe, run_open_loop, seed_genesis_rows, BenchNetwork, ProbeStats,
-    RunStats,
-};
-
-/// True when full-scale runs were requested.
-pub fn full_mode() -> bool {
-    std::env::var("BCRDB_BENCH_FULL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-/// Scale a quick-mode duration up in full mode.
-pub fn scaled_secs(quick: f64) -> f64 {
-    if full_mode() {
-        quick * 4.0
-    } else {
-        quick
-    }
-}
+pub use harness::{run_batch, run_open_loop, seed_genesis_rows, BenchNetwork, RunStats};

@@ -42,9 +42,6 @@ pub struct NetworkConfig {
     /// their block arrives (§3.4.3), surfacing in the `mt` metric of
     /// Table 5. 0 disables.
     pub forward_drop_permille: u64,
-    /// Minimum simulated per-transaction execution time (µs); see
-    /// `NodeConfig::min_exec_micros`. Benchmark calibration only.
-    pub min_exec_micros: u64,
     /// Genesis DDL (tables, indexes, contracts) applied identically on
     /// every node *before* recovery and before any traffic — the §3.7
     /// bootstrap step. Required for persistent networks so restarted nodes
@@ -109,7 +106,6 @@ impl NetworkConfig {
             data_root: None,
             snapshot_interval: 0,
             forward_drop_permille: 0,
-            min_exec_micros: 0,
             genesis_sql: None,
             client_transport: TransportKind::InProcess,
             client_window: 1024,

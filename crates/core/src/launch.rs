@@ -28,7 +28,7 @@ use bcrdb_chain::tx::Transaction;
 use bcrdb_common::error::{Error, Result};
 use bcrdb_crypto::identity::CertificateRegistry;
 use bcrdb_node::{Node, NodeConfig, NodeHooks};
-use crossbeam_channel::{bounded, unbounded, Sender};
+use crossbeam_channel::{bounded, unbounded, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::identity::peer_identity;
@@ -53,8 +53,9 @@ pub(crate) struct SyncClient {
     /// The other organizations' peers: a name for error messages and the
     /// way to reach each.
     peers: Vec<(String, PeerSend)>,
-    /// In-flight requests by correlation number.
-    pending: Mutex<HashMap<u64, Sender<SyncResponse>>>,
+    /// In-flight requests by correlation number; `None` once the node
+    /// is shutting down, when nothing may start waiting for an answer.
+    pending: Mutex<Option<HashMap<u64, Sender<SyncResponse>>>>,
     seq: AtomicU64,
     next_peer: AtomicUsize,
 }
@@ -66,7 +67,7 @@ impl SyncClient {
     fn new(peers: Vec<(String, PeerSend)>, first_peer: usize) -> SyncClient {
         SyncClient {
             peers,
-            pending: Mutex::new(HashMap::new()),
+            pending: Mutex::new(Some(HashMap::new())),
             seq: AtomicU64::new(1),
             next_peer: AtomicUsize::new(first_peer),
         }
@@ -80,6 +81,7 @@ impl SyncClient {
     }
 
     fn fetch(&self, req: SyncRequest) -> Result<SyncResponse> {
+        let closed = || Error::Shutdown("the node is shutting down".into());
         if self.peers.is_empty() {
             return Err(Error::NotFound("no peers to sync from".into()));
         }
@@ -89,16 +91,21 @@ impl SyncClient {
             let (peer, send) = &self.peers[(start + i) % self.peers.len()];
             let seq = self.seq.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = bounded(1);
-            self.pending.lock().insert(seq, tx);
+            match self.pending.lock().as_mut() {
+                Some(pending) => pending.insert(seq, tx),
+                None => return Err(closed()),
+            };
             if let Err(e) = send(&PeerMsg::SyncRequest { seq, req }) {
-                self.pending.lock().remove(&seq);
+                self.forget(seq);
                 last_err = e;
                 continue;
             }
             match rx.recv_timeout(SYNC_RPC_TIMEOUT) {
                 Ok(resp) => return Ok(resp),
-                Err(_) => {
-                    self.pending.lock().remove(&seq);
+                // Only `close` drops a sender without answering.
+                Err(RecvTimeoutError::Disconnected) => return Err(closed()),
+                Err(RecvTimeoutError::Timeout) => {
+                    self.forget(seq);
                     last_err = Error::Timeout(format!(
                         "no sync response from {peer} within {SYNC_RPC_TIMEOUT:?}"
                     ));
@@ -109,9 +116,20 @@ impl SyncClient {
     }
 
     fn deliver(&self, seq: u64, resp: &SyncResponse) {
-        if let Some(tx) = self.pending.lock().remove(&seq) {
+        if let Some(tx) = self.forget(seq) {
             let _ = tx.send(resp.clone());
         }
+    }
+
+    fn forget(&self, seq: u64) -> Option<Sender<SyncResponse>> {
+        self.pending.lock().as_mut()?.remove(&seq)
+    }
+
+    /// Fail every request in flight and refuse new ones, so a block
+    /// processor inside a catch-up round returns at once instead of
+    /// waiting out [`SYNC_RPC_TIMEOUT`] for a peer it can no longer hear.
+    fn close(&self) {
+        *self.pending.lock() = None;
     }
 }
 
@@ -222,10 +240,11 @@ impl NodeProc {
 
     /// Stop the node and disconnect it: the node's own threads are told
     /// to wind down ([`Node::shutdown`] never blocks), its planes are
-    /// closed, and every thread the deployment spawned for it — pumps,
-    /// accept loops with their connections, dialers — is joined before
-    /// this returns. State on disk is left as a crash would leave it.
-    /// Idempotent.
+    /// closed, and the block processor (which joins its post-commit
+    /// worker) and every thread the deployment spawned for the node —
+    /// pumps, accept loops with their connections, dialers — are joined
+    /// before this returns, so its data directory can be reopened. State
+    /// on disk is left as a crash would leave it. Idempotent.
     pub fn shutdown(&self) {
         self.node.shutdown();
         self.planes.close();
@@ -302,6 +321,10 @@ impl Launch<'_> {
         let planes = Planes::new();
         let proc = NodeProc { node, planes };
 
+        {
+            let sync = Arc::clone(&sync);
+            proc.planes.on_close(move || sync.close());
+        }
         let recovered = attach(&proc, inbound).and_then(|ordering| {
             let forward = Arc::clone(&sync);
             let hooks = NodeHooks {
@@ -324,7 +347,7 @@ impl Launch<'_> {
             recovered
         });
         recovered.inspect_err(|_| proc.shutdown())?;
-        proc.node.start(block_rx);
+        proc.planes.own(proc.node.start(block_rx));
         serve_clients(&proc);
         Ok(proc)
     }
@@ -335,7 +358,10 @@ mod tests {
     use super::*;
     use bcrdb_chain::block::genesis_prev_hash;
     use bcrdb_chain::tx::Payload;
+    use bcrdb_common::ids::TxId;
+    use bcrdb_common::value::Value;
     use bcrdb_crypto::identity::{KeyPair, Scheme};
+    use bcrdb_storage::version::Version;
     use bcrdb_txn::ssi::Flow;
     use crossbeam_channel::Receiver;
     use std::time::Instant;
@@ -344,12 +370,29 @@ mod tests {
 
     /// A node's inbound side with one peer, `org2`, whose received
     /// messages land on the returned channel; so do the node's blocks.
-    fn inbound() -> (Inbound, Receiver<PeerMsg>, Receiver<Arc<Block>>) {
-        let mut cfg = NodeConfig::new("org1/peer", "org1", Flow::ExecuteOrderParallel);
-        // Makes an executed transaction visible in the `tet_ms` metric.
-        cfg.min_exec_micros = 1_000;
+    /// `org1/alice` may invoke its one contract, `tally`, which counts a
+    /// seeded table through its primary index (the execute-order flow
+    /// refuses full scans): a millisecond of work that shows in the
+    /// `tet_ms` metric once it ran.
+    fn inbound() -> (Inbound, KeyPair, Receiver<PeerMsg>, Receiver<Arc<Block>>) {
+        let flow = Flow::ExecuteOrderParallel;
+        let cfg = NodeConfig::new("org1/peer", "org1", flow);
         let orgs = vec!["org1".to_string(), "org2".to_string()];
-        let node = Node::new(cfg, CertificateRegistry::new(), orgs).unwrap();
+        let certs = CertificateRegistry::new();
+        let (alice, cert) = crate::identity::client_identity("org1", "alice", Scheme::Sim);
+        certs.register(cert);
+        let node = Node::new(cfg, certs, orgs).unwrap();
+        let genesis = "CREATE TABLE seeded (id INT PRIMARY KEY, v INT NOT NULL); \
+             CREATE TABLE tallies (id INT PRIMARY KEY, n INT); \
+             CREATE FUNCTION tally(id INT) AS $$ \
+               INSERT INTO tallies SELECT $1, COUNT(*) FROM seeded WHERE id >= 0 $$";
+        apply_bootstrap_sql(&node, genesis, flow).unwrap();
+        let seeded = node.catalog().get("seeded").unwrap();
+        for i in 0..2_000 {
+            let row = vec![Value::Int(i), Value::Int(i % 7)];
+            let rid = seeded.alloc_row_id();
+            seeded.append_restored(Version::restored(TxId::INVALID, row, rid, 0, None, None));
+        }
         let (sent_tx, sent_rx) = unbounded();
         let send: PeerSend = Box::new(move |msg| {
             sent_tx
@@ -363,7 +406,7 @@ mod tests {
             block_tx,
             sync,
         };
-        (inbound, sent_rx, block_rx)
+        (inbound, alice, sent_rx, block_rx)
     }
 
     /// Only a `SyncRequest` may ask for a way to reply.
@@ -380,11 +423,11 @@ mod tests {
 
     #[test]
     fn inbound_routes_every_peer_message() {
-        let (inbound, peer_got, block_rx) = inbound();
+        let (inbound, key, peer_got, block_rx) = inbound();
 
         // Tx → the node executes it (EO flow), ahead of its block.
-        let key = KeyPair::generate("org1/alice", b"alice", Scheme::Sim);
-        let tx = Transaction::new_execute_order("org1/alice", Payload::new("f", vec![]), 0, &key);
+        let call = Payload::new("tally", vec![Value::Int(1)]);
+        let tx = Transaction::new_execute_order("org1/alice", call, 0, &key);
         inbound
             .handle(PeerMsg::Tx(Box::new(tx.unwrap())), no_reply)
             .unwrap();
@@ -425,25 +468,36 @@ mod tests {
 
         // SyncResponse → the waiting fetch, by correlation number; one
         // nobody waits for is ignored.
-        let fetch = {
+        let fetch = || {
             let sync = Arc::clone(&inbound.sync);
-            thread::spawn(move || sync.fetch(req))
+            let fetch = thread::spawn(move || sync.fetch(req));
+            let Ok(PeerMsg::SyncRequest { seq, .. }) = peer_got.recv_timeout(SOON) else {
+                panic!("the fetch sends a SyncRequest to its peer");
+            };
+            (fetch, seq)
         };
-        let Ok(PeerMsg::SyncRequest { seq, .. }) = peer_got.recv_timeout(SOON) else {
-            panic!("the fetch sends a SyncRequest to its peer");
-        };
+        let (fetching, seq) = fetch();
         for (seq, tip) in [(seq + 1_000, 11), (seq, 22)] {
             let resp = Arc::new(blocks_at(tip));
             inbound
                 .handle(PeerMsg::SyncResponse { seq, resp }, no_reply)
                 .unwrap();
         }
-        let fetched = fetch.join().unwrap().unwrap();
+        let fetched = fetching.join().unwrap().unwrap();
         assert!(matches!(fetched, SyncResponse::Blocks { tip: 22, .. }));
-        assert!(inbound.sync.pending.lock().is_empty());
+        assert!(inbound.sync.pending.lock().as_ref().unwrap().is_empty());
 
         // With the block processor gone, a block ends the pump.
         drop(block_rx);
         assert!(inbound.handle(PeerMsg::Block(block), no_reply).is_err());
+
+        // Shutdown fails a fetch that is waiting, long before its
+        // timeout, and any later one.
+        let (fetching, _) = fetch();
+        let closed_at = Instant::now();
+        inbound.sync.close();
+        assert!(matches!(fetching.join().unwrap(), Err(Error::Shutdown(_))));
+        assert!(matches!(inbound.sync.fetch(req), Err(Error::Shutdown(_))));
+        assert!(closed_at.elapsed() < SOON);
     }
 }

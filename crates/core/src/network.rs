@@ -473,7 +473,6 @@ impl NetworkInner {
         cfg.executor_threads = config.executor_threads;
         cfg.serial_execution = config.serial_execution;
         cfg.snapshot_interval = config.snapshot_interval;
-        cfg.min_exec_micros = config.min_exec_micros;
         cfg.statement_cache_cap = config.statement_cache_cap;
         cfg.fsync = config.fsync;
         cfg.gap_timeout = config.gap_timeout;

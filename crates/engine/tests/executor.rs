@@ -515,6 +515,18 @@ fn explain_index_union_golden() {
         ],
     );
     assert_eq!(db.catalog.plans_multi_index(), before + 1);
+    // One disjunct no index can answer (never true, so the same two
+    // rows come back) and the whole OR falls back to the full scan: the
+    // union is chosen per statement, not assumed for every OR.
+    assert_eq!(
+        db.explain("SELECT id FROM items WHERE id = 10 OR id = 150 OR a + b < -1"),
+        vec![
+            "Project (rows=2)",
+            "  Filter (rows=2)",
+            "    SeqScan items (est=200 actual=200)",
+        ],
+    );
+    assert_eq!(db.catalog.plans_multi_index(), before + 1);
 }
 
 #[test]
@@ -529,6 +541,16 @@ fn explain_covering_aggregate_golden() {
             "Aggregate (rows=1)",
             "  Filter (rows=2)",
             "    CoveringIndexScan invoices [supplier_id = 1] (est=2 actual=2)",
+        ],
+    );
+    assert_eq!(db.catalog.plans_covering(), before + 1);
+    // Consuming a column the index does not carry costs the heap visit.
+    assert_eq!(
+        db.explain("SELECT COUNT(id) FROM invoices WHERE supplier_id = 1"),
+        vec![
+            "Aggregate (rows=1)",
+            "  Filter (rows=2)",
+            "    IndexScan invoices [supplier_id = 1] (est=2 actual=2)",
         ],
     );
     assert_eq!(db.catalog.plans_covering(), before + 1);

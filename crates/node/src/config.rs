@@ -36,12 +36,6 @@ pub struct NodeConfig {
     pub serial_execution: bool,
     /// Run the SSI manager's garbage collector every N blocks.
     pub gc_interval: u64,
-    /// Minimum simulated execution time per transaction (µs). Models the
-    /// per-backend cost of the paper's PostgreSQL substrate (parse, plan,
-    /// WAL, IPC — ~0.2 ms for the simple contract on their testbed) that
-    /// an in-memory engine lacks; 0 disables. Used by the benchmark
-    /// harness only (see DESIGN.md's substitution table).
-    pub min_exec_micros: u64,
     /// Bound on the prepared-statement cache (LRU entries, minimum 1). A
     /// client preparing unbounded distinct SQL text evicts old entries
     /// instead of growing node memory without limit.
@@ -120,7 +114,6 @@ impl NodeConfig {
             executor_threads: 4,
             serial_execution: false,
             gc_interval: 16,
-            min_exec_micros: 0,
             statement_cache_cap: 1024,
             fsync: false,
             exec_wait_timeout: Duration::from_secs(120),

@@ -98,9 +98,6 @@ pub struct ExecEnv {
     /// covers duplicates and deterministically aborted future-height
     /// transactions.
     pub processed: Arc<Mutex<HashSet<GlobalTxId>>>,
-    /// Minimum simulated execution time per transaction (µs); see
-    /// `NodeConfig::min_exec_micros`.
-    pub min_exec_micros: u64,
     /// Native contracts by name.
     pub natives: Mutex<BTreeMap<String, NativeContract>>,
     /// Organizations in the network.
@@ -200,14 +197,6 @@ impl Workshop {
         let started = Instant::now();
         let ctx = TxnCtx::begin(&env.ssi, task.snapshot_height, task.mode);
         let result = execute_in_ctx(env, &ctx, &task.tx);
-        if env.min_exec_micros > 0 {
-            let spent = started.elapsed().as_micros() as u64;
-            if spent < env.min_exec_micros {
-                std::thread::sleep(std::time::Duration::from_micros(
-                    env.min_exec_micros - spent,
-                ));
-            }
-        }
         let exec_us = started.elapsed().as_micros() as u64;
         env.metrics.on_tx_executed(exec_us);
         let (catalog_ops, error) = match result {
@@ -336,7 +325,6 @@ mod tests {
             committed_height: Arc::new(AtomicU64::new(0)),
             verify_signatures: true,
             processed: Arc::new(Mutex::new(HashSet::new())),
-            min_exec_micros: 0,
             natives: Mutex::new(BTreeMap::new()),
             orgs: vec!["org1".into()],
         });

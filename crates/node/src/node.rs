@@ -204,7 +204,6 @@ impl Node {
             committed_height: Arc::new(AtomicU64::new(restored_height)),
             verify_signatures: config.verify_signatures,
             processed,
-            min_exec_micros: config.min_exec_micros,
             natives: Mutex::new(Default::default()),
             orgs,
         });
@@ -471,16 +470,22 @@ impl Node {
     }
 
     /// Start the block-processing loop on `block_rx` (blocks delivered by
-    /// the ordering service, §3.3.2).
-    pub fn start(self: &Arc<Self>, block_rx: Receiver<Arc<bcrdb_chain::block::Block>>) {
+    /// the ordering service, §3.3.2). Joining the returned handle after
+    /// [`Node::shutdown`] waits until the block processor and its
+    /// post-commit worker have left the node's data directory alone.
+    pub fn start(
+        self: &Arc<Self>,
+        block_rx: Receiver<Arc<bcrdb_chain::block::Block>>,
+    ) -> std::thread::JoinHandle<()> {
         let node = Arc::clone(self);
         std::thread::Builder::new()
             .name(format!("{}-blockproc", self.config.name))
             .spawn(move || processor::run_loop(node, block_rx))
-            .expect("spawn block processor");
+            .expect("spawn block processor")
     }
 
-    /// Stop processing (threads exit at the next opportunity). Never
+    /// Stop processing (threads exit at the next opportunity; join the
+    /// handle [`Node::start`] returned to wait for that). Never
     /// blocks — including on a halted processor: the commit thread
     /// checks this flag between wait slices, and the post-commit
     /// worker exits once its queue drains, so a processor that stopped

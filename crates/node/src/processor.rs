@@ -421,16 +421,30 @@ struct PostCommitJob {
 /// once the gap closes. A gap that outlives `NodeConfig::gap_timeout`
 /// triggers a peer catch-up round through the `sync_fetch` hook (§3.6).
 pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
-    let metrics = Arc::clone(&node.env.metrics);
     let (jobs_tx, jobs_rx) = crossbeam_channel::unbounded::<PostCommitJob>();
-    {
+    let worker = {
         let node = Arc::clone(&node);
         std::thread::Builder::new()
             .name(format!("{}-postcommit", node.config.name))
             .spawn(move || post_commit_loop(node, jobs_rx))
-            .expect("spawn post-commit worker");
+            .expect("spawn post-commit worker")
+    };
+    // The commit loop drops the sender when it returns; the worker then
+    // drains its queue and exits. Joining it here makes this thread's
+    // exit mean that nothing of the node still writes to its directory.
+    commit_loop(&node, rx, jobs_tx);
+    if worker.join().is_err() {
+        eprintln!("[{}] post-commit worker panicked", node.config.name);
     }
+}
 
+/// Stages 1 and 2 of [`run_loop`], on the block-processor thread.
+fn commit_loop(
+    node: &Arc<Node>,
+    rx: Receiver<Arc<Block>>,
+    jobs_tx: crossbeam_channel::Sender<PostCommitJob>,
+) {
+    let metrics = Arc::clone(&node.env.metrics);
     // The serial-execution baseline admits one block at a time: with the
     // drain after every block (below), nothing of block N+1 is touched
     // until block N is completely done.
@@ -447,14 +461,14 @@ pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
 
     loop {
         if node.shutting_down.load(Ordering::Relaxed) {
-            return; // dropping jobs_tx lets the worker drain and exit
+            return;
         }
 
         // ---- stage 1: admit deliveries while there is pipeline room ----
         while inflight.len() < depth && !disconnected {
             match rx.try_recv() {
                 Ok(block) => {
-                    if admit(&node, &mut pending, &mut inflight, &mut gap_since, block).is_err() {
+                    if admit(node, &mut pending, &mut inflight, &mut gap_since, block).is_err() {
                         return;
                     }
                 }
@@ -463,7 +477,7 @@ pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
             }
         }
         // Admit buffered blocks whose gap has closed.
-        if admit_pending(&node, &mut pending, &mut inflight, depth).is_err() {
+        if admit_pending(node, &mut pending, &mut inflight, depth).is_err() {
             return;
         }
         metrics.set_held_back(pending.len() as u64);
@@ -477,14 +491,14 @@ pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
             let head = infl.head.get_or_insert_with(|| HeadWait {
                 // bcrdb-lint: allow(wall-clock, reason = "metrics timing and the local execution-wait timeout")
                 since: Instant::now(),
-                ids: dispatch_execution(&node, &infl.block),
+                ids: dispatch_execution(node, &infl.block),
             });
             if node.env.slots.wait_all_done_for(&head.ids, HEAD_WAIT_SLICE) {
                 let waited_us = head.since.elapsed().as_micros() as u64;
                 let infl = inflight.pop_front().expect("head exists");
                 let block_number = infl.block.number;
-                let (records, writes, exec_us) = commit_core(&node, &infl.block);
-                advance_committed(&node, &infl.block);
+                let (records, writes, exec_us) = commit_core(node, &infl.block);
+                advance_committed(node, &infl.block);
                 let _ = jobs_tx.send(PostCommitJob {
                     block: infl.block,
                     records,
@@ -493,7 +507,7 @@ pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
                     bet_us: waited_us + exec_us,
                 });
                 // Backpressure: bound the stage-3 queue.
-                if !await_postcommit(&node, block_number.saturating_sub(POSTCOMMIT_CAP)) {
+                if !await_postcommit(node, block_number.saturating_sub(POSTCOMMIT_CAP)) {
                     return;
                 }
                 // Snapshot barrier: a state snapshot must see the block's
@@ -501,9 +515,9 @@ pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
                 // commit — drain the worker, then write on this thread.
                 // The serial-execution baseline takes the same drain after
                 // every block, so no two of its stages overlap.
-                let snapshot = snapshot_due(&node, block_number);
+                let snapshot = snapshot_due(node, block_number);
                 if (snapshot || node.config.serial_execution)
-                    && !await_postcommit(&node, block_number)
+                    && !await_postcommit(node, block_number)
                 {
                     return;
                 }
@@ -512,13 +526,13 @@ pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
                         // A failed snapshot halts the node rather than
                         // leaving a stale snapshot to be served to
                         // fast-sync peers.
-                        halt(&node, block_number, &e);
+                        halt(node, block_number, &e);
                         return;
                     }
                 }
             } else if head.since.elapsed() >= node.config.exec_wait_timeout {
                 halt(
-                    &node,
+                    node,
                     infl.block.number,
                     &Error::internal(format!(
                         "timed out waiting for transaction execution: {:?}",
@@ -534,7 +548,7 @@ pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
             // Idle: block for a delivery so the loop does not spin.
             match rx.recv_timeout(GAP_POLL) {
                 Ok(block) => {
-                    if admit(&node, &mut pending, &mut inflight, &mut gap_since, block).is_err() {
+                    if admit(node, &mut pending, &mut inflight, &mut gap_since, block).is_err() {
                         return;
                     }
                 }
@@ -557,11 +571,11 @@ pub fn run_loop(node: Arc<Node>, rx: Receiver<Arc<Block>>) {
                 // Catch-up replays synchronously through process_block;
                 // the pipeline must be fully drained first so ledger and
                 // checkpoint work stays in block order.
-                if !await_postcommit(&node, node.height()) {
+                if !await_postcommit(node, node.height()) {
                     return;
                 }
-                run_gap_catch_up(&node, &mut gap_since);
-                if admit_pending(&node, &mut pending, &mut inflight, depth).is_err() {
+                run_gap_catch_up(node, &mut gap_since);
+                if admit_pending(node, &mut pending, &mut inflight, depth).is_err() {
                     return;
                 }
                 metrics.set_held_back(pending.len() as u64);

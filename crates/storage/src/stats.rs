@@ -104,14 +104,24 @@ pub fn stat_columns(schema: &TableSchema) -> Vec<usize> {
     out
 }
 
+/// Exact live key counts of one stat column.
+#[derive(Debug, Default)]
+struct ColumnKeys {
+    /// Non-NULL key → live rows carrying it.
+    counts: BTreeMap<Value, u64>,
+    /// Sum of `counts`' values, kept beside the map so that sealing a
+    /// summary after every block does not walk one entry per row.
+    non_null: u64,
+}
+
 /// Live statistics of one table: exact per-column key counts plus the
 /// sealed summary history the planner reads.
 #[derive(Debug, Default)]
 pub struct TableStats {
     rows: u64,
-    /// Exact live key counts per stat column. `BTreeMap` throughout —
-    /// iteration order feeds the sealed summaries.
-    keys: BTreeMap<usize, BTreeMap<Value, u64>>,
+    /// Per stat column. `BTreeMap` throughout — iteration order feeds
+    /// the sealed summaries.
+    keys: BTreeMap<usize, ColumnKeys>,
     /// Sealed summaries, ascending by height, pushed only when changed.
     history: Vec<(u64, TableSummary)>,
     /// Set when the stat-column set changed (CREATE INDEX) and the maps
@@ -123,7 +133,10 @@ impl TableStats {
     /// Fresh, empty statistics tracking the given columns.
     pub fn with_columns(columns: &[usize]) -> TableStats {
         TableStats {
-            keys: columns.iter().map(|c| (*c, BTreeMap::new())).collect(),
+            keys: columns
+                .iter()
+                .map(|c| (*c, ColumnKeys::default()))
+                .collect(),
             ..TableStats::default()
         }
     }
@@ -157,12 +170,13 @@ impl TableStats {
             if value.is_null() {
                 continue;
             }
-            if let Some(map) = self.keys.get_mut(col) {
-                if let Some(n) = map.get_mut(value) {
+            if let Some(keys) = self.keys.get_mut(col) {
+                if let Some(n) = keys.counts.get_mut(value) {
                     *n -= 1;
                     if *n == 0 {
-                        map.remove(value);
+                        keys.counts.remove(value);
                     }
+                    keys.non_null -= 1;
                 }
             }
         }
@@ -170,8 +184,9 @@ impl TableStats {
             if value.is_null() {
                 continue;
             }
-            if let Some(map) = self.keys.get_mut(col) {
-                *map.entry(value.clone()).or_insert(0) += 1;
+            if let Some(keys) = self.keys.get_mut(col) {
+                *keys.counts.entry(value.clone()).or_insert(0) += 1;
+                keys.non_null += 1;
             }
         }
         self.rows = (self.rows as i64 + delta.live_delta).max(0) as u64;
@@ -183,7 +198,13 @@ impl TableStats {
     /// every column.
     pub fn install(&mut self, rows: u64, keys: BTreeMap<usize, BTreeMap<Value, u64>>, height: u64) {
         self.rows = rows;
-        self.keys = keys;
+        self.keys = keys
+            .into_iter()
+            .map(|(col, counts)| {
+                let non_null = counts.values().sum();
+                (col, ColumnKeys { counts, non_null })
+            })
+            .collect();
         self.dirty = false;
         self.seal(height);
     }
@@ -222,14 +243,14 @@ impl TableStats {
             columns: self
                 .keys
                 .iter()
-                .map(|(col, map)| {
+                .map(|(col, keys)| {
                     (
                         *col,
                         ColumnSummary {
-                            distinct: map.len() as u64,
-                            count: map.values().sum(),
-                            min: map.keys().next().cloned(),
-                            max: map.keys().next_back().cloned(),
+                            distinct: keys.counts.len() as u64,
+                            count: keys.non_null,
+                            min: keys.counts.keys().next().cloned(),
+                            max: keys.counts.keys().next_back().cloned(),
                         },
                     )
                 })
@@ -323,6 +344,55 @@ mod tests {
         assert_eq!(sum.rows, 2);
         assert_eq!(sum.column(0).unwrap().count, 1);
         assert_eq!(sum.column(0).unwrap().distinct, 1);
+    }
+
+    /// The running non-NULL count is the map's sum: after any sequence of
+    /// folds — duplicates, removals down to zero, removals of keys never
+    /// added, NULLs — the summary equals the one `install` seals from a
+    /// rebuild of the same live set.
+    #[test]
+    fn random_applies_seal_what_a_rebuild_installs() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        let mut folded = TableStats::with_columns(&[0, 2]);
+        let mut live: BTreeMap<usize, BTreeMap<Value, u64>> =
+            BTreeMap::from([(0, BTreeMap::new()), (2, BTreeMap::new())]);
+        let mut rows = 0u64;
+        for step in 0..5_000u64 {
+            let col = if next(2) == 0 { 0 } else { 2 };
+            let value = match next(10) {
+                0 => Value::Null,
+                _ => Value::Int(next(40) as i64),
+            };
+            if next(3) > 0 {
+                folded.apply(&delta(vec![(col, value.clone())], vec![], 1));
+                rows += 1;
+                if !value.is_null() {
+                    *live.get_mut(&col).unwrap().entry(value).or_insert(0) += 1;
+                }
+            } else {
+                // May name a key with no live row: the fold ignores it.
+                folded.apply(&delta(vec![], vec![(col, value.clone())], -1));
+                rows = rows.saturating_sub(1);
+                let counts = live.get_mut(&col).unwrap();
+                if let Some(n) = counts.get_mut(&value) {
+                    *n -= 1;
+                    if *n == 0 {
+                        counts.remove(&value);
+                    }
+                }
+            }
+            if step % 97 == 0 {
+                let mut rebuilt = TableStats::with_columns(&[0, 2]);
+                rebuilt.install(rows, live.clone(), step);
+                assert_eq!(folded.current_summary(), rebuilt.current_summary());
+            }
+        }
     }
 
     #[test]

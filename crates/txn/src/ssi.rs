@@ -280,25 +280,27 @@ impl SsiManager {
             return;
         };
         // Concurrency check: the edge only matters if the two overlapped.
-        {
-            let r = r_rec.lock();
-            let w = w_rec.lock();
-            if r.state == TxnState::Aborted || w.state == TxnState::Aborted {
-                return;
-            }
-            if let Some(r_end) = r.end_seq {
-                if r.state == TxnState::Committed && r_end < w.begin_seq {
-                    return; // reader finished before writer began
-                }
-            }
-            if let Some(w_end) = w.end_seq {
-                if w.state == TxnState::Committed && w_end < r.begin_seq {
-                    // Writer committed before reader began: the reader sees
-                    // the new version via its snapshot (or aborts as a
-                    // stale read in the EO flow); not an antidependency.
-                    return;
-                }
-            }
+        // One record is locked at a time: two transactions that each read
+        // and write one hot row register `a -rw-> b` and `b -rw-> a` from
+        // two executor threads at once, and holding one record while
+        // taking the other deadlocks them.
+        let span = |rec: &Mutex<Record>| {
+            let rec = rec.lock();
+            (rec.state, rec.begin_seq, rec.end_seq)
+        };
+        let (r_state, r_begin, r_end) = span(&r_rec);
+        let (w_state, w_begin, w_end) = span(&w_rec);
+        if r_state == TxnState::Aborted || w_state == TxnState::Aborted {
+            return;
+        }
+        if r_state == TxnState::Committed && r_end.is_some_and(|end| end < w_begin) {
+            return; // reader finished before writer began
+        }
+        if w_state == TxnState::Committed && w_end.is_some_and(|end| end < r_begin) {
+            // Writer committed before reader began: the reader sees the
+            // new version via its snapshot (or aborts as a stale read in
+            // the EO flow); not an antidependency.
+            return;
         }
         r_rec.lock().out_conflicts.insert(writer);
         w_rec.lock().in_conflicts.insert(reader);
@@ -611,6 +613,33 @@ mod tests {
         m.on_write(writer, "t", RowId(1), &[]);
         assert_eq!(m.out_conflicts(reader), vec![writer]);
         assert_eq!(m.in_conflicts(writer), vec![reader]);
+    }
+
+    /// Two transactions that read and write the same row register the
+    /// edges `a -rw-> b` and `b -rw-> a` from two threads at once. Neither
+    /// registration may hold one record while it waits for the other.
+    #[test]
+    fn opposite_edges_registered_concurrently_do_not_deadlock() {
+        let m = std::sync::Arc::new(mgr());
+        let (a, b) = (m.begin(), m.begin());
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for (reader, writer) in [(a, b), (b, a)] {
+            let (m, start, done) = (m.clone(), start.clone(), done_tx.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                for _ in 0..200_000 {
+                    m.register_rw_edge(reader, writer);
+                }
+                let _ = done.send(());
+            });
+        }
+        for _ in 0..2 {
+            let finished = done_rx.recv_timeout(std::time::Duration::from_secs(60));
+            assert!(finished.is_ok(), "register_rw_edge deadlocked");
+        }
+        assert_eq!(m.out_conflicts(a), vec![b]);
+        assert_eq!(m.out_conflicts(b), vec![a]);
     }
 
     #[test]

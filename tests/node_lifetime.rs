@@ -4,6 +4,10 @@
 //! and through it the catalog, SSI manager and contracts — outlives the
 //! node for the rest of the process.)
 //!
+//! And a node that a deployment stopped has stopped: its block processor
+//! and post-commit worker have exited by the time `Network::stop_node`
+//! returns, so its data directory can be reopened at once.
+//!
 //! One `#[test]` in a binary of its own: `/proc/self/task` counts the
 //! whole process, so the thread assertion cannot share it with tests the
 //! harness runs in parallel.
@@ -23,8 +27,60 @@ fn threads() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, |tasks| tasks.count())
 }
 
+/// Names (`comm`, at most 15 bytes) of this process's threads.
+fn thread_names() -> Vec<String> {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return Vec::new();
+    };
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
+}
+
+/// After `Network::stop_node` returns, neither the stopped node's block
+/// processor nor its post-commit worker is still running. No grace
+/// period: `NodeProc::shutdown` joins them.
+fn a_stopped_node_has_joined_its_block_processor() {
+    let root = std::env::temp_dir().join(format!("bcrdb-node-lifetime-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cfg = NetworkConfig::quick(&["org1", "org2"], Flow::OrderThenExecute);
+    cfg.genesis_sql = Some(DEFAULT_GENESIS_SQL.into());
+    // Small durable blocks, each followed by a state snapshot: the
+    // post-commit queue is full of fsyncs when the node is stopped.
+    cfg.ordering = OrderingConfig::kafka(1, 4, Duration::from_millis(20));
+    cfg.data_root = Some(root.clone());
+    cfg.fsync = true;
+    cfg.snapshot_interval = 1;
+    let net = Network::build(cfg).unwrap();
+    let client = net.client("org1", "alice").unwrap();
+    for id in 0..400i64 {
+        let call = client.call("bench_tx").arg(id).arg(1).arg(2).arg("x");
+        call.arg(0.5).submit().unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while net.node("org2").unwrap().height() < 5 {
+        assert!(Instant::now() < deadline, "nothing committed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // `comm` keeps 15 bytes: "org2/peer-blockproc" and
+    // "org2/peer-postcommit" read as below.
+    let ours = |name: &String| name == "org2/peer-block" || name == "org2/peer-postc";
+    if cfg!(target_os = "linux") {
+        assert_eq!(thread_names().into_iter().filter(ours).count(), 2);
+    }
+    // Stop it with commits and post-commit work in flight.
+    net.stop_node("org2").unwrap();
+    let left: Vec<String> = thread_names().into_iter().filter(ours).collect();
+    assert!(left.is_empty(), "still running after stop_node: {left:?}");
+    net.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn a_dropped_node_frees_its_workers_and_its_state() {
+    a_stopped_node_has_joined_its_block_processor();
+
     let threads_before = threads();
     let flow = Flow::OrderThenExecute;
 

@@ -474,22 +474,49 @@ fn mixed_blocks_live_run_matches_replay() {
 
 /// `bet` is the measured wait at the pipeline head, not a count of
 /// expired 2 ms wait slices: executions that finish inside the first
-/// slice still show up in it.
+/// slice still show up in it. The three transactions of the block each
+/// count a 400-row table (0.5–2 ms of work) and run side by side, so the
+/// head waits about one execution time for them (less whatever the commit
+/// thread lost to the scheduler before it started waiting).
 #[test]
 fn head_wait_shorter_than_a_slice_is_reported_in_bet() {
+    use bcrdb::common::schema::{Column, DataType, TableSchema};
+    use bcrdb::storage::version::Version;
+
     let rig = Rig::new();
-    let node = rig.node_with(|cfg| {
-        cfg.fsync = false;
-        cfg.min_exec_micros = 1_000;
-    });
+    let node = rig.node_with(|cfg| cfg.fsync = false);
+    let columns = vec![
+        Column::new("id", DataType::Int),
+        Column::new("v", DataType::Int),
+    ];
+    let schema = TableSchema::new("seeded", columns, vec![0]).unwrap();
+    let seeded = node.catalog().create_table(schema).unwrap();
+    for i in 0..400 {
+        let row = vec![Value::Int(i), Value::Int(i % 7)];
+        let rid = seeded.alloc_row_id();
+        let xmin = bcrdb::common::ids::TxId::INVALID;
+        seeded.append_restored(Version::restored(xmin, row, rid, 0, None, None));
+    }
+    let tally = "CREATE FUNCTION tally(k INT) AS $$ \
+                   INSERT INTO kv SELECT $1, COUNT(*) FROM seeded WHERE v > 2 $$";
+    if let bcrdb::sql::ast::Statement::CreateFunction(def) =
+        bcrdb::sql::parse_statement(tally).unwrap()
+    {
+        node.contracts().install(def).unwrap();
+    }
+
     let (tx, rx) = crossbeam_channel::unbounded::<Arc<Block>>();
     node.start(rx);
-    tx.send(rig.block(&node, 1, 0..3)).unwrap();
+    let calls: Vec<(&str, Vec<Value>)> = (0..3).map(|k| ("tally", vec![Value::Int(k)])).collect();
+    tx.send(rig.block_of(&node, 1, &calls, 0)).unwrap();
     await_postcommit(&node, 1);
+    assert_eq!(node.metrics().committed(), 3);
     let m = node.metrics().take();
+    assert!(m.tet_ms > 0.05, "counting 400 rows took {} ms", m.tet_ms);
     assert!(
-        m.bet_ms >= 0.5,
-        "1 ms executions reported bet = {} ms",
+        m.bet_ms >= 0.25 * m.tet_ms,
+        "executions of {} ms each reported bet = {} ms",
+        m.tet_ms,
         m.bet_ms
     );
     assert!(m.bpt_ms >= m.bet_ms);

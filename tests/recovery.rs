@@ -115,9 +115,12 @@ impl Rig {
     }
 }
 
-fn deliver_all(node: &Arc<Node>, blocks: &[Arc<Block>]) {
+/// A node's running block processor, to be [`stop`]ped.
+type Running = std::thread::JoinHandle<()>;
+
+fn deliver_all(node: &Arc<Node>, blocks: &[Arc<Block>]) -> Running {
     let (tx, rx) = crossbeam_channel::unbounded();
-    node.start(rx);
+    let running = node.start(rx);
     for b in blocks {
         tx.send(Arc::clone(b)).unwrap();
     }
@@ -131,6 +134,15 @@ fn deliver_all(node: &Arc<Node>, blocks: &[Arc<Block>]) {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+    running
+}
+
+/// Stop a node and wait until its block processor and post-commit worker
+/// are done with its directory (a snapshot's tmp + rename may be in
+/// flight), so the directory can be reopened or removed.
+fn stop(node: &Arc<Node>, running: Running) {
+    node.shutdown();
+    running.join().unwrap();
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -148,12 +160,12 @@ fn restart_replays_blockstore_to_identical_state() {
 
     let hash_before = {
         let node = rig.node(&dir, 0);
-        deliver_all(&node, &blocks);
+        let running = deliver_all(&node, &blocks);
         assert_eq!(node.height(), 4);
         let r = node.query("SELECT COUNT(*) FROM kv", &[]).unwrap();
         assert_eq!(r.rows[0][0], Value::Int(20));
         let h = node.state_hash();
-        node.shutdown();
+        stop(&node, running);
         h
     };
 
@@ -180,9 +192,9 @@ fn restart_with_snapshot_replays_only_the_tail() {
     let hash_before = {
         // Snapshot every 2 blocks → snapshot at height 4, blocks 5 replayed.
         let node = rig.node(&dir, 2);
-        deliver_all(&node, &blocks);
+        let running = deliver_all(&node, &blocks);
         let h = node.state_hash();
-        node.shutdown();
+        stop(&node, running);
         h
     };
     assert!(dir.join("state.snapshot").exists(), "snapshot written");
@@ -205,19 +217,19 @@ fn crash_mid_chain_resumes_with_remaining_blocks() {
     {
         // "Crash" after two blocks.
         let node = rig.node(&dir, 0);
-        deliver_all(&node, &blocks[..2]);
-        node.shutdown();
+        let running = deliver_all(&node, &blocks[..2]);
+        stop(&node, running);
     }
     {
         // Restart: replays blocks 1–2, then receives 3–4 (plus duplicate
         // deliveries of 1–2, which must be ignored).
         let node = rig.node(&dir, 0);
         assert_eq!(node.height(), 2);
-        deliver_all(&node, &blocks); // includes duplicates of 1 and 2
+        let running = deliver_all(&node, &blocks); // includes duplicates of 1 and 2
         assert_eq!(node.height(), 4);
         let r = node.query("SELECT COUNT(*) FROM kv", &[]).unwrap();
         assert_eq!(r.rows[0][0], Value::Int(12));
-        node.shutdown();
+        stop(&node, running);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -266,8 +278,8 @@ fn recovered_node_matches_never_crashed_node() {
     let dir = temp_dir("thrash");
     for end in 1..=3 {
         let node = rig.node(&dir, 1); // snapshot every block
-        deliver_all(&node, &blocks[..end]);
-        node.shutdown();
+        let running = deliver_all(&node, &blocks[..end]);
+        stop(&node, running);
     }
     let node = rig.node(&dir, 1);
     assert_eq!(node.height(), reference.height());
@@ -292,8 +304,8 @@ fn tampered_blockstore_refuses_to_start() {
     let blocks = rig.blocks(2, 3);
     {
         let node = rig.node(&dir, 0);
-        deliver_all(&node, &blocks);
-        node.shutdown();
+        let running = deliver_all(&node, &blocks);
+        stop(&node, running);
     }
     // Corrupt a byte inside the first block's transactions.
     let path = dir.join("blocks.dat");
