@@ -24,6 +24,8 @@ use bcrdb_bench::contracts::{Workload, WorkloadKind, GROUPS};
 use bcrdb_bench::harness::{
     bench_config, run_batch, run_open_loop, seed_genesis_rows, BenchNetwork, RunStats,
 };
+use bcrdb_chain::blockstore::TAIL_BLOCKS;
+use bcrdb_chain::ledger::LEDGER_TABLE_NAME;
 use bcrdb_chain::tx::{Payload, Transaction};
 use bcrdb_common::value::Value;
 use bcrdb_core::{Network, NetworkConfig};
@@ -197,6 +199,15 @@ const EXPERIMENTS: &[Experiment] = &[
                 the hot share while the rate of processed transactions holds.",
         run: contention,
         shape: contention_shape,
+    },
+    Experiment {
+        id: "memory",
+        claim: "Sec. 4.2: pgBlockstore is an append-only file beside the database, so what a node \
+                keeps in memory per transaction is its rows, its ledger entry and their index \
+                entries; the chain itself costs a bounded number of resident blocks however long \
+                it grows.",
+        run: memory,
+        shape: memory_shape,
     },
     Experiment {
         id: "prepared",
@@ -845,6 +856,108 @@ fn table3_shape(t: &Table) -> Vec<Check> {
         )
     };
     t.rows.iter().map(exact).collect()
+}
+
+/// Transactions of the `memory` census, submitted in closed rounds.
+const CENSUS_TXS: u64 = 50_000;
+/// One `submit_all` per client and round: a third of this must fit the
+/// 1,024-transaction client window.
+const CENSUS_ROUND: u64 = 2_500;
+/// Process RSS growth per transaction of this run on the commit before
+/// the block store was bounded (PR 16; three runs 5,687 / 5,693 / 5,750 on
+/// the two-thread host, all three nodes in the one process).
+const PARENT_RSS_PER_TX: f64 = 5_690.0;
+
+/// Resident set of this process, from `/proc/self/status`.
+fn vm_rss_bytes() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"));
+    let kb = line.and_then(|l| l.split_whitespace().nth(1)?.parse::<f64>().ok());
+    kb.expect("VmRSS line") * 1024.0
+}
+
+fn memory() -> Table {
+    let root = std::env::temp_dir().join(format!("bcrdb-reproduce-memory-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut cfg = bench_config(Flow::OrderThenExecute, 100, Duration::from_millis(100));
+    cfg.data_root = Some(root.clone());
+    let workload = Workload::new(WorkloadKind::Simple, 0);
+    let bench = BenchNetwork::build(cfg, workload).expect("network");
+    let before = vm_rss_bytes();
+    for round in 0..CENSUS_TXS / CENSUS_ROUND {
+        let outcome = run_batch(
+            &bench,
+            CENSUS_ROUND,
+            round * CENSUS_ROUND,
+            Duration::from_secs(120),
+        );
+        assert_eq!(outcome.expect("round"), (CENSUS_ROUND, 0), "inserts commit");
+    }
+    let nodes = bench.net.nodes();
+    let head = nodes.iter().map(|n| n.height()).max().expect("nodes");
+    bench
+        .net
+        .await_height(head, Duration::from_secs(60))
+        .expect("every node at the head");
+    let grown = vm_rss_bytes() - before;
+
+    let mut t = Table::new(&["count", "per_tx"]);
+    let mut row = |key: String, count: f64| t.push(key, vec![count, count / CENSUS_TXS as f64]);
+    for node in &nodes {
+        let org = &node.config.org;
+        row(
+            format!("{org} blocks stored"),
+            node.blockstore.height() as f64,
+        );
+        row(
+            format!("{org} blocks resident decoded"),
+            node.blockstore.resident_blocks() as f64,
+        );
+        for name in ["bench_simple", LEDGER_TABLE_NAME] {
+            let table = node.catalog().get(name).expect("table");
+            let index_entries: usize = (0..table.schema().arity())
+                .filter_map(|c| table.index_for(c))
+                .map(|index| index.entry_count())
+                .sum();
+            let stats_keys: u64 = table
+                .stats_summary_at(node.height())
+                .map_or(0, |s| s.columns.iter().map(|(_, c)| c.distinct).sum());
+            row(
+                format!("{org} {name} heap versions"),
+                table.version_count() as f64,
+            );
+            row(format!("{org} {name} index entries"), index_entries as f64);
+            row(format!("{org} {name} stats keys"), stats_keys as f64);
+        }
+        row(
+            format!("{org} processed ids"),
+            node.processed_count() as f64,
+        );
+    }
+    row("process VmRSS growth, bytes".into(), grown);
+    bench.net.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+    t
+}
+
+fn memory_shape(t: &Table) -> Vec<Check> {
+    let mut checks = Vec::new();
+    for org in ["org1", "org2", "org3"] {
+        let (stored, resident) = (
+            t.get(&format!("{org} blocks stored"), "count"),
+            t.get(&format!("{org} blocks resident decoded"), "count"),
+        );
+        checks.push(check(
+            resident <= TAIL_BLOCKS as f64 && stored > resident,
+            format!("{org}: {resident} of {stored} blocks resident, bound {TAIL_BLOCKS}"),
+        ));
+    }
+    let per_tx = t.get("process VmRSS growth, bytes", "per_tx");
+    checks.push(check(
+        per_tx < PARENT_RSS_PER_TX,
+        format!("RSS growth {per_tx:.0} B/tx < the parent's {PARENT_RSS_PER_TX:.0} B/tx"),
+    ));
+    checks
 }
 
 fn prepared() -> Table {

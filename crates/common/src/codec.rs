@@ -50,6 +50,21 @@ impl Encoder {
         self.buf
     }
 
+    /// The bytes encoded so far (none in counting mode). With
+    /// [`Encoder::clear`], lets a long encoding be consumed in pieces
+    /// through one reused buffer.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forget the bytes encoded so far, keeping the buffer's capacity.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        if let Some(n) = &mut self.counted {
+            *n = 0;
+        }
+    }
+
     /// Encoded length so far.
     pub fn len(&self) -> usize {
         self.counted.unwrap_or(self.buf.len())

@@ -15,7 +15,7 @@ use bcrdb_common::error::{AbortReason, Error, Result};
 use bcrdb_common::ids::{BlockHeight, GlobalTxId, RowId, TxId};
 use bcrdb_common::value::Value;
 use bcrdb_crypto::identity::CertificateRegistry;
-use bcrdb_crypto::sha256::{sha256, Digest};
+use bcrdb_crypto::sha256::{Digest, Sha256};
 use bcrdb_engine::access::AccessController;
 use bcrdb_engine::exec::{Executor, StatementEffect};
 use bcrdb_engine::prepared::PreparedQuery;
@@ -261,9 +261,10 @@ impl Node {
     /// original run — on-chain deployments are replayed automatically.
     /// Returns the recovered height.
     pub fn recover(self: &Arc<Self>) -> Result<BlockHeight> {
-        let replay = self.blockstore.blocks_after(self.height());
-        for block in replay {
-            processor::process_block(self, &block)?;
+        // One block resident at a time: a long chain replays in the
+        // memory of its state, not of its history.
+        for n in self.height() + 1..=self.blockstore.height() {
+            processor::process_block(self, &self.blockstore.read(n)?)?;
         }
         if self.hooks.read().sync_fetch.is_some() {
             // Quiescent (not yet serving traffic): snapshot fast-sync is
@@ -310,16 +311,14 @@ impl Node {
                 }
             }
         }
-        let max = req.max_blocks.max(1);
-        let mut blocks = Vec::new();
-        let mut n = req.from_height + 1;
-        while n <= tip && (blocks.len() as u64) < max {
-            let Some(b) = self.blockstore.get(n) else {
-                break;
-            };
-            blocks.push((*b).clone());
-            n += 1;
-        }
+        // A height that no longer verifies ends the batch: the requester
+        // asks another peer for it (an empty answer below the tip is a
+        // failed round on its side).
+        let last = tip.min(req.from_height.saturating_add(req.max_blocks.max(1)));
+        let blocks = (req.from_height.saturating_add(1)..=last)
+            .map_while(|n| self.blockstore.get(n))
+            .map(Arc::unwrap_or_clone)
+            .collect();
         SyncResponse::Blocks { blocks, tip }
     }
 
@@ -703,6 +702,12 @@ impl Node {
         self.notifications.subscribe_all()
     }
 
+    /// Transaction ids remembered for duplicate suppression: one per
+    /// transaction ever processed (observability / the memory census).
+    pub fn processed_count(&self) -> usize {
+        self.env.processed.lock().len()
+    }
+
     /// Checkpoint divergences detected so far (§3.5 properties 3/5).
     pub fn divergences(&self) -> Vec<Divergence> {
         self.divergences.lock().clone()
@@ -712,38 +717,48 @@ impl Node {
     /// the ledger table (whose commit timestamps are node-local). Two
     /// honest replicas at the same height produce identical hashes.
     pub fn state_hash(&self) -> Digest {
-        let mut enc = Encoder::with_capacity(64 * 1024);
-        enc.put_u64(self.height());
+        /// Encoded bytes buffered between two feeds of the hash.
+        const CHUNK: usize = 64 * 1024;
+        let height = self.height();
+        let mut hasher = Sha256::new();
+        let mut enc = Encoder::with_capacity(CHUNK);
+        enc.put_u64(height);
         for name in self.env.catalog.table_names() {
             if name == LEDGER_TABLE_NAME {
                 continue;
             }
             let table = self.env.catalog.get(&name).expect("listed table");
             enc.put_str(&name);
-            // Committed versions in (row id, creator block) order.
-            let mut versions: Vec<(u64, u64, Vec<Value>, Option<u64>)> = table
+            // Committed versions in (row id, creator block) order: handles
+            // are sorted, rows are encoded from where they live.
+            let mut versions: Vec<(u64, u64, Option<u64>, Arc<Version>)> = table
                 .all_versions()
-                .iter()
+                .into_iter()
                 .filter_map(|v| {
                     let st = v.state();
                     let creator = st.creator_block?;
-                    if st.aborted || creator > self.height() {
+                    if st.aborted || creator > height {
                         return None;
                     }
-                    let deleter = st.deleter_block.filter(|d| *d <= self.height());
-                    Some((st.row_id.0, creator, v.data.clone(), deleter))
+                    let deleter = st.deleter_block.filter(|d| *d <= height);
+                    Some((st.row_id.0, creator, deleter, v))
                 })
                 .collect();
             versions.sort_by_key(|(rid, cb, _, _)| (*rid, *cb));
             enc.put_u32(versions.len() as u32);
-            for (rid, cb, data, deleter) in versions {
+            for (rid, cb, deleter, version) in versions {
                 enc.put_u64(rid);
                 enc.put_u64(cb);
                 enc.put_u64(deleter.unwrap_or(0));
-                enc.put_row(&data);
+                enc.put_row(&version.data);
+                if enc.len() >= CHUNK {
+                    hasher.update(enc.as_bytes());
+                    enc.clear();
+                }
             }
         }
-        sha256(&enc.finish())
+        hasher.update(enc.as_bytes());
+        hasher.finalize()
     }
 
     /// Reclaim old row versions across all tables (the enhanced vacuum of

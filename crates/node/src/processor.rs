@@ -175,7 +175,7 @@ pub fn on_block(node: &Arc<Node>, block: &Arc<Block>) -> Result<()> {
         )));
     }
     verify(node, block)?;
-    node.blockstore.append((**block).clone())?;
+    node.blockstore.append(Arc::clone(block))?;
     if block.number > node.height() {
         process_block(node, block)?;
     }
@@ -623,7 +623,7 @@ fn admit(
     // The append skips `sync_data`: the post-commit worker group-syncs
     // before anyone is notified.
     if let Err(e) =
-        verify(node, &block).and_then(|()| node.blockstore.append_deferred((*block).clone()))
+        verify(node, &block).and_then(|()| node.blockstore.append_deferred(Arc::clone(&block)))
     {
         halt(node, block.number, &e);
         return Err(());

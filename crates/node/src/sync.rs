@@ -212,30 +212,41 @@ mod tests {
         }
 
         fn feed(&self, node: &Arc<Node>, count: u64, per_block: u64) {
-            let mut prev = node.blockstore.tip_hash();
-            let start = node.height();
-            let mut n = start * per_block;
-            for b in start + 1..=start + count {
-                let txs: Vec<Transaction> = (0..per_block)
-                    .map(|_| {
-                        n += 1;
-                        Transaction::new_order_execute(
-                            "org1/alice",
+            let mut n = node.height() * per_block;
+            let blocks = (0..count)
+                .map(|_| {
+                    (0..per_block)
+                        .map(|_| {
+                            n += 1;
                             Payload::new(
                                 "put",
                                 vec![Value::Int(n as i64), Value::Int((n * 10) as i64)],
-                            ),
-                            n,
-                            &self.client,
-                        )
-                        .unwrap()
+                            )
+                        })
+                        .collect()
+                })
+                .collect();
+            self.feed_calls(node, blocks);
+        }
+
+        /// Append and replay one block per inner list of contract calls.
+        fn feed_calls(&self, node: &Arc<Node>, blocks: Vec<Vec<Payload>>) {
+            let mut prev = node.blockstore.tip_hash();
+            let mut nonce = node.height() * 1_000;
+            for (b, calls) in (node.height() + 1..).zip(blocks) {
+                let txs: Vec<Transaction> = calls
+                    .into_iter()
+                    .map(|payload| {
+                        nonce += 1;
+                        Transaction::new_order_execute("org1/alice", payload, nonce, &self.client)
+                            .unwrap()
                     })
                     .collect();
                 let mut block = Block::build(b, prev, txs, "solo", vec![]);
                 block.sign(&self.orderer).unwrap();
                 prev = block.hash;
                 let block = Arc::new(block);
-                node.blockstore.append((*block).clone()).unwrap();
+                node.blockstore.append(Arc::clone(&block)).unwrap();
                 processor::process_block(node, &block).unwrap();
             }
         }
@@ -328,5 +339,124 @@ mod tests {
         let stats = node.catch_up(true).unwrap();
         assert_eq!(stats.rounds, 0);
         assert_eq!(node.height(), 0);
+    }
+
+    /// `state_hash` is a function of the committed rows alone: this
+    /// digest was recorded before the hash was streamed, over inserts,
+    /// an update (two versions of one row), a delete (a deleter height)
+    /// and text values in a second table.
+    #[test]
+    fn state_hash_golden_digest() {
+        let rig = Rig::new();
+        let node = rig.node("org1/peer-a", 0, 0);
+        use bcrdb_common::schema::{Column, DataType, TableSchema};
+        node.catalog()
+            .create_table(
+                TableSchema::new(
+                    "notes",
+                    vec![
+                        Column::new("id", DataType::Int),
+                        Column::new("body", DataType::Text),
+                        Column::nullable("score", DataType::Float),
+                    ],
+                    vec![0],
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        for sql in [
+            "CREATE FUNCTION upd(k INT, v INT) AS $$ UPDATE kv SET v = $2 WHERE k = $1 $$",
+            "CREATE FUNCTION del(k INT) AS $$ DELETE FROM kv WHERE k = $1 $$",
+            "CREATE FUNCTION note(i INT, b TEXT, s FLOAT) AS $$ INSERT INTO notes VALUES ($1, $2, $3) $$",
+        ] {
+            if let Statement::CreateFunction(def) = bcrdb_sql::parse_statement(sql).unwrap() {
+                node.contracts().install(def).unwrap();
+            }
+        }
+        rig.feed(&node, 3, 4);
+        let int = |i: i64| Value::Int(i);
+        rig.feed_calls(
+            &node,
+            vec![
+                vec![
+                    Payload::new("upd", vec![int(2), int(-7)]),
+                    Payload::new(
+                        "note",
+                        vec![int(1), Value::Text("first".into()), Value::Float(0.5)],
+                    ),
+                ],
+                vec![
+                    Payload::new("del", vec![int(5)]),
+                    Payload::new(
+                        "note",
+                        vec![int(2), Value::Text(String::new()), Value::Null],
+                    ),
+                    // Duplicate key: aborts, leaves no committed version.
+                    Payload::new("put", vec![int(1), int(1)]),
+                ],
+            ],
+        );
+        assert_eq!(node.height(), 5);
+        // What the digest covers: 11 live kv rows (12 put, one deleted,
+        // the duplicate refused), the updated value, both notes.
+        let scalar = |sql: &str| node.query(sql, &[]).unwrap().rows[0][0].clone();
+        assert_eq!(scalar("SELECT COUNT(*) FROM kv"), Value::Int(11));
+        assert_eq!(scalar("SELECT v FROM kv WHERE k = 2"), Value::Int(-7));
+        assert_eq!(scalar("SELECT v FROM kv WHERE k = 1"), Value::Int(10));
+        assert_eq!(scalar("SELECT COUNT(*) FROM notes"), Value::Int(2));
+        // 12 puts + the update's successor + the aborted duplicate, which
+        // stays in the heap and must not be hashed.
+        assert_eq!(node.catalog().get("kv").unwrap().version_count(), 14);
+        let hex = |d: [u8; 32]| bcrdb_crypto::sha256::to_hex(&d);
+        assert_eq!(
+            hex(node.state_hash()),
+            "9328486f7ccf267c07435720be82f49ace1d8b7cba99d495cb2ec2e04a9b4a1b"
+        );
+        // 4,000 more rows encode to ≈ 180 KB: the hash is fed in several
+        // buffers' worth and must not depend on where they split.
+        rig.feed(&node, 40, 100);
+        assert_eq!(scalar("SELECT COUNT(*) FROM kv"), Value::Int(4_011));
+        assert_eq!(
+            hex(node.state_hash()),
+            "3567b17e3fa46f9910709975cf182877b88edf794b225c6b30b65f7d0243f7f2"
+        );
+    }
+
+    /// A request from genesis against a long chain is answered from the
+    /// log, one batch at a time, and the batch links up like live blocks.
+    #[test]
+    fn serve_sync_reads_a_batch_below_the_tail_from_the_log() {
+        let rig = Rig::new();
+        let server = rig.node("org1/peer-a", 0, 0);
+        rig.feed(&server, 300, 1);
+        assert!(server.blockstore.resident_blocks() <= bcrdb_chain::blockstore::TAIL_BLOCKS);
+        let resp = server.serve_sync(&SyncRequest {
+            from_height: 0,
+            max_blocks: 64,
+            allow_snapshot: false,
+        });
+        let SyncResponse::Blocks { blocks, tip } = resp else {
+            panic!("expected blocks");
+        };
+        assert_eq!(tip, 300);
+        assert_eq!(blocks.len(), 64);
+        let mut prev = bcrdb_chain::block::genesis_prev_hash();
+        for (n, b) in (1..).zip(&blocks) {
+            assert_eq!(b.number, n);
+            b.verify(&prev, &rig.certs).unwrap();
+            prev = b.hash;
+        }
+        // The last batch stops at the tip; a request at the tip is empty.
+        let tail = |from| match server.serve_sync(&SyncRequest {
+            from_height: from,
+            max_blocks: 64,
+            allow_snapshot: false,
+        }) {
+            SyncResponse::Blocks { blocks, .. } => blocks.len(),
+            SyncResponse::Snapshot { .. } => panic!("expected blocks"),
+        };
+        assert_eq!(tail(290), 10);
+        assert_eq!(tail(300), 0);
+        assert_eq!(tail(u64::MAX), 0);
     }
 }

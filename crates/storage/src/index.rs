@@ -10,7 +10,7 @@
 //! execute-order-in-parallel flow (§4.3); [`KeyRange`] is both the scan
 //! argument here and the *predicate lock* granularity used by the SSI layer.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Bound;
 
 use bcrdb_common::value::Value;
@@ -113,13 +113,56 @@ impl KeyRange {
     }
 }
 
+/// The heap positions under one key. A unique column (every primary key,
+/// the ledger's `txid`) has one version per key until the row is updated,
+/// so the first position is held inline and only a second one pays for a
+/// heap `Vec`.
+enum Positions {
+    One(usize),
+    /// Two or more, in insertion order.
+    Many(Vec<usize>),
+}
+
+impl Positions {
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Positions::One(p) => std::slice::from_ref(p),
+            Positions::Many(ps) => ps,
+        }
+    }
+
+    fn push(&mut self, position: usize) {
+        match self {
+            Positions::One(first) => *self = Positions::Many(vec![*first, position]),
+            Positions::Many(ps) => ps.push(position),
+        }
+    }
+
+    /// Drop `position` if present. `false` when that was the last one and
+    /// the key must go.
+    fn remove(&mut self, position: usize) -> bool {
+        match self {
+            Positions::One(p) => *p != position,
+            Positions::Many(ps) => {
+                if let Some(i) = ps.iter().position(|p| *p == position) {
+                    ps.remove(i);
+                }
+                if let [last] = ps[..] {
+                    *self = Positions::One(last);
+                }
+                true
+            }
+        }
+    }
+}
+
 /// A concurrent B-tree index from column value to heap positions.
 pub struct BTreeIndex {
     /// Indexed column ordinal.
     pub column: usize,
     /// Index name (for catalog display).
     pub name: String,
-    map: RwLock<BTreeMap<Value, Vec<usize>>>,
+    map: RwLock<BTreeMap<Value, Positions>>,
 }
 
 impl BTreeIndex {
@@ -134,7 +177,12 @@ impl BTreeIndex {
 
     /// Register a heap position under `key`.
     pub fn insert(&self, key: Value, position: usize) {
-        self.map.write().entry(key).or_default().push(position);
+        match self.map.write().entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(Positions::One(position));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(position),
+        }
     }
 
     /// Heap positions whose key falls in `range`, in key order. Positions
@@ -143,13 +191,16 @@ impl BTreeIndex {
     pub fn positions_in_range(&self, range: &KeyRange) -> Vec<usize> {
         let map = self.map.read();
         map.range((range.low.clone(), range.high.clone()))
-            .flat_map(|(_, positions)| positions.iter().copied())
+            .flat_map(|(_, positions)| positions.as_slice().iter().copied())
             .collect()
     }
 
     /// Heap positions with exactly `key`.
     pub fn positions_eq(&self, key: &Value) -> Vec<usize> {
-        self.map.read().get(key).cloned().unwrap_or_default()
+        self.map
+            .read()
+            .get(key)
+            .map_or_else(Vec::new, |positions| positions.as_slice().to_vec())
     }
 
     /// Number of distinct keys.
@@ -159,7 +210,11 @@ impl BTreeIndex {
 
     /// Total number of position entries.
     pub fn entry_count(&self) -> usize {
-        self.map.read().values().map(Vec::len).sum()
+        self.map
+            .read()
+            .values()
+            .map(|positions| positions.as_slice().len())
+            .sum()
     }
 
     /// Drop one `(key, position)` entry. Position-targeted removal is what
@@ -169,10 +224,7 @@ impl BTreeIndex {
     pub fn remove(&self, key: &Value, position: usize) {
         let mut map = self.map.write();
         if let Some(positions) = map.get_mut(key) {
-            if let Some(i) = positions.iter().position(|p| *p == position) {
-                positions.remove(i);
-            }
-            if positions.is_empty() {
+            if !positions.remove(position) {
                 map.remove(key);
             }
         }
@@ -276,5 +328,88 @@ mod tests {
             idx.positions_in_range(&KeyRange::greater(Value::Int(0), true)),
             vec![1]
         );
+    }
+
+    /// Seeded model test: the inline-first representation against the
+    /// plain `BTreeMap<Value, Vec<usize>>` it replaced. A six-key domain
+    /// and eight positions make every key go empty → one → many → one →
+    /// empty many times, and half the removals name a position that is
+    /// not there.
+    #[test]
+    fn matches_reference_map_under_random_inserts_and_removes() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |bound: u64| {
+            // xorshift64*
+            seed ^= seed >> 12;
+            seed ^= seed << 25;
+            seed ^= seed >> 27;
+            (seed.wrapping_mul(0x2545_f491_4f6c_dd1d) >> 33) % bound
+        };
+        let idx = BTreeIndex::new("idx", 0);
+        let mut model: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
+        let mut widest = 0;
+        for step in 0..4_000 {
+            let key = Value::Int(next(6) as i64);
+            let position = next(8) as usize;
+            if next(2) == 0 {
+                // The heap never registers one slot twice under a key.
+                let slots = model.entry(key.clone()).or_default();
+                if !slots.contains(&position) {
+                    slots.push(position);
+                    idx.insert(key, position);
+                }
+            } else {
+                if let Some(slots) = model.get_mut(&key) {
+                    slots.retain(|p| *p != position);
+                    if slots.is_empty() {
+                        model.remove(&key);
+                    }
+                }
+                idx.remove(&key, position);
+            }
+
+            assert_eq!(idx.key_count(), model.len(), "step {step}");
+            assert_eq!(
+                idx.entry_count(),
+                model.values().map(Vec::len).sum::<usize>(),
+                "step {step}"
+            );
+            for k in -1..7 {
+                let k = Value::Int(k);
+                let expected = model.get(&k).cloned().unwrap_or_default();
+                assert_eq!(idx.positions_eq(&k), expected, "step {step} key {k:?}");
+            }
+            // One position is always held inline, also after shrinking.
+            for (k, positions) in idx.map.read().iter() {
+                let inline = matches!(positions, Positions::One(_));
+                assert_eq!(inline, model[k].len() == 1, "step {step} key {k:?}");
+                widest = widest.max(model[k].len());
+            }
+
+            let (a, b) = (next(8) as i64 - 1, next(8) as i64 - 1);
+            let bound = |v: i64, kind: u64| match kind {
+                0 => Bound::Included(Value::Int(v)),
+                1 => Bound::Excluded(Value::Int(v)),
+                _ => Bound::Unbounded,
+            };
+            let range = KeyRange {
+                low: bound(a.min(b), next(3)),
+                high: bound(a.max(b), next(3)),
+            };
+            if a == b && range.low == range.high && matches!(range.low, Bound::Excluded(_)) {
+                continue; // `BTreeMap::range` rejects (Excluded(x), Excluded(x))
+            }
+            let expected: Vec<usize> = model
+                .iter()
+                .filter(|(k, _)| range.contains(k))
+                .flat_map(|(_, slots)| slots.iter().copied())
+                .collect();
+            assert_eq!(
+                idx.positions_in_range(&range),
+                expected,
+                "step {step} {range:?}"
+            );
+        }
+        assert!(widest > 2, "the walk reached many positions under one key");
     }
 }
