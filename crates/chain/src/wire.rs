@@ -83,7 +83,7 @@ const MIN_SIGNATURE_ENCODING: usize = 1 + 8 + 4 + 4 + 4;
 
 /// Fewest bytes a [`Transaction`] encodes to: id, empty user, contract
 /// and argument row, the snapshot flag, and a minimal signature.
-const MIN_TX_ENCODING: usize = 32 + 4 + 4 + 4 + 1 + MIN_SIGNATURE_ENCODING;
+pub const MIN_TX_ENCODING: usize = 32 + 4 + 4 + 4 + 1 + MIN_SIGNATURE_ENCODING;
 
 /// Fewest bytes a [`CheckpointVote`] encodes to (empty node name).
 const MIN_VOTE_ENCODING: usize = 4 + 8 + 32;

@@ -4,9 +4,9 @@
 //! The typed session surface (fluent calls, prepared statements, typed
 //! rows, batch submission) lives in [`crate::session`]. A client owns
 //! its signing key, its transaction flow, and one transport connection;
-//! every interaction with the node — submissions, queries, notification
-//! waits — travels that connection, so swapping the backend (in-process
-//! vs simulated wire) changes costs, never semantics.
+//! every interaction with the node — submissions and their
+//! notifications, queries — travels that connection, so swapping the
+//! backend (in-process vs simulated wire) changes costs, never semantics.
 //!
 //! The pre-session stringly shims (`invoke`/`query`/…) completed their
 //! one-release deprecation window and are gone; see `README.md` history

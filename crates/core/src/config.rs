@@ -81,9 +81,7 @@ pub struct NetworkConfig {
     /// and `docs/ON_DISK_FORMAT.md`). Requires `data_root`.
     pub paged: bool,
     /// Buffer-pool capacity per node in 8 KB frames (minimum 1; only
-    /// meaningful with `paged`). Defaults from the `BCRDB_POOL_FRAMES`
-    /// environment variable (unset = 1024 frames) for A/B runs and the
-    /// CI small-pool matrix; see `NodeConfig::buffer_pool_frames`.
+    /// meaningful with `paged`); see `NodeConfig::buffer_pool_frames`.
     pub buffer_pool_frames: usize,
     /// Blocks of recent history kept resident on paged nodes; see
     /// `NodeConfig::spill_retention`. Minimum 1.
@@ -116,7 +114,7 @@ impl NetworkConfig {
             snapshot_lag_threshold: 512,
             vacuum_interval: 0,
             paged: false,
-            buffer_pool_frames: bcrdb_node::pool_frames_by_env(),
+            buffer_pool_frames: bcrdb_node::DEFAULT_POOL_FRAMES,
             spill_retention: 64,
         }
     }

@@ -178,7 +178,6 @@ pub struct NodeSpec {
     /// Requires `data_dir`.
     pub paged: bool,
     /// Buffer-pool capacity in 8 KB frames when `paged` (minimum 1).
-    /// Defaults from `BCRDB_POOL_FRAMES` (unset = 1024).
     pub pool_frames: usize,
     /// Restart / late-join: catch up from peers during recovery before
     /// serving clients (§3.6). A fresh cluster boots with `false`.
@@ -516,7 +515,7 @@ impl TcpCluster {
                 orderer_addr: ord_addrs[i].clone(),
                 data_dir: data_root.as_ref().map(|r| r.join(&orgs[i])),
                 paged: false,
-                pool_frames: bcrdb_node::pool_frames_by_env(),
+                pool_frames: bcrdb_node::DEFAULT_POOL_FRAMES,
                 rejoin: false,
             };
             // A partial launch is unwound like a complete one.

@@ -47,7 +47,7 @@ pub mod system;
 pub mod tcp;
 pub mod transport;
 
-pub use bcrdb_node::pool_frames_by_env;
+pub use bcrdb_node::DEFAULT_POOL_FRAMES;
 pub use client::Client;
 pub use config::NetworkConfig;
 pub use deploy::{

@@ -28,9 +28,9 @@
 //!   decode results into Rust types, with failures as
 //!   [`Error::Decode`].
 //!
-//! * **Batch submission** — [`Client::submit_all`] signs and submits a
-//!   whole batch, returning a [`PendingBatch`] whose notifications are
-//!   fanned in to a single channel.
+//! * **Batch submission** — [`Client::submit_all`] signs a whole batch
+//!   and submits it as one request, returning a [`PendingBatch`] whose
+//!   notifications are fanned in to a single channel.
 //!
 //! * **Admission control** — each client bounds its in-flight
 //!   transactions (`NetworkConfig::client_window`); a full window is
@@ -59,14 +59,6 @@ use crate::client::Client;
 use crate::transport::NodeTransport;
 
 // -------------------------------------------------------------- helpers
-
-/// Round-trip a request that answers with `Ack`.
-fn rpc_ack(transport: &dyn NodeTransport, req: ClientRequest) -> Result<()> {
-    match transport.call(req)? {
-        ClientResponse::Ack => Ok(()),
-        other => Err(Error::internal(format!("expected Ack, got {other:?}"))),
-    }
-}
 
 /// Round-trip a request that answers with `Rows`.
 fn rpc_rows(transport: &dyn NodeTransport, req: ClientRequest) -> Result<QueryResult> {
@@ -333,8 +325,7 @@ impl PendingTx {
 }
 
 /// A batch of in-flight transactions whose notifications fan in to one
-/// channel (one registration on the node instead of one channel per
-/// transaction). Holds `len()` slots of the client's admission window
+/// channel. Holds `len()` slots of the client's admission window
 /// until dropped.
 pub struct PendingBatch {
     ids: Vec<GlobalTxId>,
@@ -538,7 +529,7 @@ impl PreparedRun<'_> {
 // --------------------------------------------------------------- queries
 
 /// Fluent builder for a one-off read-only query, shipped as a single
-/// `Query`/`QueryAt` RPC. Server-side, every fetch goes through the
+/// `Query` RPC. Server-side, every fetch goes through the
 /// node's statement cache, so repeated SQL text is parsed once even
 /// without an explicit [`Client::prepare`].
 #[must_use = "a query builder does nothing until .fetch()"]
@@ -585,16 +576,10 @@ impl<'a> QueryBuilder<'a> {
 
     /// Execute and return the raw result.
     pub fn fetch(self) -> Result<QueryResult> {
-        let req = match self.height {
-            Some(height) => ClientRequest::QueryAt {
-                sql: self.sql,
-                params: self.params,
-                height,
-            },
-            None => ClientRequest::Query {
-                sql: self.sql,
-                params: self.params,
-            },
+        let req = ClientRequest::Query {
+            sql: self.sql,
+            params: self.params,
+            height: self.height,
         };
         rpc_rows(&*self.client.transport, req)
     }
@@ -624,71 +609,55 @@ impl Client {
         CallBuilder::new(self, contract)
     }
 
-    /// Sign and submit a [`Call`] asynchronously. The transaction
-    /// travels the transport to the client's node, which executes it
-    /// immediately (EO flow, §3.4.1) or proxies it to the ordering
-    /// service (OE flow, §3.3.1). A full admission window is
+    /// Sign and submit a [`Call`] asynchronously — a batch of one. The
+    /// transaction travels the transport to the client's node, which
+    /// executes it immediately (EO flow, §3.4.1) or proxies it to the
+    /// ordering service (OE flow, §3.3.1). A full admission window is
     /// [`Error::Busy`] before anything is signed.
     pub fn submit(&self, call: Call) -> Result<PendingTx> {
-        let permit = self.window.acquire(1)?;
-        let tx = self.sign_call(call)?;
-        let id = tx.id;
-        // Register before submitting so the notification cannot race
-        // past us; deregister again if submission itself fails.
-        let rx = self.transport.wait_for(id)?;
-        if let Err(e) = rpc_ack(&*self.transport, ClientRequest::Submit(Box::new(tx))) {
-            drop(rx);
-            let _ = self.transport.cancel_wait(&id);
-            return Err(e);
-        }
-        Ok(PendingTx {
-            id,
+        let PendingBatch {
+            ids,
             rx,
-            _permit: permit,
-            _transport: Arc::clone(&self.transport),
+            _permit,
+            _transport,
+        } = self.submit_all([call])?;
+        Ok(PendingTx {
+            id: ids[0],
+            rx,
+            _permit,
+            _transport,
         })
     }
 
-    /// Sign and submit a whole batch, fanning every notification into a
-    /// single channel. Duplicate calls (same contract, args and
-    /// snapshot height hash to the same global id in the EO flow) are
-    /// submitted once. Returns a [`PendingBatch`].
+    /// Sign a whole batch and submit it as one request, fanning every
+    /// notification into a single channel. Calls that pin no snapshot
+    /// height (EO flow) share one, read once for the batch. Duplicate
+    /// calls (same contract, args and snapshot height hash to the same
+    /// global id in the EO flow) are submitted once. If the node refuses
+    /// a member, that error is returned and no batch handle: members
+    /// before it stay in flight network-side, the rest were never
+    /// submitted. Returns a [`PendingBatch`].
     pub fn submit_all<I>(&self, calls: I) -> Result<PendingBatch>
     where
         I: IntoIterator<Item = Call>,
     {
         // Admission first — a full window must be rejected before any
-        // signing work (each EO signature also resolves a snapshot
-        // height, a round trip over a simulated wire). The permit covers
-        // the pre-dedup count and shrinks once duplicates are known.
+        // signing work. The permit covers the pre-dedup count and shrinks
+        // once duplicates are known.
         let calls: Vec<Call> = calls.into_iter().collect();
         let mut permit = self.window.acquire(calls.len())?;
         let mut txs: Vec<Transaction> = Vec::new();
         let mut seen = std::collections::HashSet::new();
+        let mut tip = None;
         for call in calls {
-            let tx = self.sign_call(call)?;
+            let tx = self.sign_call(call, &mut tip)?;
             if seen.insert(tx.id) {
                 txs.push(tx);
             }
         }
         let ids: Vec<GlobalTxId> = txs.iter().map(|t| t.id).collect();
         permit.shrink(ids.len());
-        // Register the fan-in *before* submitting so no notification can
-        // race past the registration.
-        let rx = self.transport.wait_for_batch(&ids)?;
-        for tx in txs {
-            if let Err(e) = rpc_ack(&*self.transport, ClientRequest::Submit(Box::new(tx))) {
-                // Members submitted before the failure stay in flight
-                // network-side, but the caller gets no batch handle:
-                // drop the fan-in channel and prune every registration
-                // so the hub does not leak.
-                drop(rx);
-                for id in &ids {
-                    let _ = self.transport.cancel_wait(id);
-                }
-                return Err(e);
-            }
-        }
+        let rx = self.transport.submit(txs)?;
         Ok(PendingBatch {
             ids,
             rx,
@@ -757,7 +726,10 @@ impl Client {
             .collect())
     }
 
-    fn sign_call(&self, call: Call) -> Result<Transaction> {
+    /// Sign one call. `tip` is its batch's default snapshot height (EO
+    /// flow), read from the node by the first call that pins none: any
+    /// height at or below the committed one is a valid snapshot (§3.4.1).
+    fn sign_call(&self, call: Call, tip: &mut Option<BlockHeight>) -> Result<Transaction> {
         let Call {
             contract,
             args,
@@ -765,9 +737,9 @@ impl Client {
         } = call;
         match self.flow {
             Flow::ExecuteOrderParallel => {
-                let height = match snapshot_height {
+                let height = match snapshot_height.or(*tip) {
                     Some(h) => h,
-                    None => self.chain_height()?,
+                    None => *tip.insert(self.chain_height()?),
                 };
                 Transaction::new_execute_order(
                     &self.name,

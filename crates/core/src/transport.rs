@@ -9,8 +9,8 @@
 //! the implementation decides what the hop costs:
 //!
 //! * [`InProcess`] — requests dispatch straight into the node's
-//!   [`Frontend`] on the caller's thread; notification waits register
-//!   directly with the node's hub. Zero overhead; the default.
+//!   [`Frontend`] on the caller's thread; a submission registers its own
+//!   channel with the node's hub. Zero overhead; the default.
 //! * [`Connection`] — one multiplexed wire connection: every request,
 //!   response and streamed notification is a [`ClientFrame`]. It is
 //!   parametrised only by its link — how one frame is sent and how the
@@ -31,6 +31,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use bcrdb_chain::tx::Transaction;
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::GlobalTxId;
 use bcrdb_network::wire::{framed_len, FRAME_HEADER};
@@ -54,127 +55,78 @@ pub enum TransportKind {
 /// The transport boundary between a client session and its home node.
 ///
 /// Everything the session API does — submissions, queries, prepared
-/// statements, notification waits — goes through this trait, so a
-/// backend swap changes *where the node is*, never what the API means.
+/// statements — goes through this trait, so a backend swap changes
+/// *where the node is*, never what the API means.
 pub trait NodeTransport: Send + Sync {
     /// Round-trip one request to the node's frontend.
     fn call(&self, req: ClientRequest) -> Result<ClientResponse>;
 
-    /// Register for the final status of `id`. The returned channel
-    /// delivers at most one notification; registration is complete when
-    /// this returns, so a submission sent afterwards cannot race it.
+    /// Submit `txs` in order, as one request, and register for their
+    /// final statuses: the returned channel delivers one notification per
+    /// transaction, in commit order. Each registration exists before the
+    /// node sees its transaction, so no status can race past the caller.
+    /// The first transaction the node refuses fails the whole call with
+    /// that error — earlier members stay in flight network-side, but the
+    /// caller gets no channel and no registration is left behind for the
+    /// refused member or the ones after it.
     ///
     /// A registration lives at most as long as the connection: dropping
     /// the transport cancels undeliverable waits (the session layer's
     /// `PendingTx`/`PendingBatch` hold the transport alive until their
     /// notification can no longer be consumed).
-    fn wait_for(&self, id: GlobalTxId) -> Result<Receiver<TxNotification>>;
-
-    /// Register one fanned-in channel for a whole batch (one
-    /// registration round trip instead of one per transaction).
-    fn wait_for_batch(&self, ids: &[GlobalTxId]) -> Result<Receiver<TxNotification>>;
-
-    /// Drop this connection's registration for `id` (after a failed
-    /// submission abandoned the wait).
-    fn cancel_wait(&self, id: &GlobalTxId) -> Result<()>;
+    fn submit(&self, txs: Vec<Transaction>) -> Result<Receiver<TxNotification>>;
 }
 
 // ------------------------------------------------------------ in-process
 
 /// Zero-overhead backend: requests dispatch into the node's [`Frontend`]
-/// on the caller's thread, and waits register per-transaction channels
-/// directly with the node's notification hub.
+/// on the caller's thread, and each submission registers a channel of
+/// its own directly with the node's notification hub.
 pub struct InProcess {
     frontend: Frontend,
-    /// This connection's live hub registrations, so dropping the
-    /// transport can cancel them (pruned lazily as waits resolve).
-    waits: Mutex<Vec<(GlobalTxId, Sender<TxNotification>)>>,
+    /// The channels of this connection's submissions, so dropping the
+    /// transport can cancel what is still registered on them (pruned
+    /// lazily as their receivers go away).
+    waits: Mutex<Vec<Sender<TxNotification>>>,
 }
 
 impl InProcess {
     /// Connect directly to `node`.
     pub fn new(node: Arc<Node>) -> InProcess {
         // The per-connection notification stream is unused here: each
-        // wait gets its own channel (today's zero-copy fast path).
+        // submission gets its own channel (no demultiplexing step).
         let (frontend, _notify_rx) = Frontend::new(node);
         InProcess {
             frontend,
             waits: Mutex::new(Vec::new()),
         }
     }
-
-    fn track(&self, regs: Vec<(GlobalTxId, Sender<TxNotification>)>) {
-        let mut waits = self.waits.lock();
-        waits.retain(|(_, s)| !s.is_disconnected());
-        waits.extend(regs);
-    }
 }
 
 impl NodeTransport for InProcess {
     fn call(&self, req: ClientRequest) -> Result<ClientResponse> {
-        // Wait registrations through the raw request enum would deliver
-        // into the frontend's (unconsumed) connection stream and silently
-        // vanish — reject them so callers use the trait's channel-returning
-        // wait methods instead.
-        if matches!(
-            req,
-            ClientRequest::WaitFor { .. }
-                | ClientRequest::WaitForBatch { .. }
-                | ClientRequest::CancelWait { .. }
-        ) {
-            return Err(Error::Config(
-                "the in-process transport dispatches waits through \
-                 NodeTransport::{wait_for, wait_for_batch, cancel_wait}, \
-                 not raw WaitFor/CancelWait requests"
-                    .into(),
-            ));
-        }
         self.frontend.handle(req)
     }
 
-    fn wait_for(&self, id: GlobalTxId) -> Result<Receiver<TxNotification>> {
-        let (tx, rx) = bounded(1);
-        self.frontend
-            .node()
-            .notifications()
-            .register(id, tx.clone());
-        self.track(vec![(id, tx)]);
-        Ok(rx)
-    }
-
-    fn wait_for_batch(&self, ids: &[GlobalTxId]) -> Result<Receiver<TxNotification>> {
-        let (tx, rx) = bounded(ids.len());
-        let hub = self.frontend.node().notifications();
-        let mut regs = Vec::with_capacity(ids.len());
-        for id in ids {
-            hub.register(*id, tx.clone());
-            regs.push((*id, tx.clone()));
-        }
-        self.track(regs);
-        Ok(rx)
-    }
-
-    fn cancel_wait(&self, id: &GlobalTxId) -> Result<()> {
-        // Cancel only *abandoned* registrations (receiver dropped): a
-        // live PendingTx waiting on the same id — e.g. while a duplicate
-        // resubmission fails — must keep its registration.
-        let hub = self.frontend.node().notifications();
+    fn submit(&self, txs: Vec<Transaction>) -> Result<Receiver<TxNotification>> {
+        let (sink, rx) = bounded(txs.len());
+        self.frontend.submit(txs, &sink)?;
         let mut waits = self.waits.lock();
-        for (wid, s) in waits.iter() {
-            if wid == id && s.is_disconnected() {
-                hub.cancel_for(id, s);
-            }
-        }
-        waits.retain(|(wid, s)| wid != id || !s.is_disconnected());
-        Ok(())
+        waits.retain(|s| !s.is_disconnected());
+        waits.push(sink);
+        Ok(rx)
     }
 }
 
 impl Drop for InProcess {
     fn drop(&mut self) {
+        // Channels whose receiver is gone are swept when the frontend
+        // disconnects; only one still listened to needs cancelling here.
         let hub = self.frontend.node().notifications();
-        for (id, s) in self.waits.lock().drain(..) {
-            hub.cancel_for(&id, &s);
+        for sink in self.waits.lock().drain(..) {
+            if !sink.is_disconnected() {
+                hub.cancel_sender(&sink);
+            }
         }
     }
 }
@@ -266,13 +218,24 @@ impl Mux {
         self.rpc.lock().as_mut()?.remove(&seq)
     }
 
-    /// Drop the local registrations on `id` that `keep` rejects.
-    fn retain_waits(&self, id: &GlobalTxId, keep: impl Fn(&Sender<TxNotification>) -> bool) {
+    /// Route the notifications of `ids` into `sink` as well.
+    fn expect(&self, ids: &[GlobalTxId], sink: &Sender<TxNotification>) {
         let mut waits = self.waits.lock();
-        if let Some(ws) = waits.get_mut(id) {
-            ws.retain(|s| keep(s));
-            if ws.is_empty() {
-                waits.remove(id);
+        for id in ids {
+            waits.entry(*id).or_default().push(sink.clone());
+        }
+    }
+
+    /// Undo [`Mux::expect`]: only `sink`'s entries go, so another
+    /// submission of the same id keeps hearing about it.
+    fn forget(&self, ids: &[GlobalTxId], sink: &Sender<TxNotification>) {
+        let mut waits = self.waits.lock();
+        for id in ids {
+            if let Some(ws) = waits.get_mut(id) {
+                ws.retain(|s| !s.same_channel(sink));
+                if ws.is_empty() {
+                    waits.remove(id);
+                }
             }
         }
     }
@@ -301,30 +264,6 @@ impl Connection {
             server,
         }
     }
-
-    /// Register `ids` on one fanned-in channel: locally first — once the
-    /// server acknowledges `register`, a notification may already be
-    /// racing back — then with the node.
-    fn wait(
-        &self,
-        ids: &[GlobalTxId],
-        register: ClientRequest,
-    ) -> Result<Receiver<TxNotification>> {
-        let (tx, rx) = bounded(ids.len());
-        {
-            let mut waits = self.mux.waits.lock();
-            for id in ids {
-                waits.entry(*id).or_default().push(tx.clone());
-            }
-        }
-        if let Err(e) = self.call(register) {
-            for id in ids {
-                self.mux.retain_waits(id, |s| !s.same_channel(&tx));
-            }
-            return Err(e);
-        }
-        Ok(rx)
-    }
 }
 
 impl NodeTransport for Connection {
@@ -346,21 +285,23 @@ impl NodeTransport for Connection {
         })
     }
 
-    fn wait_for(&self, id: GlobalTxId) -> Result<Receiver<TxNotification>> {
-        self.wait(&[id], ClientRequest::WaitFor { id })
-    }
-
-    fn wait_for_batch(&self, ids: &[GlobalTxId]) -> Result<Receiver<TxNotification>> {
-        self.wait(ids, ClientRequest::WaitForBatch { ids: ids.to_vec() })
-    }
-
-    fn cancel_wait(&self, id: &GlobalTxId) -> Result<()> {
-        // Drop only abandoned local registrations (receiver gone); a live
-        // wait on the same id keeps both its demux entry and — because
-        // the server removes exactly one registration per CancelWait —
-        // its server-side registration.
-        self.mux.retain_waits(id, |s| !s.is_disconnected());
-        self.call(ClientRequest::CancelWait { id: *id }).map(|_| ())
+    fn submit(&self, mut txs: Vec<Transaction>) -> Result<Receiver<TxNotification>> {
+        let (sink, rx) = bounded(txs.len());
+        let ids: Vec<GlobalTxId> = txs.iter().map(|t| t.id).collect();
+        // The local demux entries exist before the frame leaves: once the
+        // node has it, a notification may be racing the ack back.
+        self.mux.expect(&ids, &sink);
+        let req = match txs.len() {
+            1 => ClientRequest::Submit(Box::new(txs.remove(0))),
+            _ => ClientRequest::SubmitBatch(txs),
+        };
+        let refused = match self.call(req) {
+            Ok(ClientResponse::Ack) => return Ok(rx),
+            Ok(other) => Error::internal(format!("expected Ack, got {other:?}")),
+            Err(e) => e,
+        };
+        self.mux.forget(&ids, &sink);
+        Err(refused)
     }
 }
 
@@ -563,6 +504,10 @@ fn open_conn(
 mod tests {
     use super::*;
     use bcrdb_chain::ledger::TxStatus;
+    use bcrdb_chain::tx::Payload;
+    use bcrdb_common::error::AbortReason;
+    use bcrdb_common::value::Value;
+    use bcrdb_crypto::identity::{KeyPair, Scheme};
     use std::thread;
     use std::time::Instant;
 
@@ -646,24 +591,29 @@ mod tests {
         assert!(matches!(violation, Err(Error::Decode(_))));
     }
 
+    fn signed(nonce: u64) -> Transaction {
+        let key = KeyPair::generate("org1/alice", b"alice", Scheme::Sim);
+        let payload = Payload::new("put", vec![Value::Int(nonce as i64)]);
+        Transaction::new_order_execute("org1/alice", payload, nonce, &key).unwrap()
+    }
+
     #[test]
-    fn one_notification_fans_out_to_every_waiter_on_its_id() {
+    fn one_notification_fans_out_to_every_submission_of_its_id() {
         let (conn, mux, sent) = connect();
         let seen = ack_everything(&mux, sent);
-        let id = GlobalTxId([7; 32]);
-        let other = GlobalTxId([8; 32]);
-        let a = conn.wait_for(id).unwrap();
-        let b = conn.wait_for_batch(&[id, other]).unwrap();
-        // Each wait registered with the node — after its local entry
-        // existed, or the notification below could have raced past it.
+        let (tx, other) = (signed(7), signed(8));
+        let (id, other_id) = (tx.id, other.id);
+        let a = conn.submit(vec![tx.clone()]).unwrap();
+        let b = conn.submit(vec![tx, other]).unwrap();
+        // One request each — a batch of one travels as a plain `Submit` —
+        // sent after its local entries existed, or the notification below
+        // could have raced past them.
+        assert!(matches!(seen.recv().unwrap(), ClientRequest::Submit(_)));
         assert!(matches!(
             seen.recv().unwrap(),
-            ClientRequest::WaitFor { .. }
+            ClientRequest::SubmitBatch(txs) if txs.len() == 2
         ));
-        assert!(matches!(
-            seen.recv().unwrap(),
-            ClientRequest::WaitForBatch { .. }
-        ));
+        assert!(seen.try_recv().is_err());
 
         mux.deliver(ClientFrame::Notification(notification(id)))
             .unwrap();
@@ -673,24 +623,41 @@ mod tests {
         mux.deliver(ClientFrame::Notification(notification(id)))
             .unwrap();
         assert!(a.try_recv().is_err() && b.try_recv().is_err());
-        mux.deliver(ClientFrame::Notification(notification(other)))
+        mux.deliver(ClientFrame::Notification(notification(other_id)))
             .unwrap();
-        assert_eq!(b.try_recv().unwrap().id, other);
+        assert_eq!(b.try_recv().unwrap().id, other_id);
     }
 
     #[test]
-    fn cancel_wait_drops_only_abandoned_registrations() {
+    fn a_refused_submission_drops_only_its_own_entries() {
         let (conn, mux, sent) = connect();
-        let seen = ack_everything(&mux, sent);
-        let id = GlobalTxId([5; 32]);
-        let live = conn.wait_for(id).unwrap();
-        drop(conn.wait_for(id).unwrap());
-        conn.cancel_wait(&id).unwrap();
-        // The node is asked to cancel exactly one registration …
-        let asked: Vec<ClientRequest> = std::iter::from_fn(|| seen.try_recv().ok()).collect();
-        assert_eq!(asked.len(), 3, "{asked:?}");
-        assert!(matches!(asked[2], ClientRequest::CancelWait { .. }));
-        // … and the live wait kept its demux entry.
+        // A node that takes the first submission and refuses the rest.
+        {
+            let mux = Arc::clone(&mux);
+            thread::spawn(move || {
+                for (n, frame) in sent.iter().enumerate() {
+                    let ClientFrame::Request { seq, .. } = frame else {
+                        panic!("a client sends only requests");
+                    };
+                    let resp = match n {
+                        0 => Ok(ClientResponse::Ack),
+                        _ => Err(Error::Abort(AbortReason::DuplicateTxId)),
+                    };
+                    mux.deliver(ClientFrame::Response { seq, resp }).unwrap();
+                }
+            });
+        }
+        let tx = signed(5);
+        let id = tx.id;
+        let live = conn.submit(vec![tx.clone()]).unwrap();
+        let refused = conn.submit(vec![tx, signed(6)]).err();
+        assert!(matches!(
+            refused,
+            Some(Error::Abort(AbortReason::DuplicateTxId))
+        ));
+        // The refused batch left nothing behind; the live submission of
+        // the same id kept its entry and still hears the outcome.
+        assert_eq!(mux.waits.lock().len(), 1);
         assert_eq!(mux.waits.lock()[&id].len(), 1);
         mux.deliver(ClientFrame::Notification(notification(id)))
             .unwrap();
@@ -710,9 +677,12 @@ mod tests {
             "must not wait out the RPC timeout"
         );
         assert!(sent.try_recv().is_err(), "nothing may reach the wire");
-        // A failed wait leaves no local registration behind.
-        let id = GlobalTxId([1; 32]);
-        assert!(matches!(conn.wait_for(id), Err(Error::Io(_))));
+        // Nor a submission, which leaves no local entry behind.
+        let t0 = Instant::now();
+        let refused = conn.submit(vec![signed(1), signed(2)]).err();
+        assert!(matches!(refused, Some(Error::Io(_))), "{refused:?}");
+        assert!(t0.elapsed() < RPC_TIMEOUT / 10);
+        assert!(sent.try_recv().is_err());
         assert!(mux.waits.lock().is_empty());
     }
 

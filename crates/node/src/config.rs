@@ -78,9 +78,7 @@ pub struct NodeConfig {
     /// all-in-memory configuration.
     pub page_dir: Option<PathBuf>,
     /// Buffer-pool capacity in 8 KB frames (minimum 1; only meaningful
-    /// with `page_dir`). Defaults to 1024 frames (8 MB), overridable
-    /// with the `BCRDB_POOL_FRAMES` environment variable (see
-    /// [`pool_frames_by_env`]).
+    /// with `page_dir`). Defaults to [`DEFAULT_POOL_FRAMES`].
     pub buffer_pool_frames: usize,
     /// How many blocks of recent history stay pinned in memory: a
     /// segment only spills once every version in it is quiescent at
@@ -89,17 +87,9 @@ pub struct NodeConfig {
     pub spill_retention: u64,
 }
 
-/// The default for [`NodeConfig::buffer_pool_frames`], read from the
-/// `BCRDB_POOL_FRAMES` environment variable (the CI matrix runs the
-/// determinism suite with a deliberately tiny pool); unset or
-/// unparsable falls back to 1024 frames (8 MB of 8 KB pages).
-pub fn pool_frames_by_env() -> usize {
-    std::env::var("BCRDB_POOL_FRAMES")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|n| *n >= 1)
-        .unwrap_or(1024)
-}
+/// The default for [`NodeConfig::buffer_pool_frames`]: 8 MB of 8 KB
+/// pages.
+pub const DEFAULT_POOL_FRAMES: usize = 1024;
 
 impl NodeConfig {
     /// Reasonable defaults for `name` in `org` under `flow`.
@@ -123,7 +113,7 @@ impl NodeConfig {
             snapshot_lag_threshold: 512,
             vacuum_interval: 0,
             page_dir: None,
-            buffer_pool_frames: pool_frames_by_env(),
+            buffer_pool_frames: DEFAULT_POOL_FRAMES,
             spill_retention: 64,
         }
     }

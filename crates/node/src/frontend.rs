@@ -4,9 +4,9 @@
 //! protocol plus a libpq extension for snapshot heights (§4.3). This
 //! module is our equivalent of that boundary: a typed
 //! [`ClientRequest`]/[`ClientResponse`] message pair covering the whole
-//! client surface (submission, queries, server-side prepared-statement
-//! handles, notification waits, metrics), dispatched per **connection**
-//! by a [`Frontend`].
+//! client surface in seven request kinds (submission of one transaction
+//! or a batch, queries, server-side prepared-statement handles, chain
+//! height, metrics), dispatched per **connection** by a [`Frontend`].
 //!
 //! The frontend is transport-agnostic: an in-process transport calls
 //! [`Frontend::handle`] directly, while a wire connection moves the same
@@ -15,16 +15,20 @@
 //! socket write would take, so latency/bandwidth profiles apply to client
 //! traffic exactly as they do to peer and orderer traffic.
 //!
-//! Notification waits registered through a frontend all funnel into one
-//! per-connection channel; [`Frontend::disconnect`] (and `Drop`) cancels
-//! every outstanding registration, so an abandoned connection cannot
-//! leak waiters in the node's [`crate::notify::NotificationHub`].
+//! A submission carries its own registration: [`Frontend::submit`]
+//! registers the caller's notification channel for each transaction
+//! *before* handing it to the node, so the final status cannot race past
+//! the client, and takes a registration back only when the node refused
+//! the transaction. Submissions that arrive as requests register the
+//! connection's own stream; [`Frontend::disconnect`] (and `Drop`) cancels
+//! every registration on it, so an abandoned connection cannot leak
+//! waiters in the node's [`crate::notify::NotificationHub`].
 
 use std::sync::Arc;
 
 use bcrdb_chain::tx::Transaction;
 use bcrdb_common::error::Result;
-use bcrdb_common::ids::{BlockHeight, GlobalTxId};
+use bcrdb_common::ids::BlockHeight;
 use bcrdb_common::value::Value;
 use bcrdb_engine::result::QueryResult;
 use crossbeam_channel::{unbounded, Receiver, Sender};
@@ -39,25 +43,25 @@ use crate::statements::StatementHandle;
 #[derive(Clone, Debug)]
 pub enum ClientRequest {
     /// Submit a signed transaction (EO: execute + forward + order;
-    /// OE: proxy to the ordering service).
+    /// OE: proxy to the ordering service) and register this connection
+    /// for its final status, which arrives on the connection's
+    /// notification stream.
     Submit(Box<Transaction>),
-    /// One-shot read-only query at the current committed height (routed
-    /// through the statement cache server-side).
+    /// [`ClientRequest::Submit`] for several transactions in one frame,
+    /// submitted in order; the first one the node refuses fails the
+    /// request (see [`Frontend::submit`]).
+    SubmitBatch(Vec<Transaction>),
+    /// One-shot read-only query (routed through the statement cache
+    /// server-side).
     Query {
         /// SELECT text with `$n` placeholders.
         sql: String,
         /// Positional parameters.
         params: Vec<Value>,
-    },
-    /// One-shot read-only query at a historical height (time travel;
-    /// the §4.3 libpq snapshot extension).
-    QueryAt {
-        /// SELECT text with `$n` placeholders.
-        sql: String,
-        /// Positional parameters.
-        params: Vec<Value>,
-        /// Snapshot height; must not exceed the node's committed tip.
-        height: BlockHeight,
+        /// Historical snapshot height (time travel; the §4.3 libpq
+        /// snapshot extension), which must not exceed the node's
+        /// committed tip. `None` reads at the current committed height.
+        height: Option<BlockHeight>,
     },
     /// Parse a read-only statement into the node's bounded statement
     /// cache; answers with a server-side handle.
@@ -75,23 +79,6 @@ pub enum ClientRequest {
         /// Optional historical snapshot height.
         height: Option<BlockHeight>,
     },
-    /// Register this connection for the final status of one transaction;
-    /// the notification arrives on the connection's notification stream.
-    WaitFor {
-        /// The awaited transaction.
-        id: GlobalTxId,
-    },
-    /// Register for a whole batch at once (one registration round trip).
-    WaitForBatch {
-        /// The awaited transactions.
-        ids: Vec<GlobalTxId>,
-    },
-    /// Drop this connection's registration for `id` (e.g. after a failed
-    /// submission abandoned the wait).
-    CancelWait {
-        /// The abandoned transaction.
-        id: GlobalTxId,
-    },
     /// The node's committed chain height.
     ChainHeight,
     /// Snapshot (and reset) the node's micro-metrics window.
@@ -107,7 +94,7 @@ pub enum ClientRequest {
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum ClientResponse {
-    /// The request was accepted and carries no payload (Submit, waits).
+    /// The request was accepted and carries no payload (submissions).
     Ack,
     /// Query rows.
     Rows(QueryResult),
@@ -125,8 +112,8 @@ pub enum ClientResponse {
 }
 
 /// One client connection's server-side half: dispatches requests against
-/// the node and funnels notification waits into a single per-connection
-/// stream.
+/// the node and funnels the notifications of everything submitted over
+/// the connection into a single per-connection stream.
 pub struct Frontend {
     node: Arc<Node>,
     notify_tx: Sender<TxNotification>,
@@ -134,8 +121,8 @@ pub struct Frontend {
 
 impl Frontend {
     /// Open a connection to `node`. Returns the frontend and the
-    /// connection's notification stream (every `WaitFor`/`WaitForBatch`
-    /// delivers there).
+    /// connection's notification stream (every transaction submitted
+    /// through [`Frontend::handle`] reports there).
     pub fn new(node: Arc<Node>) -> (Frontend, Receiver<TxNotification>) {
         let (notify_tx, notify_rx) = unbounded();
         (Frontend { node, notify_tx }, notify_rx)
@@ -149,21 +136,19 @@ impl Frontend {
     /// Dispatch one request.
     pub fn handle(&self, req: ClientRequest) -> Result<ClientResponse> {
         match req {
-            ClientRequest::Submit(tx) => {
-                self.node.submit_local(*tx)?;
-                Ok(ClientResponse::Ack)
-            }
-            ClientRequest::Query { sql, params } => self
-                .node
-                .query_cached(&sql, &params, None)
-                .map(ClientResponse::Rows),
-            ClientRequest::QueryAt {
+            ClientRequest::Submit(tx) => self
+                .submit([*tx], &self.notify_tx)
+                .map(|()| ClientResponse::Ack),
+            ClientRequest::SubmitBatch(txs) => self
+                .submit(txs, &self.notify_tx)
+                .map(|()| ClientResponse::Ack),
+            ClientRequest::Query {
                 sql,
                 params,
                 height,
             } => self
                 .node
-                .query_cached(&sql, &params, Some(height))
+                .query_cached(&sql, &params, height)
                 .map(ClientResponse::Rows),
             ClientRequest::Prepare { sql } => {
                 let (handle, query) = self.node.prepare_handle(&sql)?;
@@ -180,26 +165,33 @@ impl Frontend {
                 .node
                 .query_by_handle(handle, &params, height)
                 .map(ClientResponse::Rows),
-            ClientRequest::WaitFor { id } => {
-                self.node
-                    .notifications()
-                    .register(id, self.notify_tx.clone());
-                Ok(ClientResponse::Ack)
-            }
-            ClientRequest::WaitForBatch { ids } => {
-                let hub = self.node.notifications();
-                for id in ids {
-                    hub.register(id, self.notify_tx.clone());
-                }
-                Ok(ClientResponse::Ack)
-            }
-            ClientRequest::CancelWait { id } => {
-                self.node.notifications().cancel_for(&id, &self.notify_tx);
-                Ok(ClientResponse::Ack)
-            }
             ClientRequest::ChainHeight => Ok(ClientResponse::Height(self.node.height())),
             ClientRequest::Metrics => Ok(ClientResponse::Metrics(self.node.metrics_report())),
         }
+    }
+
+    /// Submit `txs` to the node in order, registering `sink` for the
+    /// final status of each one before the node sees it. The first
+    /// transaction the node refuses ends the call with that error and
+    /// gives back its registration — exactly the one this call made, so a
+    /// live wait on the same id (an earlier submission still in flight)
+    /// survives. Transactions before it stay submitted and registered;
+    /// those after it are neither.
+    pub fn submit(
+        &self,
+        txs: impl IntoIterator<Item = Transaction>,
+        sink: &Sender<TxNotification>,
+    ) -> Result<()> {
+        let hub = self.node.notifications();
+        for tx in txs {
+            let id = tx.id;
+            hub.register(id, sink.clone());
+            if let Err(e) = self.node.submit_local(tx) {
+                hub.cancel_for(&id, sink);
+                return Err(e);
+            }
+        }
+        Ok(())
     }
 
     /// Cancel every notification registration of this connection — the

@@ -46,7 +46,7 @@ pub mod statements;
 pub mod sync;
 pub mod wire;
 
-pub use config::{pool_frames_by_env, NodeConfig, NodeHooks, OrderingStatsHook, SyncFetchHook};
+pub use config::{NodeConfig, NodeHooks, OrderingStatsHook, SyncFetchHook, DEFAULT_POOL_FRAMES};
 pub use exec_pool::{NativeContract, NativeCtx};
 pub use frontend::{ClientRequest, ClientResponse, Frontend};
 pub use metrics::{MetricsSnapshot, NodeMetrics, OrderingSnapshot};

@@ -632,7 +632,7 @@ impl Node {
 
     /// One-shot read-only query routed through the statement cache, so
     /// repeated SQL text is parsed once even without an explicit prepare
-    /// (the frontend's `Query`/`QueryAt` path).
+    /// (the frontend's `Query` path).
     pub fn query_cached(
         &self,
         sql: &str,
@@ -676,19 +676,6 @@ impl Node {
     /// Register for the final status of a transaction.
     pub fn wait_for(&self, id: GlobalTxId) -> Receiver<TxNotification> {
         self.notifications.wait_for(id)
-    }
-
-    /// Register for the final statuses of a batch of transactions on one
-    /// fanned-in channel (see `NotificationHub::wait_for_all`).
-    pub fn wait_for_batch(&self, ids: &[GlobalTxId]) -> Receiver<TxNotification> {
-        self.notifications.wait_for_all(ids)
-    }
-
-    /// Drop abandoned waiter registrations for `id` — call after a
-    /// failed submission whose receiver was discarded, so the hub's
-    /// waiter map cannot grow without bound.
-    pub fn cancel_wait(&self, id: &GlobalTxId) {
-        self.notifications.cancel(id)
     }
 
     /// Number of distinct transactions with registered notification

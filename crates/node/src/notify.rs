@@ -42,9 +42,10 @@ impl NotificationHub {
         rx
     }
 
-    /// Register a caller-supplied sender for `id` — the connection-level
-    /// primitive behind the RPC frontend: one connection funnels every
-    /// registered wait into a single channel whose sender it owns, so a
+    /// Register a caller-supplied sender for `id` — what a submission
+    /// through the RPC frontend does for each of its transactions
+    /// ([`crate::frontend::Frontend::submit`]). A wire connection funnels
+    /// every registration into the one channel whose sender it owns, so a
     /// disconnect can cancel all of them by identity
     /// ([`NotificationHub::cancel_sender`]).
     pub fn register(&self, id: GlobalTxId, tx: Sender<TxNotification>) {
@@ -58,40 +59,12 @@ impl NotificationHub {
         rx
     }
 
-    /// Register interest in a whole batch of transactions, fanned in to a
-    /// *single* channel. The channel receives exactly one notification
-    /// per listed id (in commit order, not submission order) — the
-    /// batch-submission primitive of the session API, replacing one
-    /// channel per transaction.
-    pub fn wait_for_all(&self, ids: &[GlobalTxId]) -> Receiver<TxNotification> {
-        let (tx, rx) = bounded(ids.len());
-        let mut waiters = self.waiters.lock();
-        for id in ids {
-            waiters.entry(*id).or_default().push(tx.clone());
-        }
-        rx
-    }
-
-    /// Drop registrations for `id` whose receiver is gone (a failed
-    /// submission abandons its channel without a notification ever
-    /// firing). Removes the id entirely when no live waiter remains, so
-    /// failed submits cannot grow the waiter map without bound.
-    pub fn cancel(&self, id: &GlobalTxId) {
-        let mut waiters = self.waiters.lock();
-        if let Some(ws) = waiters.get_mut(id) {
-            ws.retain(|s| !s.is_disconnected());
-            if ws.is_empty() {
-                waiters.remove(id);
-            }
-        }
-    }
-
     /// Drop **one** registration for `id` sending into the same channel
     /// as `sender` (plus any whose receiver is gone). Exactly one,
-    /// mirroring one abandoned `WaitFor`: a connection that registered
-    /// the same id twice (e.g. a live wait plus a failed resubmission)
-    /// keeps its remaining registration, and *other* connections waiting
-    /// on the same transaction are never disturbed.
+    /// undoing one [`NotificationHub::register`]: a connection that
+    /// registered the same id twice (a live wait plus a failed
+    /// resubmission) keeps its remaining registration, and *other*
+    /// connections waiting on the same transaction are never disturbed.
     pub fn cancel_for(&self, id: &GlobalTxId, sender: &Sender<TxNotification>) {
         let mut waiters = self.waiters.lock();
         if let Some(ws) = waiters.get_mut(id) {
@@ -107,7 +80,8 @@ impl NotificationHub {
 
     /// Drop every registration sending into the same channel as `sender`
     /// — a client connection disconnected, so none of its waits can ever
-    /// be delivered. O(pending waiters); runs once per disconnect.
+    /// be delivered — and, in the same pass, every registration whose
+    /// receiver is gone. O(pending waiters); runs once per disconnect.
     pub fn cancel_sender(&self, sender: &Sender<TxNotification>) {
         let mut waiters = self.waiters.lock();
         waiters.retain(|_, ws| {
@@ -160,26 +134,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_prunes_only_dead_waiters() {
-        let hub = NotificationHub::new();
-        let dead = hub.wait_for(id(1));
-        let live = hub.wait_for(id(1));
-        drop(dead);
-        hub.cancel(&id(1));
-        assert_eq!(hub.pending_waiters(), 1, "live waiter survives cancel");
-        hub.notify(TxNotification {
-            id: id(1),
-            block: 1,
-            status: TxStatus::Committed,
-        });
-        assert!(live.recv_timeout(Duration::from_secs(1)).is_ok());
-        // A fully-abandoned id disappears from the map.
-        drop(hub.wait_for(id(2)));
-        hub.cancel(&id(2));
-        assert_eq!(hub.pending_waiters(), 0);
-    }
-
-    #[test]
     fn cancel_for_is_identity_scoped() {
         let hub = NotificationHub::new();
         let other = hub.wait_for(id(1));
@@ -199,38 +153,6 @@ mod tests {
         // A disconnect sweeps the rest.
         hub.cancel_sender(&conn_tx);
         assert_eq!(hub.pending_waiters(), 0);
-    }
-
-    #[test]
-    fn batch_fan_in_delivers_every_member_once() {
-        let hub = NotificationHub::new();
-        let rx = hub.wait_for_all(&[id(1), id(2), id(3)]);
-        hub.notify(TxNotification {
-            id: id(2),
-            block: 1,
-            status: TxStatus::Committed,
-        });
-        hub.notify(TxNotification {
-            id: id(9),
-            block: 1,
-            status: TxStatus::Committed,
-        }); // not ours
-        hub.notify(TxNotification {
-            id: id(1),
-            block: 2,
-            status: TxStatus::Aborted("ww".into()),
-        });
-        hub.notify(TxNotification {
-            id: id(3),
-            block: 2,
-            status: TxStatus::Committed,
-        });
-        let mut got: Vec<GlobalTxId> = (0..3)
-            .map(|_| rx.recv_timeout(Duration::from_secs(1)).unwrap().id)
-            .collect();
-        got.sort();
-        assert_eq!(got, vec![id(1), id(2), id(3)]);
-        assert!(rx.recv_timeout(Duration::from_millis(20)).is_err());
     }
 
     #[test]

@@ -355,17 +355,6 @@ fn maintenance(node: &Arc<Node>, block_number: u64) {
         }
         let reclaimed = node.vacuum(horizon);
         node.env.metrics.on_vacuum(reclaimed as u64);
-        // Planner-statistics drift defense: flag every table so the next
-        // block's commit-thread fold rebuilds its stats exactly from the
-        // heap. The rebuild cannot run here — the post-commit worker
-        // races the commit thread's fold for later blocks — and it
-        // doesn't need to: rebuilds are semantic no-ops on the sealed
-        // values, so when it happens is invisible to planning.
-        for name in node.env.catalog.table_names() {
-            if let Ok(table) = node.env.catalog.get(&name) {
-                table.stats_mark_dirty();
-            }
-        }
     }
 }
 

@@ -19,9 +19,10 @@
 
 use bcrdb_chain::ledger::TxStatus;
 use bcrdb_chain::tx::Transaction;
+use bcrdb_chain::wire::MIN_TX_ENCODING;
 use bcrdb_common::codec::{Decode, Decoder, Encode, Encoder};
 use bcrdb_common::error::{AbortReason, Error, Result};
-use bcrdb_common::ids::GlobalTxId;
+use bcrdb_common::ids::{BlockHeight, GlobalTxId};
 use bcrdb_engine::result::QueryResult;
 
 use crate::frontend::{ClientRequest, ClientResponse};
@@ -54,8 +55,8 @@ pub enum ClientFrame {
         /// The typed outcome.
         resp: Result<ClientResponse>,
     },
-    /// Node → client: a transaction notification for this connection's
-    /// `WaitFor`/`WaitForBatch` registrations.
+    /// Node → client: the final status of a transaction this connection
+    /// submitted.
     Notification(TxNotification),
 }
 
@@ -106,12 +107,14 @@ impl Encode for ClientRequest {
                 enc.put_u8(0);
                 tx.encode(enc);
             }
-            ClientRequest::Query { sql, params } => {
+            ClientRequest::SubmitBatch(txs) => {
                 enc.put_u8(1);
-                enc.put_str(sql);
-                enc.put_row(params);
+                enc.put_u32(txs.len() as u32);
+                for tx in txs {
+                    tx.encode(enc);
+                }
             }
-            ClientRequest::QueryAt {
+            ClientRequest::Query {
                 sql,
                 params,
                 height,
@@ -119,7 +122,7 @@ impl Encode for ClientRequest {
                 enc.put_u8(2);
                 enc.put_str(sql);
                 enc.put_row(params);
-                enc.put_u64(*height);
+                put_height(enc, *height);
             }
             ClientRequest::Prepare { sql } => {
                 enc.put_u8(3);
@@ -133,27 +136,10 @@ impl Encode for ClientRequest {
                 enc.put_u8(4);
                 enc.put_u64(*handle);
                 enc.put_row(params);
-                // Height 0 encodes `None` ("current height"): block
-                // heights start at 1, so 0 is never a real snapshot.
-                enc.put_u64(height.unwrap_or(0));
+                put_height(enc, *height);
             }
-            ClientRequest::WaitFor { id } => {
-                enc.put_u8(5);
-                enc.put_digest(&id.0);
-            }
-            ClientRequest::WaitForBatch { ids } => {
-                enc.put_u8(6);
-                enc.put_u32(ids.len() as u32);
-                for id in ids {
-                    enc.put_digest(&id.0);
-                }
-            }
-            ClientRequest::CancelWait { id } => {
-                enc.put_u8(7);
-                enc.put_digest(&id.0);
-            }
-            ClientRequest::ChainHeight => enc.put_u8(8),
-            ClientRequest::Metrics => enc.put_u8(9),
+            ClientRequest::ChainHeight => enc.put_u8(5),
+            ClientRequest::Metrics => enc.put_u8(6),
         }
     }
 }
@@ -162,47 +148,49 @@ impl Decode for ClientRequest {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         match dec.get_u8()? {
             0 => Ok(ClientRequest::Submit(Box::new(Transaction::decode(dec)?))),
-            1 => Ok(ClientRequest::Query {
+            1 => {
+                let n = dec.get_count(MIN_TX_ENCODING, "batch transaction")?;
+                let mut txs = Vec::with_capacity(n);
+                for _ in 0..n {
+                    txs.push(Transaction::decode(dec)?);
+                }
+                Ok(ClientRequest::SubmitBatch(txs))
+            }
+            2 => Ok(ClientRequest::Query {
                 sql: dec.get_str()?,
                 params: dec.get_row()?,
-            }),
-            2 => Ok(ClientRequest::QueryAt {
-                sql: dec.get_str()?,
-                params: dec.get_row()?,
-                height: dec.get_u64()?,
+                height: get_height(dec)?,
             }),
             3 => Ok(ClientRequest::Prepare {
                 sql: dec.get_str()?,
             }),
-            4 => {
-                let handle = dec.get_u64()?;
-                let params = dec.get_row()?;
-                let height = dec.get_u64()?;
-                Ok(ClientRequest::QueryPrepared {
-                    handle,
-                    params,
-                    height: (height != 0).then_some(height),
-                })
-            }
-            5 => Ok(ClientRequest::WaitFor {
-                id: GlobalTxId(dec.get_digest()?),
+            4 => Ok(ClientRequest::QueryPrepared {
+                handle: dec.get_u64()?,
+                params: dec.get_row()?,
+                height: get_height(dec)?,
             }),
-            6 => {
-                let n = dec.get_count(32, "wait-batch id")?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(GlobalTxId(dec.get_digest()?));
-                }
-                Ok(ClientRequest::WaitForBatch { ids })
-            }
-            7 => Ok(ClientRequest::CancelWait {
-                id: GlobalTxId(dec.get_digest()?),
-            }),
-            8 => Ok(ClientRequest::ChainHeight),
-            9 => Ok(ClientRequest::Metrics),
+            5 => Ok(ClientRequest::ChainHeight),
+            6 => Ok(ClientRequest::Metrics),
             t => Err(Error::Codec(format!("unknown client request tag {t}"))),
         }
     }
+}
+
+/// A query's optional snapshot height, flagged the way a transaction's
+/// is (`None` reads at the current committed height; 0 is genesis).
+fn put_height(enc: &mut Encoder, height: Option<BlockHeight>) {
+    enc.put_bool(height.is_some());
+    if let Some(h) = height {
+        enc.put_u64(h);
+    }
+}
+
+fn get_height(dec: &mut Decoder<'_>) -> Result<Option<BlockHeight>> {
+    Ok(if dec.get_bool()? {
+        Some(dec.get_u64()?)
+    } else {
+        None
+    })
 }
 
 // -------------------------------------------------------- responses
@@ -551,7 +539,9 @@ fn decode_abort_reason(dec: &mut Decoder<'_>) -> Result<AbortReason> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bcrdb_chain::tx::Payload;
     use bcrdb_common::value::Value;
+    use bcrdb_crypto::identity::{KeyPair, Scheme};
 
     fn roundtrip_frame(f: &ClientFrame) -> ClientFrame {
         ClientFrame::decode_all(&f.encode_to_vec()).unwrap()
@@ -603,17 +593,25 @@ mod tests {
         }
     }
 
+    fn sample_tx(nonce: u64) -> Transaction {
+        let key = KeyPair::generate("org1/alice", b"alice", Scheme::Sim);
+        let payload = Payload::new("put", vec![Value::Int(nonce as i64)]);
+        Transaction::new_order_execute("org1/alice", payload, nonce, &key).unwrap()
+    }
+
     #[test]
     fn requests_roundtrip_byte_exact() {
         let requests = vec![
+            ClientRequest::Submit(Box::new(sample_tx(1))),
             ClientRequest::Query {
                 sql: "SELECT * FROM t WHERE a = $1".into(),
                 params: vec![Value::Int(7), Value::Text("x".into())],
+                height: None,
             },
-            ClientRequest::QueryAt {
+            ClientRequest::Query {
                 sql: "SELECT 1".into(),
                 params: vec![],
-                height: 42,
+                height: Some(42),
             },
             ClientRequest::Prepare {
                 sql: "SELECT a FROM t".into(),
@@ -628,15 +626,6 @@ mod tests {
                 params: vec![],
                 height: None,
             },
-            ClientRequest::WaitFor {
-                id: GlobalTxId([1; 32]),
-            },
-            ClientRequest::WaitForBatch {
-                ids: vec![GlobalTxId([2; 32]), GlobalTxId([3; 32])],
-            },
-            ClientRequest::CancelWait {
-                id: GlobalTxId([4; 32]),
-            },
             ClientRequest::ChainHeight,
             ClientRequest::Metrics,
         ];
@@ -646,6 +635,38 @@ mod tests {
             let back = ClientRequest::decode_all(&bytes).unwrap();
             assert_eq!(back.encode_to_vec(), bytes, "round trip for {req:?}");
         }
+        // Genesis is a height like any other, not "no height".
+        let genesis = ClientRequest::QueryPrepared {
+            handle: 1,
+            params: vec![],
+            height: Some(0),
+        };
+        match ClientRequest::decode_all(&genesis.encode_to_vec()).unwrap() {
+            ClientRequest::QueryPrepared { height, .. } => assert_eq!(height, Some(0)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn submit_batches_roundtrip_at_any_size() {
+        for n in [0u64, 1, 500] {
+            let txs: Vec<Transaction> = (0..n).map(sample_tx).collect();
+            let ids: Vec<GlobalTxId> = txs.iter().map(|t| t.id).collect();
+            let req = ClientRequest::SubmitBatch(txs);
+            let bytes = req.encode_to_vec();
+            assert_eq!(bytes.len(), req.encoded_len());
+            match ClientRequest::decode_all(&bytes).unwrap() {
+                ClientRequest::SubmitBatch(back) => {
+                    assert_eq!(back.iter().map(|t| t.id).collect::<Vec<_>>(), ids);
+                    assert_eq!(ClientRequest::SubmitBatch(back).encode_to_vec(), bytes);
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+        // One member costs a `Submit` plus the count.
+        let one = ClientRequest::SubmitBatch(vec![sample_tx(7)]).encoded_len();
+        let single = ClientRequest::Submit(Box::new(sample_tx(7))).encoded_len();
+        assert_eq!(one, single + 4);
     }
 
     #[test]
@@ -783,18 +804,24 @@ mod tests {
         let good = ClientRequest::Query {
             sql: "SELECT 1".into(),
             params: vec![],
+            height: Some(3),
         }
         .encode_to_vec();
         for cut in 1..good.len() {
             let err = ClientRequest::decode_all(&good[..cut]).unwrap_err();
             assert!(matches!(err, Error::Codec(_)), "{err}");
         }
-        // Absurd batch count with a short buffer must not allocate.
+        // A batch claiming 2^32 - 1 members in a frame that holds one is
+        // refused by the count check, before anything is reserved for it.
         let mut enc = Encoder::new();
-        enc.put_u8(6);
+        enc.put_u8(1);
         enc.put_u32(u32::MAX);
+        sample_tx(1).encode(&mut enc);
         let err = ClientRequest::decode_all(&enc.finish()).unwrap_err();
-        assert!(matches!(err, Error::Codec(_)), "{err}");
+        assert!(
+            matches!(&err, Error::Codec(m) if m.contains("batch transaction count")),
+            "{err}"
+        );
         // Absurd row/column counts in a Rows response.
         let mut enc = Encoder::new();
         enc.put_u32(u32::MAX);

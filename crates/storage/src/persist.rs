@@ -568,7 +568,12 @@ mod tests {
     use crate::table::SEGMENT_SIZE;
     use bcrdb_common::ids::BlockHeight as Bh;
 
-    fn paged_catalog(tag: &str) -> (Catalog, Arc<PagedStore>, std::path::PathBuf) {
+    /// A store-backed catalog whose one table has `spilled` full segments
+    /// paged out and a resident tail of seven rows.
+    fn paged_catalog_of(
+        tag: &str,
+        spilled: usize,
+    ) -> (Catalog, Arc<PagedStore>, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!("bcrdb-persist-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -584,7 +589,7 @@ mod tests {
         )
         .unwrap();
         let t = cat.create_table(schema).unwrap();
-        for i in 0..SEGMENT_SIZE + 7 {
+        for i in 0..spilled * SEGMENT_SIZE + 7 {
             let (_, v) = t.append_version(
                 TxId(1),
                 vec![Value::Int(i as i64), Value::Text(format!("r{i}"))],
@@ -592,8 +597,12 @@ mod tests {
             );
             v.commit_create(1, t.alloc_row_id());
         }
-        assert_eq!(t.spill(5, 5), 1, "segment 0 pages out");
+        assert_eq!(t.spill(5, 5), spilled, "every full segment pages out");
         (cat, store, dir)
+    }
+
+    fn paged_catalog(tag: &str) -> (Catalog, Arc<PagedStore>, std::path::PathBuf) {
+        paged_catalog_of(tag, 1)
     }
 
     fn state_of(cat: &Catalog, table: &str) -> Vec<(RowId, Vec<Value>)> {
@@ -629,6 +638,39 @@ mod tests {
             t.row_id_watermark(),
             cat.get("inv").unwrap().row_id_watermark()
         );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn stats_rebuild_after_restore_leaves_paged_segments_on_disk() {
+        let (cat, store, dir) = paged_catalog_of("stats", 4);
+        let height: Bh = 5;
+        store.checkpoint(height).unwrap();
+        let bytes = encode_catalog(&cat, height);
+        let (restored, _) = decode_catalog_with(&bytes, Some(&store)).unwrap();
+        let t = restored.get("inv").unwrap();
+        assert_eq!(t.paged_segments(), vec![0, 1, 2, 3]);
+
+        t.rebuild_stats(height);
+        assert_eq!(
+            t.paged_segments(),
+            vec![0, 1, 2, 3],
+            "counted from the chains, not faulted in"
+        );
+        // The numbers are the ones an all-resident heap adds up to.
+        let inline = encode_catalog_carry(&cat, height, SnapshotCarry::Inline).unwrap();
+        let (resident, _) = decode_catalog(&inline).unwrap();
+        let r = resident.get("inv").unwrap();
+        assert!(r.paged_segments().is_empty());
+        r.rebuild_stats(height);
+        let summary = t.stats_summary_at(height).unwrap();
+        assert_eq!(summary.rows, (4 * SEGMENT_SIZE + 7) as u64);
+        assert_eq!(Some(summary), r.stats_summary_at(height));
+        // Nothing came back into memory, so the next spill tick has
+        // nothing to write out again.
+        let written = store.pages_written();
+        assert_eq!(t.spill(height, height + 1), 0);
+        assert_eq!(store.pages_written(), written);
         let _ = std::fs::remove_dir_all(dir);
     }
 

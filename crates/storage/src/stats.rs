@@ -17,9 +17,9 @@
 //!   plans from the same inputs on every node;
 //! * a **rebuild** from the heap recomputes exactly the values the
 //!   incremental fold maintains (both count the versions visible at the
-//!   sealed height), so vacuum-tick rebuilds, snapshot restores and
-//!   fast-syncs are semantic no-ops on the summary values and replicas
-//!   with different maintenance cadences cannot diverge.
+//!   sealed height), so snapshot restores and fast-syncs are semantic
+//!   no-ops on the summary values and replicas restored at different
+//!   moments cannot diverge.
 //!
 //! Summaries are pushed only when the values changed, so two replicas
 //! whose histories were built at different times (one restored from a
@@ -152,14 +152,6 @@ impl TableStats {
     /// required before the next seal.
     pub fn dirty(&self) -> bool {
         self.dirty
-    }
-
-    /// Request a rebuild from the heap at the next commit-thread fold —
-    /// the maintenance tick's drift defense. Exactness makes the rebuild
-    /// a semantic no-op, so replicas ticking at different wall-clock
-    /// moments still agree on every sealed value.
-    pub fn mark_dirty(&mut self) {
-        self.dirty = true;
     }
 
     /// Fold one transaction's delta into the live maps. Values for

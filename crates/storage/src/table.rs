@@ -244,6 +244,31 @@ impl Table {
         }
     }
 
+    /// Run `f` over every occupied slot in position order without
+    /// changing what is resident: a resident segment is read in place, a
+    /// paged one is streamed from its chain — under its read lock, so no
+    /// fault or spill interleaves — and stays paged. `paged_only` skips
+    /// the resident segments.
+    fn for_each_version_in_place(&self, paged_only: bool, mut f: impl FnMut(usize, &Version)) {
+        let segs: Vec<Arc<Segment>> = self.segments.read().clone();
+        for (si, seg) in segs.iter().enumerate() {
+            let base = si << SEGMENT_SHIFT;
+            let g = seg.slots.read();
+            if g.paged {
+                let pager = self.pager.as_ref().expect("paged segment on unpaged table");
+                for (off, v) in decode_chain(pager, si) {
+                    f(base + off, &v);
+                }
+            } else if !paged_only {
+                for (off, slot) in g.slots.iter().enumerate() {
+                    if let Some(v) = slot {
+                        f(base + off, v);
+                    }
+                }
+            }
+        }
+    }
+
     /// Clone of the schema.
     pub fn schema(&self) -> TableSchema {
         self.schema.read().clone()
@@ -477,27 +502,21 @@ impl Table {
         self.stats.read().dirty()
     }
 
-    /// Request a statistics rebuild at the next commit-thread fold (the
-    /// maintenance tick's drift defense). Safe from any thread — only
-    /// the flag is touched; the rebuild itself stays on the commit
-    /// thread, serialized with the fold.
-    pub fn stats_mark_dirty(&self) {
-        self.stats.write().mark_dirty();
-    }
-
     /// Recompute the statistics from the heap as of `height` and seal.
     /// Counts exactly the versions visible at `height` (created at or
     /// below it, not aborted, deleted above it or not at all) — the same
     /// set the incremental fold tracks, so a rebuild is a semantic no-op
-    /// on the summary values and differing rebuild cadences cannot
-    /// diverge replicas. Used by the vacuum tick, snapshot restore,
-    /// fast-sync install and after CREATE INDEX.
+    /// on the summary values and replicas restored at different moments
+    /// cannot diverge. Used by snapshot restore, fast-sync install and
+    /// after CREATE INDEX. Paged segments are counted from their chains
+    /// and stay on disk: a restore that has just attached them must not
+    /// pull the whole heap into memory to count it.
     pub fn rebuild_stats(&self, height: BlockHeight) {
         let columns = stats::stat_columns(&self.schema());
         let mut rows = 0u64;
         let mut keys: BTreeMap<usize, BTreeMap<Value, u64>> =
             columns.iter().map(|c| (*c, BTreeMap::new())).collect();
-        self.for_each_slot(|_, v| {
+        self.for_each_version_in_place(false, |_, v| {
             let st = v.state();
             let visible = !st.aborted
                 && st.creator_block.is_some_and(|b| b <= height)
@@ -700,22 +719,12 @@ impl Table {
     /// scans over paged history work without faulting anything in until
     /// a scan actually resolves a position.
     pub fn reindex_paged(&self) {
-        let Some(pager) = self.pager.as_ref() else {
-            return;
-        };
-        let segs: Vec<Arc<Segment>> = self.segments.read().clone();
         let indexes = self.indexes.read();
-        for (si, seg) in segs.iter().enumerate() {
-            if !seg.slots.read().paged {
-                continue;
+        self.for_each_version_in_place(true, |pos, v| {
+            for idx in indexes.values() {
+                idx.insert(v.data[idx.column].clone(), pos);
             }
-            for (off, v) in decode_chain(pager, si) {
-                let pos = (si << SEGMENT_SHIFT) + off;
-                for idx in indexes.values() {
-                    idx.insert(v.data[idx.column].clone(), pos);
-                }
-            }
-        }
+        });
     }
 
     /// Look up live committed rows by primary-key value (single-column PK

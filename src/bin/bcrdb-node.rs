@@ -63,7 +63,7 @@ Role `node`:
                          heap segments to page files under
                          <data-dir>/pages (requires --data-dir)
   --pool-frames N        buffer-pool capacity in 8 KB frames with
-                         --paged [default: $BCRDB_POOL_FRAMES or 1024]
+                         --paged [default: 1024]
   --rejoin               catch up from peers before serving clients
                          (restart / late join)
 
@@ -116,7 +116,7 @@ fn parse_opts(args: &[String]) -> Opts {
         orderer_addr: None,
         data_dir: None,
         paged: false,
-        pool_frames: bcrdb_core::pool_frames_by_env(),
+        pool_frames: bcrdb_core::DEFAULT_POOL_FRAMES,
         rejoin: false,
         listen_orderer: Vec::new(),
     };

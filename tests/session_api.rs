@@ -5,9 +5,13 @@
 //! semantics themselves (disconnect cleanup, admission control,
 //! statement-cache eviction).
 
-use std::time::{Duration, Instant};
+mod common;
 
-use bcrdb::common::ids::GlobalTxId;
+use std::sync::Arc;
+use std::time::Duration;
+
+use bcrdb::chain::tx::Payload;
+use bcrdb::crypto::identity::{KeyPair, Scheme};
 use bcrdb::node::{ClientRequest, ClientResponse};
 use bcrdb::prelude::*;
 
@@ -403,68 +407,47 @@ fn batch_wait_committed_all_reports_first_abort_in_order() {
 
 // ------------------------------------------------- transport semantics
 
+/// `put(k, k, "x")` — what the shared submission scenarios insert.
+fn put(k: i64) -> Payload {
+    let label = Value::Text("x".into());
+    Payload::new("put", vec![Value::Int(k), Value::Int(k), label])
+}
+
 #[test]
 fn dropped_client_leaves_no_pending_waiters() {
-    // A wait registered through the transport lives at most as long as
-    // the connection: dropping the client (and every handle keeping its
-    // connection alive) must cancel outstanding registrations in the
-    // node's hub — over both backends, including the simulated wire
-    // where the disconnect itself travels the network.
     for transport in TRANSPORTS {
         let net = build(Flow::OrderThenExecute, transport);
         let node = net.node("org1").unwrap();
         let c = net.client("org1", "alice").unwrap();
-        assert_eq!(node.pending_notification_waiters(), 0);
-
-        // A wait that can never fire: a fabricated transaction id,
-        // registered through the raw RPC surface.
-        let rx = c.transport().wait_for(GlobalTxId([7u8; 32])).unwrap();
-        assert_eq!(node.pending_notification_waiters(), 1);
-
-        // Plus a real transaction dropped mid-wait: submit, then abandon
-        // the PendingTx before its notification arrives.
-        let pending = c.call("put").arg(1).arg(1).arg("x").submit().unwrap();
-        drop(pending);
-        drop(rx);
-        drop(c);
-
-        // The simulated disconnect crosses the wire asynchronously.
-        let deadline = Instant::now() + WAIT;
-        while node.pending_notification_waiters() > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(
-            node.pending_notification_waiters(),
-            0,
-            "disconnect leaked waiters ({transport:?})"
-        );
+        common::dropped_client_leaves_no_waiters(&node, c, &put);
         net.shutdown();
     }
 }
 
 #[test]
-fn cancel_wait_preserves_live_registrations() {
-    // Cancelling an abandoned wait (e.g. after a failed resubmission)
-    // must not disturb a *live* wait on the same transaction id — on
-    // either backend.
+fn duplicate_submissions_share_one_outcome() {
     for transport in TRANSPORTS {
-        let net = build(Flow::OrderThenExecute, transport);
+        let net = build_with(Flow::ExecuteOrderParallel, transport, |cfg| {
+            cfg.ordering.block_timeout = Duration::from_secs(1);
+        });
         let node = net.node("org1").unwrap();
         let c = net.client("org1", "alice").unwrap();
-        let id = GlobalTxId([9u8; 32]);
-        let live = c.transport().wait_for(id).unwrap();
-        let abandoned = c.transport().wait_for(id).unwrap();
-        drop(abandoned);
-        c.transport().cancel_wait(&id).unwrap();
-        assert_eq!(node.pending_notification_waiters(), 1);
-        // The surviving registration still delivers.
-        node.notifications().notify(TxNotification {
-            id,
-            block: 1,
-            status: TxStatus::Committed,
-        });
-        let n = live.recv_timeout(WAIT).expect("live wait cancelled");
-        assert_eq!(n.id, id);
+        common::duplicate_submissions_share_one_outcome(&node, &c, &put);
+        net.shutdown();
+    }
+}
+
+#[test]
+fn refused_batch_member_fails_the_call_and_leaks_nothing() {
+    for transport in TRANSPORTS {
+        let net = build(Flow::ExecuteOrderParallel, transport);
+        let node = net.node("org1").unwrap();
+        let c = net.client("org1", "alice").unwrap();
+        // A key of the caller's own making, certified by nobody.
+        let key = KeyPair::generate("org1/nobody", b"nobody", Scheme::Sim);
+        let stranger = net.attach_client("org1", "nobody", Arc::new(key)).unwrap();
+        let keys = "SELECT k FROM kv ORDER BY k";
+        common::refused_member_fails_the_batch(&node, &c, &stranger, &put, keys);
         net.shutdown();
     }
 }
@@ -520,6 +503,7 @@ fn raw_rpc_surface_round_trips() {
             .call(ClientRequest::Query {
                 sql: "SELECT v FROM kv".into(),
                 params: vec![],
+                height: None,
             })
             .unwrap()
         {

@@ -5,6 +5,8 @@
 //! the processes left on disk: gapless, byte-identical blocks and
 //! agreeing checkpoint state hashes.
 
+mod common;
+
 use std::collections::HashMap;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -13,7 +15,9 @@ use std::time::{Duration, Instant};
 
 use bcrdb::chain::block::Block;
 use bcrdb::chain::blockstore::BlockStore;
+use bcrdb::chain::tx::Payload;
 use bcrdb::common::codec::Encode;
+use bcrdb::common::value::Value;
 use bcrdb::txn::ssi::Flow;
 
 const NODE_BIN: &str = env!("CARGO_BIN_EXE_bcrdb-node");
@@ -385,46 +389,47 @@ fn verify_chains_on_disk(data_root: &Path, min_expected: u64) {
     );
 }
 
-/// Satellite: a TCP client that disconnects mid-`WaitFor` must leave no
-/// notification waiters registered on the node — the socket close is
+/// `bench_tx(k, 1, 1, "x", 0.5)` — what the shared submission scenarios
+/// insert on a cluster with the default genesis.
+fn bench_tx(k: i64) -> Payload {
+    let (one, label) = (Value::Int(1), Value::Text("x".into()));
+    let args = vec![Value::Int(k), one.clone(), one, label, Value::Float(0.5)];
+    Payload::new("bench_tx", args)
+}
+
+/// A TCP client that disconnects with unresolved submissions must leave
+/// no notification waiters registered on the node — the socket close is
 /// the cancellation (the sim-transport twin lives in `session_api.rs`).
 #[test]
 fn tcp_disconnect_cancels_pending_waiters() {
-    use bcrdb::common::ids::GlobalTxId;
-
     let spec = bcrdb::core::ClusterSpec::new(&["org1"], Flow::OrderThenExecute);
     let cluster = bcrdb::core::TcpCluster::launch(spec, None).unwrap();
     let node = cluster.nodes().remove(0);
     let client = cluster.client("org1", "bench0").unwrap();
-    assert_eq!(node.pending_notification_waiters(), 0);
+    common::dropped_client_leaves_no_waiters(&node, client, &bench_tx);
+    cluster.shutdown();
+}
 
-    // A wait that can never fire, registered over the socket...
-    let rx = client.transport().wait_for(GlobalTxId([7u8; 32])).unwrap();
-    assert_eq!(node.pending_notification_waiters(), 1);
+/// Over a socket, as over the other two connections: duplicate
+/// submissions share one outcome, and a refused batch member fails the
+/// call without leaking a waiter (twins in `session_api.rs`).
+#[test]
+fn tcp_submissions_keep_their_registrations_straight() {
+    let mut spec = bcrdb::core::ClusterSpec::new(&["org1"], Flow::ExecuteOrderParallel);
+    spec.block_timeout = Duration::from_secs(1);
+    let cluster = bcrdb::core::TcpCluster::launch(spec, None).unwrap();
+    let node = cluster.nodes().remove(0);
+    let client = cluster.client("org1", "bench0").unwrap();
+    common::duplicate_submissions_share_one_outcome(&node, &client, &bench_tx);
 
-    // ...plus a real in-flight transaction abandoned mid-wait.
-    let pending = client
-        .call("bench_tx")
-        .arg(1)
-        .arg(1)
-        .arg(1)
-        .arg("x")
-        .arg(0.5)
-        .submit()
-        .unwrap();
-    drop(pending);
-    drop(rx);
-    drop(client); // closes the socket: the disconnect IS the cancellation
-
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while node.pending_notification_waiters() > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert_eq!(
-        node.pending_notification_waiters(),
-        0,
-        "TCP disconnect leaked waiters"
+    // Only the bench users are certified. Key 1 is taken by now, so the
+    // second scenario's keys sit 100 higher.
+    let stranger = cluster.client("org1", "nobody").unwrap();
+    let (insert, keys) = (
+        |k| bench_tx(k + 100),
+        "SELECT id - 100 FROM bench_simple WHERE id > 100 ORDER BY id",
     );
+    common::refused_member_fails_the_batch(&node, &client, &stranger, &insert, keys);
     cluster.shutdown();
 }
 
