@@ -24,9 +24,6 @@ pub struct NetworkConfig {
     /// Network profile for peer↔peer and orderer→peer traffic
     /// (LAN vs multi-cloud WAN, §5 / Fig 8a).
     pub net_profile: NetProfile,
-    /// Verify signatures on the hot path (disable only in protocol
-    /// benchmarks; see DESIGN.md).
-    pub verify_signatures: bool,
     /// Executor threads per node.
     pub executor_threads: usize,
     /// Serial execution baseline (§5.1 Ethereum comparison).
@@ -98,7 +95,6 @@ impl NetworkConfig {
             ordering: OrderingConfig::solo(16, Duration::from_millis(50)),
             scheme: Scheme::Sim,
             net_profile: NetProfile::instant(),
-            verify_signatures: true,
             executor_threads: 4,
             serial_execution: false,
             data_root: None,
@@ -137,7 +133,6 @@ mod tests {
     fn quick_config_shape() {
         let c = NetworkConfig::quick(&["a", "b"], Flow::OrderThenExecute);
         assert_eq!(c.orgs, vec!["a", "b"]);
-        assert!(c.verify_signatures);
         assert!(c.data_root.is_none());
         assert_eq!(c.client_transport, TransportKind::InProcess);
         assert!(c.client_window >= 1);

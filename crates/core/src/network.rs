@@ -19,12 +19,13 @@ use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::BlockHeight;
 use bcrdb_crypto::identity::{CertificateRegistry, KeyPair};
 use bcrdb_crypto::sha256::Digest;
+use bcrdb_engine::exec::CatalogOp;
+use bcrdb_engine::procedures::ContractRegistry;
 use bcrdb_network::tcp::POLL;
 use bcrdb_network::wire::{framed_len, peer_endpoint};
 use bcrdb_network::{Delivered, SimNetwork};
 use bcrdb_node::{Node, NodeConfig, NodeHooks};
 use bcrdb_ordering::OrderingService;
-use bcrdb_sql::ast::Statement;
 use bcrdb_sql::validate::DeterminismRules;
 use bcrdb_txn::ssi::Flow;
 use crossbeam_channel::RecvTimeoutError;
@@ -469,7 +470,6 @@ impl NetworkInner {
         let seat = || (Arc::clone(&self.peer_net), me.clone());
 
         let mut cfg = NodeConfig::new(me.clone(), org.clone(), config.flow);
-        cfg.verify_signatures = config.verify_signatures;
         cfg.executor_threads = config.executor_threads;
         cfg.serial_execution = config.serial_execution;
         cfg.snapshot_interval = config.snapshot_interval;
@@ -588,77 +588,17 @@ impl NetworkInner {
 /// the same genesis on every node process, and with tests that build a
 /// stand-alone replay node carrying a network's genesis.
 pub fn apply_bootstrap_sql(node: &Arc<Node>, sql: &str, flow: Flow) -> Result<()> {
-    let stmts = bcrdb_sql::parse_statements(sql)?;
     let rules = match flow {
         Flow::OrderThenExecute => DeterminismRules::order_then_execute(),
         Flow::ExecuteOrderParallel => DeterminismRules::execute_order_parallel(),
     };
-    for stmt in &stmts {
-        match stmt {
-            Statement::CreateTable { .. }
-            | Statement::CreateIndex { .. }
-            | Statement::DropTable { .. } => {
-                apply_bootstrap_ddl(node, stmt)?;
-            }
-            Statement::CreateFunction(def) => {
-                bcrdb_engine::procedures::ContractRegistry::validate(def, &rules)?;
-                node.contracts().install(def.clone())?;
-            }
-            Statement::DropFunction { name } => {
-                node.contracts().remove(name)?;
-            }
-            other => {
-                return Err(Error::Config(format!(
-                    "bootstrap SQL must be DDL only, found {other:?}"
-                )));
-            }
+    for stmt in &bcrdb_sql::parse_statements(sql)? {
+        // The op a deployed statement would commit, applied the same way.
+        let op = CatalogOp::from_statement(stmt)?;
+        if let CatalogOp::CreateFunction(def) = &op {
+            ContractRegistry::validate(def, &rules)?;
         }
+        node.apply_catalog_op(&op)?;
     }
     Ok(())
-}
-
-fn apply_bootstrap_ddl(node: &Arc<Node>, stmt: &Statement) -> Result<()> {
-    match stmt {
-        Statement::CreateTable {
-            name,
-            columns,
-            primary_key,
-        } => {
-            let cols: Vec<bcrdb_common::schema::Column> = columns
-                .iter()
-                .map(|c| bcrdb_common::schema::Column {
-                    name: c.name.clone(),
-                    dtype: c.dtype,
-                    nullable: c.nullable && !c.inline_pk,
-                })
-                .collect();
-            let mut pk: Vec<usize> = columns
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.inline_pk)
-                .map(|(i, _)| i)
-                .collect();
-            if !primary_key.is_empty() {
-                pk = primary_key
-                    .iter()
-                    .map(|n| {
-                        columns
-                            .iter()
-                            .position(|c| &c.name == n)
-                            .ok_or_else(|| Error::Analysis(format!("unknown pk column {n}")))
-                    })
-                    .collect::<Result<_>>()?;
-            }
-            let schema = bcrdb_common::schema::TableSchema::new(name.clone(), cols, pk)?;
-            node.catalog().create_table(schema)?;
-            Ok(())
-        }
-        Statement::CreateIndex {
-            name,
-            table,
-            column,
-        } => node.catalog().get(table)?.add_index(name, column),
-        Statement::DropTable { name, if_exists } => node.catalog().drop_table(name, *if_exists),
-        _ => Err(Error::internal("apply_bootstrap_ddl on non-DDL")),
-    }
 }

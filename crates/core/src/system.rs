@@ -30,7 +30,7 @@ use bcrdb_node::exec_pool::NativeCtx;
 use bcrdb_node::Node;
 use bcrdb_sql::ast::Statement;
 use bcrdb_storage::index::KeyRange;
-use bcrdb_txn::context::VisibleRow;
+use bcrdb_txn::context::{ScanPlan, VisibleRow};
 
 /// Names of the system contracts.
 pub const SYSTEM_CONTRACTS: [&str; 7] = [
@@ -119,7 +119,7 @@ fn find_deployment(nc: &NativeCtx<'_>, id: i64) -> Result<(Arc<bcrdb_storage::Ta
     let table = nc.catalog.get("deployments")?;
     let rows = nc
         .ctx
-        .scan(&table, Some((0, &KeyRange::eq(Value::Int(id)))))?;
+        .scan(&table, &ScanPlan::index(0, KeyRange::eq(Value::Int(id))))?;
     let row = rows
         .into_iter()
         .next()
@@ -200,7 +200,7 @@ fn reject_deploytx(nc: &NativeCtx<'_>) -> Result<Vec<StatementEffect>> {
     let reason = arg_text(nc.args, 1, "reason")?;
     record_vote(nc, id, "reject", Some(reason), None)?;
     let (table, row) = find_deployment(nc, id)?;
-    let mut new_row = row.data.clone();
+    let mut new_row = row.data().to_vec();
     new_row[3] = Value::Text("rejected".into());
     nc.ctx.update(&table, &row, new_row)?;
     Ok(vec![])
@@ -225,7 +225,7 @@ fn comment_deploytx(nc: &NativeCtx<'_>) -> Result<Vec<StatementEffect>> {
 fn submit_deploytx(nc: &NativeCtx<'_>) -> Result<Vec<StatementEffect>> {
     let id = arg_int(nc.args, 0, "deployment id")?;
     let (table, row) = find_deployment(nc, id)?;
-    let status = row.data[3].as_str()?.to_string();
+    let status = row.data()[3].as_str()?.to_string();
     if status != "pending" {
         return Err(Error::Abort(AbortReason::ContractError(format!(
             "deployment {id} is {status}, not pending"
@@ -233,13 +233,14 @@ fn submit_deploytx(nc: &NativeCtx<'_>) -> Result<Vec<StatementEffect>> {
     }
     // Count approving organizations.
     let votes_table = nc.catalog.get("deployment_votes")?;
-    let votes = nc
-        .ctx
-        .scan(&votes_table, Some((1, &KeyRange::eq(Value::Int(id)))))?;
+    let votes = nc.ctx.scan(
+        &votes_table,
+        &ScanPlan::index(1, KeyRange::eq(Value::Int(id))),
+    )?;
     let mut approving: Vec<&str> = votes
         .iter()
-        .filter(|v| v.data[3].as_str().is_ok_and(|s| s == "approve"))
-        .filter_map(|v| v.data[2].as_str().ok())
+        .filter(|v| v.data()[3].as_str().is_ok_and(|s| s == "approve"))
+        .filter_map(|v| v.data()[2].as_str().ok())
         .collect();
     approving.sort_unstable();
     approving.dedup();
@@ -254,12 +255,12 @@ fn submit_deploytx(nc: &NativeCtx<'_>) -> Result<Vec<StatementEffect>> {
         ))));
     }
     // Execute the staged DDL: produces the deferred catalog op.
-    let sql = row.data[1].as_str()?.to_string();
+    let sql = row.data()[1].as_str()?.to_string();
     let stmt = bcrdb_sql::parse_statement(&sql)?;
     let exec = Executor::new(nc.catalog, nc.ctx, &[]);
     let effect = exec.execute(&stmt)?;
     // Mark applied.
-    let mut new_row = row.data.clone();
+    let mut new_row = row.data().to_vec();
     new_row[3] = Value::Text("applied".into());
     nc.ctx.update(&table, &row, new_row)?;
     Ok(vec![effect])
@@ -333,21 +334,22 @@ fn create_usertx(nc: &NativeCtx<'_>) -> Result<Vec<StatementEffect>> {
 fn delete_usertx(nc: &NativeCtx<'_>) -> Result<Vec<StatementEffect>> {
     let name = arg_text(nc.args, 0, "name")?.to_string();
     let table = nc.catalog.get("network_users")?;
-    let rows = nc
-        .ctx
-        .scan(&table, Some((0, &KeyRange::eq(Value::Text(name.clone())))))?;
+    let rows = nc.ctx.scan(
+        &table,
+        &ScanPlan::index(0, KeyRange::eq(Value::Text(name.clone()))),
+    )?;
     let row = rows
         .into_iter()
         .next()
         .ok_or_else(|| Error::NotFound(format!("user {name}")))?;
-    if row.data[1].as_str()? != nc.invoker.org {
+    if row.data()[1].as_str()? != nc.invoker.org {
         return Err(Error::Abort(AbortReason::AccessDenied(format!(
             "admin of {} cannot delete users of {}",
             nc.invoker.org,
-            row.data[1].display_raw()
+            row.data()[1].display_raw()
         ))));
     }
-    let mut new_row = row.data.clone();
+    let mut new_row = row.data().to_vec();
     new_row[3] = Value::Text("deleted".into());
     nc.ctx.update(&table, &row, new_row)?;
     Ok(vec![StatementEffect::Catalog(CatalogOp::RevokeCert {

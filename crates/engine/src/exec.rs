@@ -1,10 +1,12 @@
 //! The statement executor.
 //!
 //! Executes parsed statements against a [`Catalog`] through a transaction
-//! context. SELECT supports full, index, covering-index and multi-index
-//! (intersection/union) scans, index-nested-loop, hash and sort-merge
-//! joins — all chosen by the cost-based planner over snapshot-pinned
-//! statistics — plus grouping with aggregates, HAVING, ORDER BY and
+//! context. Every table scan — a SELECT's or the target rows of an
+//! UPDATE/DELETE — is planned by [`crate::planner::plan_scan`] (full,
+//! index, multi-index intersection/union) and read through the one
+//! `TxnCtx::scan`; joins are index-nested-loop, hash or sort-merge —
+//! all chosen by cost over snapshot-pinned statistics. On top sit
+//! grouping with aggregates, HAVING, ORDER BY and
 //! LIMIT: the surface the paper's three evaluation contracts need
 //! (Appendix A) plus provenance scans (§4.2). Every SELECT builds a
 //! [`PlanNode`] trace with estimated vs. actual row counts; `EXPLAIN`
@@ -16,6 +18,7 @@
 //! on every replica.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::schema::{Column, TableSchema};
@@ -28,11 +31,14 @@ use bcrdb_sql::ast::{
 use bcrdb_storage::catalog::Catalog;
 use bcrdb_storage::index::KeyRange;
 use bcrdb_storage::snapshot::ScanMode;
-use bcrdb_txn::context::TxnCtx;
+use bcrdb_storage::table::Table;
+use bcrdb_txn::context::{TxnCtx, VisibleRow};
 
 use crate::expr::{eval, Env, RowSchema};
-use crate::plan::{choose_access_path, equi_join_key};
-use crate::planner::{choose_join_strategy, plan_scan, JoinStrategy, PlanNode, ScanPlan};
+use crate::plan::equi_join_key;
+use crate::planner::{
+    choose_join_strategy, plan_scan, JoinStrategy, PlanNode, ScanChoice, ScanPlan,
+};
 use crate::procedures::ContractRegistry;
 use crate::provenance;
 use crate::result::QueryResult;
@@ -75,6 +81,37 @@ pub enum CatalogOp {
         /// Certificate (user) name.
         name: String,
     },
+}
+
+impl CatalogOp {
+    /// The catalog mutation a DDL statement asks for — the same op
+    /// whether the statement arrives in a contract, a deployment or the
+    /// genesis SQL. Queries and DML are an error.
+    pub fn from_statement(stmt: &Statement) -> Result<CatalogOp> {
+        Ok(match stmt {
+            Statement::CreateTable {
+                name,
+                columns,
+                primary_key,
+            } => build_create_table(name, columns, primary_key)?,
+            Statement::CreateIndex {
+                name,
+                table,
+                column,
+            } => CatalogOp::CreateIndex {
+                table: table.clone(),
+                index: name.clone(),
+                column: column.clone(),
+            },
+            Statement::DropTable { name, if_exists } => CatalogOp::DropTable {
+                name: name.clone(),
+                if_exists: *if_exists,
+            },
+            Statement::CreateFunction(def) => CatalogOp::CreateFunction(def.clone()),
+            Statement::DropFunction { name } => CatalogOp::DropFunction { name: name.clone() },
+            other => return Err(Error::Analysis(format!("not a DDL statement: {other:?}"))),
+        })
+    }
 }
 
 /// Apply a catalog op (serial commit phase only).
@@ -176,39 +213,8 @@ impl<'a> Executor<'a> {
             Statement::Delete { table, predicate } => Ok(StatementEffect::Count(
                 self.run_delete(table, predicate.as_ref())?,
             )),
-            Statement::CreateTable {
-                name,
-                columns,
-                primary_key,
-            } => Ok(StatementEffect::Catalog(build_create_table(
-                name,
-                columns,
-                primary_key,
-            )?)),
-            Statement::CreateIndex {
-                name,
-                table,
-                column,
-            } => Ok(StatementEffect::Catalog(CatalogOp::CreateIndex {
-                table: table.clone(),
-                index: name.clone(),
-                column: column.clone(),
-            })),
-            Statement::DropTable { name, if_exists } => {
-                Ok(StatementEffect::Catalog(CatalogOp::DropTable {
-                    name: name.clone(),
-                    if_exists: *if_exists,
-                }))
-            }
-            Statement::CreateFunction(def) => Ok(StatementEffect::Catalog(
-                CatalogOp::CreateFunction(def.clone()),
-            )),
-            Statement::DropFunction { name } => {
-                Ok(StatementEffect::Catalog(CatalogOp::DropFunction {
-                    name: name.clone(),
-                }))
-            }
             Statement::Explain(inner) => Ok(StatementEffect::Rows(self.run_explain(inner)?)),
+            ddl => Ok(StatementEffect::Catalog(CatalogOp::from_statement(ddl)?)),
         }
     }
 
@@ -338,79 +344,96 @@ impl<'a> Executor<'a> {
         let table = self.catalog.get(&tref.name)?;
         let alias = tref.effective_name().to_string();
         let table_schema = table.schema();
-        let stats = TableStatsView::at(&table, &table_schema, self.ctx.snapshot.height);
         let covering = covering_ctx.and_then(|sel| covering_candidate(sel, &alias, &table_schema));
         let strict = self.ctx.mode == ScanMode::Strict;
+        let (choice, visible) =
+            self.planned_scan(&table, &table_schema, &alias, predicate, covering, strict)?;
+        let names = column_names(&table_schema);
+        let node = PlanNode::leaf(
+            choice.label(&alias, &table_schema),
+            Some(choice.est_rows),
+            visible.len(),
+        );
+        // Each version is released as soon as its values are copied out,
+        // while it is still in cache.
+        let dataset: Dataset = match choice.covering {
+            // The index key alone satisfies the query: project just that
+            // column instead of copying whole rows.
+            Some(column) => (
+                RowSchema::for_table(&alias, &[names[column].clone()]),
+                visible
+                    .into_iter()
+                    .map(|r| vec![r.data()[column].clone()])
+                    .collect(),
+            ),
+            None => (
+                RowSchema::for_table(&alias, &names),
+                visible.into_iter().map(|r| r.data().to_vec()).collect(),
+            ),
+        };
+        Ok((dataset, node))
+    }
+
+    /// Plan one table scan and run it: the single place a statement's
+    /// reads — and with them its predicate locks — are decided, for
+    /// SELECT, UPDATE and DELETE alike.
+    fn planned_scan(
+        &self,
+        table: &Arc<Table>,
+        schema: &TableSchema,
+        alias: &str,
+        predicate: Option<&Expr>,
+        covering: Option<usize>,
+        require_index: bool,
+    ) -> Result<(ScanChoice, Vec<VisibleRow>)> {
+        let stats = TableStatsView::at(table, schema, self.ctx.snapshot.height);
         let choice = plan_scan(
-            &table_schema,
-            &alias,
+            schema,
+            alias,
             predicate,
             self.params,
             &stats,
             covering,
-            strict,
+            require_index,
         )?;
-        let label = choice.plan.label(&alias, &table_schema);
-        let names: Vec<String> = table_schema
-            .columns
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
-        let (schema, rows): Dataset = match &choice.plan {
-            ScanPlan::Full => {
-                let visible = self.ctx.scan(&table, None)?;
-                (
-                    RowSchema::for_table(&alias, &names),
-                    visible.into_iter().map(|r| r.data).collect(),
-                )
+        match &choice.plan {
+            ScanPlan::Intersect(parts) | ScanPlan::Union(parts) if parts.len() > 1 => {
+                self.catalog.on_multi_index_plan()
             }
-            ScanPlan::Index {
-                column,
-                range,
-                covering: true,
-            } => {
-                // The index key alone satisfies the query: project just
-                // that column, skipping the heap-row clones.
-                self.catalog.on_covering_plan();
-                let pairs = self.ctx.scan_covering(&table, *column, range)?;
-                (
-                    RowSchema::for_table(&alias, &[names[*column].clone()]),
-                    pairs.into_iter().map(|(_, v)| vec![v]).collect(),
-                )
+            _ if choice.covering.is_some() => self.catalog.on_covering_plan(),
+            _ => {}
+        }
+        let visible = self.ctx.scan(table, &choice.plan)?;
+        Ok((choice, visible))
+    }
+
+    /// The rows an UPDATE or DELETE of `table` under `predicate` writes.
+    /// Planned with `require_index` in every flow, so the lock a write
+    /// takes is an index range whenever the predicate offers one.
+    fn write_targets(
+        &self,
+        table: &Arc<Table>,
+        schema: &TableSchema,
+        predicate: Option<&Expr>,
+    ) -> Result<(RowSchema, Vec<VisibleRow>)> {
+        let row_schema = RowSchema::for_table(&schema.name, &column_names(schema));
+        let (_, mut targets) =
+            self.planned_scan(table, schema, &schema.name, predicate, None, true)?;
+        if let Some(pred) = predicate {
+            let mut kept = Vec::with_capacity(targets.len());
+            for target in targets {
+                let env = Env {
+                    schema: &row_schema,
+                    row: target.data(),
+                    params: self.params,
+                };
+                if eval(pred, &env)?.is_truthy() {
+                    kept.push(target);
+                }
             }
-            ScanPlan::Index {
-                column,
-                range,
-                covering: false,
-            } => {
-                let visible = self.ctx.scan(&table, Some((*column, range)))?;
-                (
-                    RowSchema::for_table(&alias, &names),
-                    visible.into_iter().map(|r| r.data).collect(),
-                )
-            }
-            ScanPlan::Intersect { parts } => {
-                self.catalog.on_multi_index_plan();
-                let visible = self.ctx.scan_multi(&table, parts, false)?;
-                (
-                    RowSchema::for_table(&alias, &names),
-                    visible.into_iter().map(|r| r.data).collect(),
-                )
-            }
-            ScanPlan::Union { parts } => {
-                self.catalog.on_multi_index_plan();
-                let visible = self.ctx.scan_multi(&table, parts, true)?;
-                (
-                    RowSchema::for_table(&alias, &names),
-                    visible.into_iter().map(|r| r.data).collect(),
-                )
-            }
-        };
-        let actual = rows.len();
-        Ok((
-            (schema, rows),
-            PlanNode::leaf(label, Some(choice.est_rows), actual),
-        ))
+            targets = kept;
+        }
+        Ok((row_schema, targets))
     }
 
     fn run_join(
@@ -448,11 +471,7 @@ impl<'a> Executor<'a> {
         let right_table_schema = right_table.schema();
         let right_stats =
             TableStatsView::at(&right_table, &right_table_schema, self.ctx.snapshot.height);
-        let names: Vec<String> = right_table_schema
-            .columns
-            .iter()
-            .map(|c| c.name.clone())
-            .collect();
+        let names = column_names(&right_table_schema);
         let right_schema = RowSchema::for_table(&right_alias, &names);
         let combined = left_schema.join(&right_schema);
 
@@ -470,9 +489,9 @@ impl<'a> Executor<'a> {
             // flow rejects it inside TxnCtx::scan).
             let right_rows: Vec<Row> = self
                 .ctx
-                .scan(&right_table, None)?
+                .scan(&right_table, &ScanPlan::Full)?
                 .into_iter()
-                .map(|r| r.data)
+                .map(|r| r.data().to_vec())
                 .collect();
             let right_node =
                 PlanNode::leaf(format!("SeqScan {right_alias}"), None, right_rows.len());
@@ -509,11 +528,10 @@ impl<'a> Executor<'a> {
                 if key.is_null() {
                     continue;
                 }
-                let range = KeyRange::eq(key);
-                let matches = self.ctx.scan(&right_table, Some((*right_col, &range)))?;
-                for m in matches {
+                let probe = ScanPlan::index(*right_col, KeyRange::eq(key));
+                for m in self.ctx.scan(&right_table, &probe)? {
                     let mut row = lrow.clone();
-                    row.extend(m.data);
+                    row.extend_from_slice(m.data());
                     let env = Env {
                         schema: &combined,
                         row: &row,
@@ -538,9 +556,9 @@ impl<'a> Executor<'a> {
         // relaxed flows only, as above).
         let right_rows: Vec<Row> = self
             .ctx
-            .scan(&right_table, None)?
+            .scan(&right_table, &ScanPlan::Full)?
             .into_iter()
-            .map(|r| r.data)
+            .map(|r| r.data().to_vec())
             .collect();
         let right_node = PlanNode::leaf(format!("SeqScan {right_alias}"), None, right_rows.len());
 
@@ -901,8 +919,6 @@ impl<'a> Executor<'a> {
     ) -> Result<usize> {
         let table = self.catalog.get(table_name)?;
         let schema = table.schema();
-        let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-        let row_schema = RowSchema::for_table(table_name, &names);
         let assigned: Vec<(usize, &Expr)> = assignments
             .iter()
             .map(|(name, e)| {
@@ -911,70 +927,35 @@ impl<'a> Executor<'a> {
                 })
             })
             .collect::<Result<_>>()?;
-
-        let stats = TableStatsView::at(&table, &schema, self.ctx.snapshot.height);
-        let path = choose_access_path(&schema, table_name, predicate, self.params, &stats)?;
-        let targets = match &path {
-            Some(p) => self.ctx.scan(&table, Some((p.column, &p.range)))?,
-            None => self.ctx.scan(&table, None)?,
-        };
-
-        let mut count = 0;
-        for target in targets {
-            if let Some(pred) = predicate {
-                let env = Env {
-                    schema: &row_schema,
-                    row: &target.data,
-                    params: self.params,
-                };
-                if !eval(pred, &env)?.is_truthy() {
-                    continue;
-                }
-            }
+        let (row_schema, targets) = self.write_targets(&table, &schema, predicate)?;
+        for target in &targets {
             let env = Env {
                 schema: &row_schema,
-                row: &target.data,
+                row: target.data(),
                 params: self.params,
             };
-            let mut new_row = target.data.clone();
+            let mut new_row = target.data().to_vec();
             for (ordinal, e) in &assigned {
                 new_row[*ordinal] = eval(e, &env)?;
             }
             let new_row = schema.check_row(new_row)?;
-            self.ctx.update(&table, &target, new_row)?;
-            count += 1;
+            self.ctx.update(&table, target, new_row)?;
         }
-        Ok(count)
+        Ok(targets.len())
     }
 
     fn run_delete(&self, table_name: &str, predicate: Option<&Expr>) -> Result<usize> {
         let table = self.catalog.get(table_name)?;
-        let schema = table.schema();
-        let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-        let row_schema = RowSchema::for_table(table_name, &names);
-        let stats = TableStatsView::at(&table, &schema, self.ctx.snapshot.height);
-        let path = choose_access_path(&schema, table_name, predicate, self.params, &stats)?;
-        let targets = match &path {
-            Some(p) => self.ctx.scan(&table, Some((p.column, &p.range)))?,
-            None => self.ctx.scan(&table, None)?,
-        };
-        let mut count = 0;
-        for target in targets {
-            if let Some(pred) = predicate {
-                let env = Env {
-                    schema: &row_schema,
-                    row: &target.data,
-                    params: self.params,
-                };
-                if !eval(pred, &env)?.is_truthy() {
-                    continue;
-                }
-            }
-            self.ctx.delete(&table, &target)?;
-            count += 1;
+        let (_, targets) = self.write_targets(&table, &table.schema(), predicate)?;
+        for target in &targets {
+            self.ctx.delete(&table, target)?;
         }
-        Ok(count)
+        Ok(targets.len())
     }
+}
+
+fn column_names(schema: &TableSchema) -> Vec<String> {
+    schema.columns.iter().map(|c| c.name.clone()).collect()
 }
 
 fn nested_loop(

@@ -1,20 +1,16 @@
-//! Single-index access-path selection and equi-join key detection.
+//! Sargable-predicate extraction and equi-join key detection: the
+//! expression-shape half of planning.
 //!
 //! The paper's rule (§4.3) — *all predicate reads must go through an index
 //! in the execute-order-in-parallel flow* — makes index selection a
 //! correctness feature, not just a performance one: the chosen index range
-//! doubles as the SSI predicate lock. [`choose_access_path`] is the
-//! single-index chooser used by UPDATE/DELETE target scans; SELECT scans
-//! go through the richer [`crate::planner::plan_scan`] enumerator
-//! (intersection, union, covering), which shares the sargable-conjunct
-//! extraction here.
+//! doubles as the SSI predicate lock. This module recognises which
+//! conjuncts can become index ranges (`sargable_conjunct`);
+//! [`crate::planner::plan_scan`] is the one place that turns them into an
+//! access path, for SELECT, UPDATE and DELETE alike.
 //!
-//! Selection is cost-based over the snapshot-pinned statistics
-//! ([`crate::stats::TableStatsView`]) with an explicit, documented
-//! tie-break: **lowest estimated cost first, then lowest column
-//! ordinal**. Both inputs are identical on every replica (the catalog and
-//! the sealed stats ride the deterministic commit path), so every replica
-//! picks the same path.
+//! Everything here is a pure function of the statement, its parameters
+//! and the catalog, so every replica extracts the same ranges.
 
 use bcrdb_common::error::Result;
 use bcrdb_common::schema::TableSchema;
@@ -22,18 +18,8 @@ use bcrdb_common::value::Value;
 use bcrdb_sql::ast::{BinaryOp, Expr};
 use bcrdb_storage::index::KeyRange;
 
-use crate::cost;
 use crate::expr::{eval, Env, RowSchema};
 use crate::stats::TableStatsView;
-
-/// A chosen access path for one table scan.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AccessPath {
-    /// Indexed column ordinal and the scan range.
-    pub column: usize,
-    /// Key range derived from the predicate.
-    pub range: KeyRange,
-}
 
 /// Split an expression into its AND-conjuncts.
 pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
@@ -177,45 +163,6 @@ pub(crate) fn sargable_conjunct(
     }
 }
 
-/// Choose a single-index access path for scanning `schema` (referred to
-/// as `alias`) under the optional `predicate`. Only conjuncts of the
-/// shape `col op const`, `const op col` or `col BETWEEN const AND const`
-/// over columns with an index are considered.
-///
-/// Tie-break (documented contract, see the
-/// `equality_preferred_over_range` test): **lowest estimated cost wins;
-/// equal costs break to the lowest column ordinal.** Cost comes from the
-/// snapshot-pinned `stats` (or the fixed default selectivities when no
-/// summary is sealed), so the choice is identical on every replica.
-pub fn choose_access_path(
-    schema: &TableSchema,
-    alias: &str,
-    predicate: Option<&Expr>,
-    params: &[Value],
-    stats: &TableStatsView,
-) -> Result<Option<AccessPath>> {
-    let Some(pred) = predicate else {
-        return Ok(None);
-    };
-    let rows = cost::table_rows(stats);
-    let mut best: Option<(AccessPath, f64)> = None;
-    for c in conjuncts(pred) {
-        let Some((column, range)) = sargable_conjunct(c, alias, schema, params)? else {
-            continue;
-        };
-        let est = rows * cost::selectivity(stats, column, &range);
-        let path_cost = cost::index_scan_cost(est, false);
-        let better = match &best {
-            None => true,
-            Some((b, bcost)) => path_cost < *bcost || (path_cost == *bcost && column < b.column),
-        };
-        if better {
-            best = Some((AccessPath { column, range }, path_cost));
-        }
-    }
-    Ok(best.map(|(p, _)| p))
-}
-
 /// Detect an equi-join `left_expr = right_table.col` inside an ON
 /// condition. Returns (expression over the left side, right column
 /// ordinal) if found. Extra conjuncts are evaluated as residual filters by
@@ -308,6 +255,8 @@ mod tests {
     use bcrdb_common::schema::{Column, DataType};
     use bcrdb_sql::parse_expression;
 
+    use crate::planner::{plan_scan, ScanPlan};
+
     fn schema() -> TableSchema {
         let mut s = TableSchema::new(
             "inv",
@@ -323,34 +272,48 @@ mod tests {
         s
     }
 
-    fn path(pred: &str, params: &[Value]) -> Option<AccessPath> {
+    /// The access path a write takes (`require_index`, as UPDATE/DELETE
+    /// plan): the single `(column, range)` part, or `None` for a full
+    /// scan.
+    fn path_as(pred: &str, alias: &str, params: &[Value]) -> Option<(usize, KeyRange)> {
         let e = parse_expression(pred).unwrap();
         let s = schema();
-        choose_access_path(&s, "inv", Some(&e), params, &TableStatsView::empty(&s)).unwrap()
+        let stats = TableStatsView::empty(&s);
+        match plan_scan(&s, alias, Some(&e), params, &stats, None, true)
+            .unwrap()
+            .plan
+        {
+            ScanPlan::Full => None,
+            ScanPlan::Intersect(mut parts) if parts.len() == 1 => parts.pop(),
+            other => panic!("expected a single-index or full scan, got {other:?}"),
+        }
+    }
+
+    fn path(pred: &str, params: &[Value]) -> Option<(usize, KeyRange)> {
+        path_as(pred, "inv", params)
     }
 
     #[test]
     fn equality_on_pk() {
-        let p = path("id = 5", &[]).unwrap();
-        assert_eq!(p.column, 0);
-        assert_eq!(p.range, KeyRange::eq(Value::Int(5)));
+        assert_eq!(path("id = 5", &[]), Some((0, KeyRange::eq(Value::Int(5)))));
     }
 
     #[test]
     fn param_and_flipped_comparisons() {
-        let p = path("$1 = id", &[Value::Int(7)]).unwrap();
-        assert_eq!(p.range, KeyRange::eq(Value::Int(7)));
-        let p = path("10 > id", &[]).unwrap();
-        assert_eq!(p.range, KeyRange::less(Value::Int(10), false));
+        let (_, range) = path("$1 = id", &[Value::Int(7)]).unwrap();
+        assert_eq!(range, KeyRange::eq(Value::Int(7)));
+        let (_, range) = path("10 > id", &[]).unwrap();
+        assert_eq!(range, KeyRange::less(Value::Int(10), false));
     }
 
     #[test]
     fn between_and_range() {
-        let p = path("id BETWEEN 2 AND 9", &[]).unwrap();
-        assert_eq!(p.range, KeyRange::between(Value::Int(2), Value::Int(9)));
-        let p = path("id >= 3 AND amount > 0", &[]).unwrap();
-        assert_eq!(p.column, 0);
-        assert_eq!(p.range, KeyRange::greater(Value::Int(3), true));
+        let (_, range) = path("id BETWEEN 2 AND 9", &[]).unwrap();
+        assert_eq!(range, KeyRange::between(Value::Int(2), Value::Int(9)));
+        assert_eq!(
+            path("id >= 3 AND amount > 0", &[]),
+            Some((0, KeyRange::greater(Value::Int(3), true)))
+        );
     }
 
     #[test]
@@ -359,11 +322,11 @@ mod tests {
         // ordinal. An equality estimates fewer rows than a half-open
         // range, so it costs less regardless of which conjunct came
         // first…
-        let p = path("supplier = 'acme' AND id > 3", &[]).unwrap();
-        assert_eq!(p.column, 1, "equality on secondary index beats pk range");
+        let (column, _) = path("supplier = 'acme' AND id > 3", &[]).unwrap();
+        assert_eq!(column, 1, "equality on secondary index beats pk range");
         // …and among equalities the unique pk estimates fewest rows.
-        let p = path("id = 4 AND supplier = 'acme'", &[]).unwrap();
-        assert_eq!(p.column, 0);
+        let (column, _) = path("id = 4 AND supplier = 'acme'", &[]).unwrap();
+        assert_eq!(column, 0);
     }
 
     #[test]
@@ -372,33 +335,12 @@ mod tests {
         assert!(path("id + 1 = 5", &[]).is_none(), "not col-op-const shape");
         assert!(path("id = amount", &[]).is_none(), "both sides columns");
         assert!(path("id = NULL", &[]).is_none(), "null constant");
-        // A disjunction is not a *single* access path — the SELECT
-        // planner turns it into an index union instead
-        // (`planner::tests::or_on_indexed_column_becomes_index_union`).
-        let e = parse_expression("id = 1 OR id = 2").unwrap();
-        let s = schema();
-        assert!(
-            choose_access_path(&s, "inv", Some(&e), &[], &TableStatsView::empty(&s))
-                .unwrap()
-                .is_none()
-        );
     }
 
     #[test]
     fn qualified_references_respect_alias() {
-        let s = schema();
-        let e = parse_expression("other.id = 5").unwrap();
-        assert!(
-            choose_access_path(&s, "inv", Some(&e), &[], &TableStatsView::empty(&s))
-                .unwrap()
-                .is_none()
-        );
-        let e = parse_expression("inv.id = 5").unwrap();
-        assert!(
-            choose_access_path(&s, "inv", Some(&e), &[], &TableStatsView::empty(&s))
-                .unwrap()
-                .is_some()
-        );
+        assert!(path_as("other.id = 5", "inv", &[]).is_none());
+        assert!(path_as("inv.id = 5", "inv", &[]).is_some());
     }
 
     #[test]

@@ -1,14 +1,21 @@
-//! The cost-based plan enumerator.
+//! The cost-based plan enumerator — the one planner for reads and writes.
 //!
-//! Enumerates the access paths one table scan could take — full scan,
-//! single index scan (optionally covering), multi-index intersection of
+//! [`plan_scan`] enumerates the access paths one table scan could take —
+//! full scan, single index scan, multi-index intersection of
 //! AND-conjuncts, multi-index union of OR-disjuncts — costs each with
 //! the [`crate::cost`] model over the snapshot-pinned statistics, and
-//! picks the cheapest. Ties break structurally (fewest index parts,
-//! then lowest column ordinal) so the choice is a pure function of the
-//! catalog and the sealed statistics: every replica derives the same
-//! plan, which matters because the plan's index ranges double as the
-//! SSI predicate locks (§4.3).
+//! picks the cheapest. A SELECT's base table and the target rows of an
+//! UPDATE or DELETE are planned here alike, and the chosen [`ScanPlan`]
+//! is exactly what [`bcrdb_txn::context::TxnCtx::scan`] executes. Ties
+//! break structurally (fewest index parts, then lowest column ordinal)
+//! so the choice is a pure function of the catalog and the sealed
+//! statistics: every replica derives the same plan, which matters
+//! because the plan's index ranges double as the SSI predicate locks
+//! (§4.3).
+//!
+//! Covering is not a plan shape: when the statement consumes only the
+//! column a single-index plan scans, [`ScanChoice::covering`] tells the
+//! executor to project that column instead of copying rows.
 //!
 //! Join strategy (index-nested-loop vs. hash vs. sort-merge) is chosen
 //! the same way, with the strict execute-order flow pinned to
@@ -22,45 +29,22 @@ use bcrdb_common::schema::TableSchema;
 use bcrdb_common::value::Value;
 use bcrdb_sql::ast::{BinaryOp, Expr};
 use bcrdb_storage::index::KeyRange;
+pub use bcrdb_txn::context::ScanPlan;
 
 use crate::cost;
 use crate::plan::{conjuncts, eval_const, is_const, rank, sargable_conjunct};
 use crate::stats::TableStatsView;
 
-/// A chosen physical access path for one table scan.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ScanPlan {
-    /// Full heap scan (relaxed flows only).
-    Full,
-    /// Single index range scan.
-    Index {
-        /// Indexed column ordinal.
-        column: usize,
-        /// Scan range.
-        range: KeyRange,
-        /// The index key alone satisfies the query: skip the heap-row
-        /// clone.
-        covering: bool,
-    },
-    /// Bitmap-style AND of several index scans: intersect the row-id
-    /// sets, fault only rows matching every part.
-    Intersect {
-        /// `(column, range)` per part, ascending by column ordinal.
-        parts: Vec<(usize, KeyRange)>,
-    },
-    /// Union of several index scans (OR-disjuncts / IN lists): merge
-    /// and deduplicate the row-id sets.
-    Union {
-        /// `(column, range)` per part, in disjunct order.
-        parts: Vec<(usize, KeyRange)>,
-    },
-}
-
 /// A costed plan choice.
 #[derive(Clone, Debug)]
 pub struct ScanChoice {
-    /// The chosen access path.
+    /// The chosen access path, as [`bcrdb_txn::context::TxnCtx::scan`]
+    /// executes it.
     pub plan: ScanPlan,
+    /// The one column the statement consumes, when the plan is a single
+    /// index scan on exactly that column: the executor projects it and
+    /// never copies the rest of the row.
+    pub covering: Option<usize>,
     /// Estimated rows the scan operator emits (before residual filters).
     pub est_rows: f64,
     /// Estimated cost in the model's row-visit units.
@@ -71,29 +55,32 @@ impl ScanChoice {
     fn full(rows: f64) -> ScanChoice {
         ScanChoice {
             plan: ScanPlan::Full,
+            covering: None,
             est_rows: rows,
             cost: cost::full_scan_cost(rows),
         }
     }
 
     /// Structural tie-break key: fewest index parts, then lowest first
-    /// column ordinal, then plan-kind order (index < intersect < union <
-    /// full) — all catalog-derived, nothing positional.
+    /// column ordinal, then plan-kind order (intersect < union < full) —
+    /// all catalog-derived, nothing positional.
     fn tie_key(&self) -> (usize, usize, u8) {
         match &self.plan {
-            ScanPlan::Index { column, .. } => (1, *column, 0),
-            ScanPlan::Intersect { parts } => (parts.len(), parts[0].0, 1),
-            ScanPlan::Union { parts } => (parts.len(), parts[0].0, 2),
-            ScanPlan::Full => (usize::MAX, usize::MAX, 3),
+            ScanPlan::Intersect(parts) => (parts.len(), parts[0].0, 0),
+            ScanPlan::Union(parts) => (parts.len(), parts[0].0, 1),
+            ScanPlan::Full => (usize::MAX, usize::MAX, 2),
         }
     }
 }
 
-/// Plan one table scan. `covering` names the only column the query
-/// consumes, when there is exactly one — a single-index plan on that
-/// column can then skip heap faults. With `require_index` (the strict
-/// execute-order flow) a full scan is only chosen when no index path
-/// exists at all (the scan layer then rejects it, §4.3).
+/// Plan one table scan — a SELECT's base table or the targets of an
+/// UPDATE/DELETE. `covering` names the only column the query consumes,
+/// when there is exactly one — a single-index plan on that column then
+/// copies just the key. With `require_index` a full scan is only chosen
+/// when no index path exists at all: the strict execute-order flow sets
+/// it because the scan layer rejects full scans there (§4.3), and writes
+/// set it in every flow so the predicate lock they take is an index
+/// range, never the whole table.
 pub fn plan_scan(
     schema: &TableSchema,
     alias: &str,
@@ -122,15 +109,12 @@ pub fn plan_scan(
     // Single-index candidates.
     for (col, range, sel) in &sargs {
         let est = rows * sel;
-        let cov = covering == Some(*col);
+        let cov = covering.filter(|c| c == col);
         candidates.push(ScanChoice {
-            plan: ScanPlan::Index {
-                column: *col,
-                range: range.clone(),
-                covering: cov,
-            },
+            plan: ScanPlan::index(*col, range.clone()),
+            covering: cov,
             est_rows: est,
-            cost: cost::index_scan_cost(est, cov),
+            cost: cost::index_scan_cost(est, cov.is_some()),
         });
     }
 
@@ -151,9 +135,8 @@ pub fn plan_scan(
         let part_ests: Vec<f64> = per_col.iter().map(|(_, _, s)| rows * s).collect();
         let out_est = rows * per_col.iter().map(|(_, _, s)| s).product::<f64>();
         candidates.push(ScanChoice {
-            plan: ScanPlan::Intersect {
-                parts: per_col.iter().map(|(c, r, _)| (*c, r.clone())).collect(),
-            },
+            plan: ScanPlan::Intersect(per_col.iter().map(|(c, r, _)| (*c, r.clone())).collect()),
+            covering: None,
             est_rows: out_est,
             cost: cost::intersect_cost(&part_ests, out_est),
         });
@@ -170,7 +153,8 @@ pub fn plan_scan(
                 .collect();
             let est = ests.iter().sum::<f64>().min(rows);
             candidates.push(ScanChoice {
-                plan: ScanPlan::Union { parts },
+                plan: ScanPlan::Union(parts),
+                covering: None,
                 est_rows: est,
                 cost: cost::union_cost(&ests),
             });
@@ -431,38 +415,26 @@ pub fn describe_range(schema: &TableSchema, column: usize, range: &KeyRange) -> 
     }
 }
 
-impl ScanPlan {
+impl ScanChoice {
     /// Operator label for EXPLAIN output.
     pub fn label(&self, table: &str, schema: &TableSchema) -> String {
-        match self {
-            ScanPlan::Full => format!("SeqScan {table}"),
-            ScanPlan::Index {
-                column,
-                range,
-                covering,
-            } => {
-                let op = if *covering {
-                    "CoveringIndexScan"
-                } else {
-                    "IndexScan"
+        let (op, parts, joiner) = match &self.plan {
+            ScanPlan::Full => return format!("SeqScan {table}"),
+            ScanPlan::Intersect(parts) if parts.len() == 1 => {
+                let op = match self.covering {
+                    Some(_) => "CoveringIndexScan",
+                    None => "IndexScan",
                 };
-                format!("{op} {table} [{}]", describe_range(schema, *column, range))
+                (op, parts, "")
             }
-            ScanPlan::Intersect { parts } => {
-                let desc: Vec<String> = parts
-                    .iter()
-                    .map(|(c, r)| describe_range(schema, *c, r))
-                    .collect();
-                format!("IndexIntersect {table} [{}]", desc.join(" AND "))
-            }
-            ScanPlan::Union { parts } => {
-                let desc: Vec<String> = parts
-                    .iter()
-                    .map(|(c, r)| describe_range(schema, *c, r))
-                    .collect();
-                format!("IndexUnion {table} [{}]", desc.join(" OR "))
-            }
-        }
+            ScanPlan::Intersect(parts) => ("IndexIntersect", parts, " AND "),
+            ScanPlan::Union(parts) => ("IndexUnion", parts, " OR "),
+        };
+        let desc: Vec<String> = parts
+            .iter()
+            .map(|(c, r)| describe_range(schema, *c, r))
+            .collect();
+        format!("{op} {table} [{}]", desc.join(joiner))
     }
 }
 
@@ -527,16 +499,17 @@ mod tests {
     fn or_on_indexed_column_becomes_index_union() {
         let s = stats(10_000, 50);
         let choice = plan("id = 1 OR id = 2", &s, None);
-        assert_eq!(
-            choice.plan,
-            ScanPlan::Union {
-                parts: vec![
-                    (0, KeyRange::eq(Value::Int(1))),
-                    (0, KeyRange::eq(Value::Int(2))),
-                ]
-            }
-        );
+        let union = ScanPlan::Union(vec![
+            (0, KeyRange::eq(Value::Int(1))),
+            (0, KeyRange::eq(Value::Int(2))),
+        ]);
+        assert_eq!(choice.plan, union);
         assert!(choice.est_rows < 3.0);
+        // A write (`require_index`) plans the same union — it used to be
+        // a whole-table scan, which the execute-order flow rejects.
+        let e = parse_expression("id = 1 OR id = 2").unwrap();
+        let write = plan_scan(&schema(), "inv", Some(&e), &[], &s, None, true).unwrap();
+        assert_eq!(write.plan, union);
     }
 
     #[test]
@@ -544,7 +517,7 @@ mod tests {
         let s = stats(10_000, 50);
         let choice = plan("id IN (3, 5, 9)", &s, None);
         match choice.plan {
-            ScanPlan::Union { parts } => assert_eq!(parts.len(), 3),
+            ScanPlan::Union(parts) => assert_eq!(parts.len(), 3),
             other => panic!("expected union, got {other:?}"),
         }
     }
@@ -566,7 +539,7 @@ mod tests {
         let s = stats(100_000, 20);
         let choice = plan("supplier = 'acme' AND id BETWEEN 10 AND 5009", &s, None);
         match &choice.plan {
-            ScanPlan::Intersect { parts } => {
+            ScanPlan::Intersect(parts) => {
                 assert_eq!(parts.len(), 2);
                 assert_eq!(parts[0].0, 0, "parts ascend by column ordinal");
                 assert_eq!(parts[1].0, 1);
@@ -581,36 +554,20 @@ mod tests {
         // only adds seek cost.
         let s = stats(100_000, 10);
         let choice = plan("id = 4 AND supplier = 'acme'", &s, None);
-        assert_eq!(
-            choice.plan,
-            ScanPlan::Index {
-                column: 0,
-                range: KeyRange::eq(Value::Int(4)),
-                covering: false,
-            }
-        );
+        assert_eq!(choice.plan, ScanPlan::index(0, KeyRange::eq(Value::Int(4))));
+        assert_eq!(choice.covering, None);
     }
 
     #[test]
     fn covering_flag_set_only_for_the_consumed_column() {
         let s = stats(10_000, 50);
         let choice = plan("supplier = 'acme'", &s, Some(1));
-        assert_eq!(
-            choice.plan,
-            ScanPlan::Index {
-                column: 1,
-                range: KeyRange::eq(Value::Text("acme".into())),
-                covering: true,
-            }
-        );
+        let by_supplier = ScanPlan::index(1, KeyRange::eq(Value::Text("acme".into())));
+        assert_eq!(choice.plan, by_supplier);
+        assert_eq!(choice.covering, Some(1));
         let choice = plan("supplier = 'acme'", &s, Some(0));
-        assert!(matches!(
-            choice.plan,
-            ScanPlan::Index {
-                covering: false,
-                ..
-            }
-        ));
+        assert_eq!(choice.plan, by_supplier);
+        assert_eq!(choice.covering, None);
     }
 
     #[test]
@@ -622,7 +579,10 @@ mod tests {
         // …unless the strict flow requires an index path.
         let e = parse_expression("id >= 1").unwrap();
         let strict = plan_scan(&schema(), "inv", Some(&e), &[], &s, None, true).unwrap();
-        assert!(matches!(strict.plan, ScanPlan::Index { column: 0, .. }));
+        assert_eq!(
+            strict.plan,
+            ScanPlan::index(0, KeyRange::greater(Value::Int(1), true))
+        );
     }
 
     #[test]

@@ -156,6 +156,7 @@ mod tests {
     use bcrdb_sql::ast::Statement;
     use bcrdb_sql::parse_statement;
     use bcrdb_storage::snapshot::ScanMode;
+    use bcrdb_txn::context::ScanPlan;
     use bcrdb_txn::ssi::{Flow, SsiManager};
     use std::sync::Arc;
 
@@ -204,7 +205,7 @@ mod tests {
             .is_committed());
         let r = TxnCtx::read_only(&mgr, 1);
         assert_eq!(
-            r.scan(&catalog.get("accounts").unwrap(), None)
+            r.scan(&catalog.get("accounts").unwrap(), &ScanPlan::Full)
                 .unwrap()
                 .len(),
             1

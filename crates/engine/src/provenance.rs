@@ -92,6 +92,7 @@ mod tests {
     use super::*;
     use bcrdb_common::schema::{Column, DataType, TableSchema};
     use bcrdb_storage::snapshot::ScanMode;
+    use bcrdb_txn::context::ScanPlan;
     use bcrdb_txn::ssi::{Flow, SsiManager};
     use std::sync::Arc;
 
@@ -133,7 +134,7 @@ mod tests {
             .unwrap();
         assert!(t1.apply_commit(1, 0, Flow::OrderThenExecute).is_committed());
         let t2 = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
-        let target = t2.scan(&table, None).unwrap()[0].clone();
+        let target = t2.scan(&table, &ScanPlan::Full).unwrap()[0].clone();
         t2.update(&table, &target, vec![Value::Int(1), Value::Int(150)])
             .unwrap();
         assert!(t2.apply_commit(2, 0, Flow::OrderThenExecute).is_committed());
@@ -165,7 +166,7 @@ mod tests {
             .unwrap();
         assert!(t1.apply_commit(1, 0, Flow::OrderThenExecute).is_committed());
         let t2 = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
-        let target = t2.scan(&table, None).unwrap()[0].clone();
+        let target = t2.scan(&table, &ScanPlan::Full).unwrap()[0].clone();
         t2.delete(&table, &target).unwrap();
         assert!(t2.apply_commit(2, 0, Flow::OrderThenExecute).is_committed());
 

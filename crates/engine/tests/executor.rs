@@ -282,6 +282,13 @@ fn update_and_delete_with_predicates() {
     }
     let r = db.query("SELECT COUNT(*) FROM invoices");
     assert_eq!(r.rows[0][0], Value::Int(4));
+
+    // An inverted range selects nothing, for reads and writes alike (the
+    // index used to panic on it).
+    let r = db.query("SELECT id FROM invoices WHERE id BETWEEN 14 AND 10");
+    assert!(r.rows.is_empty());
+    let effects = db.run("DELETE FROM invoices WHERE id BETWEEN 14 AND 10");
+    assert!(matches!(effects[0], StatementEffect::Count(0)));
 }
 
 #[test]

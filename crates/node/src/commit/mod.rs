@@ -30,7 +30,7 @@ use bcrdb_chain::ledger::{LedgerRecord, TxStatus};
 use bcrdb_chain::tx::Transaction;
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::TxId;
-use bcrdb_engine::exec::{apply_catalog_op, CatalogOp};
+use bcrdb_engine::exec::CatalogOp;
 use bcrdb_engine::procedures::ContractRegistry;
 use bcrdb_sql::validate::DeterminismRules;
 use bcrdb_storage::catalog::Catalog;
@@ -225,9 +225,7 @@ fn gate_one(
     match done.ctx.validate_commit(block.number, index, flow) {
         Ok(plan) => {
             for op in &done.catalog_ops {
-                if let Err(e) =
-                    apply_catalog_op(&node.env.catalog, &node.env.contracts, &node.env.certs, op)
-                {
+                if let Err(e) = node.apply_catalog_op(op) {
                     // Validated above; failure here is a bug, not a user
                     // error — surface loudly but deterministically.
                     eprintln!(

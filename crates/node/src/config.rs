@@ -25,10 +25,6 @@ pub struct NodeConfig {
     /// Write a state snapshot every N blocks (0 = never). Snapshots bound
     /// recovery replay time (§3.6).
     pub snapshot_interval: u64,
-    /// Verify client and orderer signatures. Benchmarks measuring the
-    /// protocol (not our hash-based crypto) may disable this — see the
-    /// substitution table in DESIGN.md.
-    pub verify_signatures: bool,
     /// Worker threads executing transactions concurrently.
     pub executor_threads: usize,
     /// Execute transactions one at a time at commit (the Ethereum-style
@@ -44,10 +40,6 @@ pub struct NodeConfig {
     /// durable across power loss (not just process death). Off by
     /// default: tests and benchmarks measure the protocol, not the disk.
     pub fsync: bool,
-    /// How long the block processor waits for a block's transaction
-    /// executions before declaring the node stuck (defensive; never hit
-    /// in a healthy system).
-    pub exec_wait_timeout: Duration,
     /// Bound on the out-of-order `pending` block buffer in the block
     /// processor. When full, the *highest*-numbered buffered block is
     /// evicted (it is the cheapest to re-fetch once the gap closes) and
@@ -100,13 +92,11 @@ impl NodeConfig {
             flow,
             data_dir: None,
             snapshot_interval: 0,
-            verify_signatures: true,
             executor_threads: 4,
             serial_execution: false,
             gc_interval: 16,
             statement_cache_cap: 1024,
             fsync: false,
-            exec_wait_timeout: Duration::from_secs(120),
             pending_cap: 1024,
             gap_timeout: Duration::from_secs(1),
             sync_batch: 64,
@@ -163,7 +153,6 @@ mod tests {
     #[test]
     fn defaults() {
         let c = NodeConfig::new("org1/peer", "org1", Flow::OrderThenExecute);
-        assert!(c.verify_signatures);
         assert!(!c.serial_execution);
         assert!(c.executor_threads >= 1);
         assert_eq!(c.flow, Flow::OrderThenExecute);

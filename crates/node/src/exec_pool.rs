@@ -91,8 +91,6 @@ pub struct ExecEnv {
     pub metrics: Arc<NodeMetrics>,
     /// Node's committed block height.
     pub committed_height: Arc<AtomicU64>,
-    /// Verify signatures before executing?
-    pub verify_signatures: bool,
     /// Globally processed transaction ids (shared with the node): tasks
     /// whose id is already processed are dropped instead of executed —
     /// covers duplicates and deterministically aborted future-height
@@ -186,7 +184,7 @@ impl Workshop {
         // and "parked after the release already swept". With the
         // pipelined commit path pre-dispatching block N+1's transactions
         // while block N commits, a task lost to that race would deadlock
-        // the commit thread until `exec_wait_timeout`.
+        // the commit thread until it times out.
         {
             let mut waiting = self.waiting.lock();
             if task.snapshot_height > env.committed_height.load(Ordering::Relaxed) {
@@ -232,10 +230,8 @@ fn execute_in_ctx(env: &Arc<ExecEnv>, ctx: &TxnCtx, tx: &Transaction) -> Result<
         .certs
         .lookup(&tx.user)
         .ok_or(Error::Abort(AbortReason::AuthenticationFailed))?;
-    if env.verify_signatures {
-        tx.verify(&env.certs)
-            .map_err(|_| Error::Abort(AbortReason::AuthenticationFailed))?;
-    }
+    tx.verify(&env.certs)
+        .map_err(|_| Error::Abort(AbortReason::AuthenticationFailed))?;
     if !matches!(cert.role, Role::Admin | Role::Client) {
         return Err(Error::Abort(AbortReason::AccessDenied(format!(
             "role {} may not invoke contracts",
@@ -323,7 +319,6 @@ mod tests {
             slots: Arc::new(SlotTable::new()),
             metrics: Arc::new(NodeMetrics::new()),
             committed_height: Arc::new(AtomicU64::new(0)),
-            verify_signatures: true,
             processed: Arc::new(Mutex::new(HashSet::new())),
             natives: Mutex::new(BTreeMap::new()),
             orgs: vec!["org1".into()],

@@ -17,7 +17,7 @@ use bcrdb_common::value::Value;
 use bcrdb_crypto::identity::CertificateRegistry;
 use bcrdb_crypto::sha256::{Digest, Sha256};
 use bcrdb_engine::access::AccessController;
-use bcrdb_engine::exec::{Executor, StatementEffect};
+use bcrdb_engine::exec::{apply_catalog_op, CatalogOp};
 use bcrdb_engine::prepared::PreparedQuery;
 use bcrdb_engine::procedures::ContractRegistry;
 use bcrdb_engine::result::QueryResult;
@@ -202,7 +202,6 @@ impl Node {
             slots: Arc::new(SlotTable::new()),
             metrics: Arc::new(NodeMetrics::new()),
             committed_height: Arc::new(AtomicU64::new(restored_height)),
-            verify_signatures: config.verify_signatures,
             processed,
             natives: Mutex::new(Default::default()),
             orgs,
@@ -368,6 +367,12 @@ impl Node {
         *self.hooks.write() = hooks;
     }
 
+    /// Apply a catalog op to this node's catalog, contract and certificate
+    /// registries: the serial commit phase, and genesis before any block.
+    pub fn apply_catalog_op(&self, op: &CatalogOp) -> Result<()> {
+        apply_catalog_op(&self.env.catalog, &self.env.contracts, &self.env.certs, op)
+    }
+
     /// Register a native (built-in) contract such as the deploy family of
     /// §3.7.
     pub fn register_native(&self, name: impl Into<String>, contract: NativeContract) {
@@ -515,9 +520,7 @@ impl Node {
         if self.env.processed.lock().contains(&tx.id) {
             return Err(Error::Abort(AbortReason::DuplicateTxId));
         }
-        if self.config.verify_signatures {
-            tx.verify(&self.env.certs)?;
-        }
+        tx.verify(&self.env.certs)?;
         let tx = Arc::new(tx);
         if self.env.slots.try_claim(tx.id) {
             self.schedule(Arc::clone(&tx));
@@ -564,53 +567,37 @@ impl Node {
     /// scans) at the current committed height. Reads execute on this node
     /// only and are not recorded on the blockchain (§3.7).
     pub fn query(&self, sql: &str, params: &[Value]) -> Result<QueryResult> {
-        self.query_at(sql, params, self.height())
+        self.query_cached(sql, params, None)
     }
 
     /// Run a read-only query at a specific historical block height.
-    /// The height must not exceed the committed tip: a "future" snapshot
-    /// cannot be served (its blocks have not committed here yet).
     pub fn query_at(
         &self,
         sql: &str,
         params: &[Value],
         height: BlockHeight,
     ) -> Result<QueryResult> {
-        self.check_height(height)?;
-        let stmt = bcrdb_sql::parse_statement(sql)?;
-        if !matches!(stmt, Statement::Select(_) | Statement::Explain(_)) {
-            return Err(Error::Analysis(
-                "only SELECT statements may run outside a blockchain transaction (§3.7)".into(),
-            ));
-        }
-        let ctx = TxnCtx::read_only(&self.env.ssi, height);
-        let exec = Executor::new(&self.env.catalog, &ctx, params);
-        match exec.execute(&stmt)? {
-            StatementEffect::Rows(r) => Ok(r),
-            _ => Err(Error::internal("SELECT produced a non-row effect")),
-        }
+        self.query_cached(sql, params, Some(height))
     }
 
-    fn check_height(&self, height: BlockHeight) -> Result<()> {
-        let tip = self.height();
-        if height > tip {
-            return Err(Error::Analysis(format!(
-                "snapshot height {height} is beyond this node's committed height {tip}"
-            )));
-        }
-        Ok(())
+    /// One-shot read-only query at `height` (`None`: the committed tip).
+    /// Routed through the statement cache, so repeated SQL text is parsed
+    /// once even without an explicit prepare.
+    pub fn query_cached(
+        &self,
+        sql: &str,
+        params: &[Value],
+        height: Option<BlockHeight>,
+    ) -> Result<QueryResult> {
+        let (_, q) = self.prepare_handle(sql)?;
+        self.run(&q, params, height)
     }
 
     /// Parse (or fetch from the statement cache) a reusable read-only
-    /// statement. Repeated `prepare` calls with the same SQL text share
-    /// one parsed AST across all of this node's sessions.
-    pub fn prepare(&self, sql: &str) -> Result<Arc<PreparedQuery>> {
-        self.prepare_handle(sql).map(|(_, q)| q)
-    }
-
-    /// Like [`Node::prepare`], but also returns the statement's
-    /// server-side handle — what the RPC frontend hands to clients so
-    /// later executions carry an 8-byte id instead of the SQL text.
+    /// statement and return its server-side handle — what the RPC
+    /// frontend hands to clients so later executions carry an 8-byte id
+    /// instead of the SQL text. Repeated calls with the same SQL text
+    /// share one parsed AST across all of this node's sessions.
     pub fn prepare_handle(&self, sql: &str) -> Result<(StatementHandle, Arc<PreparedQuery>)> {
         self.statements.lock().prepare(sql)
     }
@@ -624,26 +611,27 @@ impl Node {
         height: Option<BlockHeight>,
     ) -> Result<QueryResult> {
         let q = self.statements.lock().get(handle)?;
-        match height {
-            Some(h) => self.query_prepared_at(&q, params, h),
-            None => self.query_prepared(&q, params),
-        }
+        self.run(&q, params, height)
     }
 
-    /// One-shot read-only query routed through the statement cache, so
-    /// repeated SQL text is parsed once even without an explicit prepare
-    /// (the frontend's `Query` path).
-    pub fn query_cached(
+    /// The one way a read-only statement runs on this node. The height
+    /// must not exceed the committed tip: a "future" snapshot cannot be
+    /// served (its blocks have not committed here yet).
+    fn run(
         &self,
-        sql: &str,
+        q: &PreparedQuery,
         params: &[Value],
         height: Option<BlockHeight>,
     ) -> Result<QueryResult> {
-        let q = self.prepare(sql)?;
-        match height {
-            Some(h) => self.query_prepared_at(&q, params, h),
-            None => self.query_prepared(&q, params),
+        let tip = self.height();
+        let height = height.unwrap_or(tip);
+        if height > tip {
+            return Err(Error::Analysis(format!(
+                "snapshot height {height} is beyond this node's committed height {tip}"
+            )));
         }
+        let ctx = TxnCtx::read_only(&self.env.ssi, height);
+        q.execute(&self.env.catalog, &ctx, params)
     }
 
     /// Number of cached prepared statements (observability/tests).
@@ -654,23 +642,6 @@ impl Node {
     /// The notification hub (transports register connection channels).
     pub fn notifications(&self) -> &Arc<NotificationHub> {
         &self.notifications
-    }
-
-    /// Execute a prepared statement at the current committed height.
-    pub fn query_prepared(&self, q: &PreparedQuery, params: &[Value]) -> Result<QueryResult> {
-        self.query_prepared_at(q, params, self.height())
-    }
-
-    /// Execute a prepared statement at a historical height.
-    pub fn query_prepared_at(
-        &self,
-        q: &PreparedQuery,
-        params: &[Value],
-        height: BlockHeight,
-    ) -> Result<QueryResult> {
-        self.check_height(height)?;
-        let ctx = TxnCtx::read_only(&self.env.ssi, height);
-        q.execute(&self.env.catalog, &ctx, params)
     }
 
     /// Register for the final status of a transaction.

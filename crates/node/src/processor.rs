@@ -93,6 +93,11 @@ const HEAD_WAIT_SLICE: Duration = Duration::from_millis(2);
 /// ahead of the serial commit point.
 pub const PIPELINE_DEPTH: usize = 4;
 
+/// How long the block processor waits for a block's transaction
+/// executions before declaring the node stuck (defensive; never hit in a
+/// healthy system).
+const EXEC_WAIT_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// Maximum serially-committed blocks whose post-commit work (ledger
 /// records, write-set hashing, checkpoint vote, notifications) may still
 /// be queued on the post-commit worker before the commit thread blocks —
@@ -183,14 +188,9 @@ pub fn on_block(node: &Arc<Node>, block: &Arc<Block>) -> Result<()> {
 }
 
 /// Verify a block against the local tip: hash-chain linkage plus the
-/// orderer signature, or integrity only when the node does not verify
-/// signatures.
+/// orderer signature.
 fn verify(node: &Arc<Node>, block: &Arc<Block>) -> Result<()> {
-    if node.config.verify_signatures {
-        block.verify(&node.blockstore.tip_hash(), &node.env.certs)
-    } else {
-        block.verify_integrity()
-    }
+    block.verify(&node.blockstore.tip_hash(), &node.env.certs)
 }
 
 /// Execute and commit one already-stored block to completion on the
@@ -201,9 +201,7 @@ pub fn process_block(node: &Arc<Node>, block: &Arc<Block>) -> Result<()> {
     // bcrdb-lint: allow(wall-clock, reason = "metrics timing only")
     let received = Instant::now();
     let wait_ids = dispatch_execution(node, block);
-    node.env
-        .slots
-        .wait_all_done(&wait_ids, node.config.exec_wait_timeout)?;
+    node.env.slots.wait_all_done(&wait_ids, EXEC_WAIT_TIMEOUT)?;
     let waited_us = received.elapsed().as_micros() as u64;
     let (records, writes, exec_us) = commit_core(node, block);
     advance_committed(node, block);
@@ -519,7 +517,7 @@ fn commit_loop(
                         return;
                     }
                 }
-            } else if head.since.elapsed() >= node.config.exec_wait_timeout {
+            } else if head.since.elapsed() >= EXEC_WAIT_TIMEOUT {
                 halt(
                     node,
                     infl.block.number,

@@ -46,9 +46,6 @@ pub struct OrderingConfig {
     /// The default (2 ms) makes a 32-orderer network bottom out around the
     /// paper's ~650 tps while 4 orderers stay arrival-limited.
     pub bft_msg_cost: Duration,
-    /// Publishing cost per message for the Kafka sequencer (usually zero:
-    /// the paper's Kafka cluster is never the bottleneck).
-    pub kafka_publish_cost: Duration,
     /// BFT backend only: how long a replica with pending work waits for
     /// progress (a delivery or a proposal) before voting the leader out.
     /// PBFT's view-change timer; must comfortably exceed `block_timeout`
@@ -69,7 +66,6 @@ impl OrderingConfig {
             block_size,
             block_timeout,
             bft_msg_cost: Duration::from_millis(2),
-            kafka_publish_cost: Duration::ZERO,
             view_change_timeout: Duration::from_secs(2),
             net_profile: NetProfile::lan(),
             scheme: Scheme::Sim,

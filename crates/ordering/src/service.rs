@@ -373,9 +373,6 @@ impl Sequencer {
                 .min(Duration::from_millis(100));
             match rx.recv_timeout(wait) {
                 Ok(Input::Tx(tx)) => {
-                    if !self.config.kafka_publish_cost.is_zero() {
-                        std::thread::sleep(self.config.kafka_publish_cost);
-                    }
                     // bcrdb-lint: allow(wall-clock, reason = "block-cut timeout; orderer-local, the cut block is what replicates")
                     if let Some(cut) = cutter.push_tx(*tx, Instant::now()) {
                         self.emit(cut, &mut next_number, &mut prev_hash);

@@ -96,20 +96,22 @@ impl KeyRange {
     /// Do two ranges overlap? (Used to merge predicate locks.)
     pub fn overlaps(&self, other: &KeyRange) -> bool {
         // r1.low <= r2.high && r2.low <= r1.high, honoring bound kinds.
-        fn low_leq_high(low: &Bound<Value>, high: &Bound<Value>) -> bool {
-            match (low, high) {
-                (Bound::Unbounded, _) | (_, Bound::Unbounded) => true,
-                (Bound::Included(l), Bound::Included(h)) => {
-                    l.cmp_total(h) != std::cmp::Ordering::Greater
-                }
-                (Bound::Included(l), Bound::Excluded(h))
-                | (Bound::Excluded(l), Bound::Included(h))
-                | (Bound::Excluded(l), Bound::Excluded(h)) => {
-                    l.cmp_total(h) == std::cmp::Ordering::Less
-                }
-            }
-        }
         low_leq_high(&self.low, &other.high) && low_leq_high(&other.low, &self.high)
+    }
+
+    /// Can no key fall inside? (`BETWEEN 5 AND 2`, `> 3` with `< 3`.)
+    pub fn is_empty(&self) -> bool {
+        !low_leq_high(&self.low, &self.high)
+    }
+}
+
+fn low_leq_high(low: &Bound<Value>, high: &Bound<Value>) -> bool {
+    match (low, high) {
+        (Bound::Unbounded, _) | (_, Bound::Unbounded) => true,
+        (Bound::Included(l), Bound::Included(h)) => l.cmp_total(h) != std::cmp::Ordering::Greater,
+        (Bound::Included(l), Bound::Excluded(h))
+        | (Bound::Excluded(l), Bound::Included(h))
+        | (Bound::Excluded(l), Bound::Excluded(h)) => l.cmp_total(h) == std::cmp::Ordering::Less,
     }
 }
 
@@ -189,6 +191,11 @@ impl BTreeIndex {
     /// under the same key keep insertion order; the caller re-sorts visible
     /// results by row id for cross-node determinism.
     pub fn positions_in_range(&self, range: &KeyRange) -> Vec<usize> {
+        // `BTreeMap::range` panics on an inverted range, and SQL can
+        // write one (`k BETWEEN 5 AND 2`).
+        if range.is_empty() {
+            return Vec::new();
+        }
         let map = self.map.read();
         map.range((range.low.clone(), range.high.clone()))
             .flat_map(|(_, positions)| positions.as_slice().iter().copied())
@@ -293,6 +300,18 @@ mod tests {
             vec![0, 2, 1]
         );
         assert_eq!(idx.positions_in_range(&KeyRange::all()), vec![0, 2, 1, 3]);
+        // Inverted and empty ranges match nothing (and must not panic).
+        let (lo, hi) = (Value::Int(10), Value::Int(20));
+        let inverted = KeyRange::between(hi.clone(), lo.clone());
+        let open_point = KeyRange {
+            low: Bound::Excluded(lo.clone()),
+            high: Bound::Excluded(lo),
+        };
+        for empty in [inverted, open_point] {
+            assert!(empty.is_empty());
+            assert_eq!(idx.positions_in_range(&empty), Vec::<usize>::new());
+        }
+        assert!(!KeyRange::eq(hi).is_empty());
         assert_eq!(idx.key_count(), 3);
         assert_eq!(idx.entry_count(), 4);
         idx.clear();

@@ -5,6 +5,11 @@
 //! tracking, and a write set that is applied — or rolled back — during the
 //! serial commit phase.
 //!
+//! Reads have one entry: [`TxnCtx::scan`] executes a [`ScanPlan`] — the
+//! whole table, or index ranges combined by AND or OR — and every index
+//! range it reads is registered as an SSI predicate lock first (§4.3), so
+//! "what was read" and "what is locked" cannot drift apart.
+//!
 //! ## Race-freedom of conflict detection
 //!
 //! Readers **register their SIREAD/predicate locks before classifying
@@ -29,17 +34,47 @@ use parking_lot::Mutex;
 
 use crate::ssi::{Flow, SsiManager};
 
-/// A visible row produced by a scan: the logical row id, the row image and
-/// the backing version (needed to target updates/deletes).
+/// How one scan reaches its rows — and, because the index range read
+/// *is* the SSI predicate lock (§4.3), under which locks. The planner
+/// produces one; [`TxnCtx::scan`] is the only thing that executes it.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ScanPlan {
+    /// Every version of the table, under a whole-table lock (relaxed
+    /// flows only).
+    Full,
+    /// Rows inside *every* part's `(column, range)`. One part is the
+    /// plain index scan; several intersect at heap-position level, so
+    /// only rows matching all parts are fetched.
+    Intersect(Vec<(usize, KeyRange)>),
+    /// Rows inside *any* part's `(column, range)` (OR-disjuncts, IN
+    /// lists), each fetched once.
+    Union(Vec<(usize, KeyRange)>),
+}
+
+impl ScanPlan {
+    /// The single-index scan of `column` over `range`.
+    pub fn index(column: usize, range: KeyRange) -> ScanPlan {
+        ScanPlan::Intersect(vec![(column, range)])
+    }
+}
+
+/// A visible row produced by a scan: the logical row id and the backing
+/// version (needed to target updates/deletes), whose image it reads in
+/// place.
 #[derive(Clone, Debug)]
 pub struct VisibleRow {
     /// Logical row id ([`UNASSIGNED_ROW_ID`] for this transaction's own
     /// uncommitted inserts).
     pub row_id: RowId,
-    /// Row values.
-    pub data: Row,
     /// Backing version.
     pub version: Arc<Version>,
+}
+
+impl VisibleRow {
+    /// Row values.
+    pub fn data(&self) -> &[Value] {
+        &self.version.data
+    }
 }
 
 /// One entry of the write set, in execution order.
@@ -243,160 +278,87 @@ impl TxnCtx {
 
     // ------------------------------------------------------------- scans
 
-    /// Scan `table`, optionally through the index on `column` restricted to
-    /// `range`. Returns visible rows ordered by row id (deterministic
-    /// across nodes). In [`ScanMode::Strict`] the scan aborts on
-    /// phantom/stale candidates per §3.4.1.
-    pub fn scan(
-        &self,
-        table: &Arc<Table>,
-        index: Option<(usize, &KeyRange)>,
-    ) -> Result<Vec<VisibleRow>> {
-        let candidates = match index {
-            Some((column, range)) => {
-                if self.tracking {
-                    // Predicate lock FIRST (see module docs on ordering).
-                    self.mgr
-                        .register_predicate_read(self.id, &table.name(), column, range.clone());
-                }
-                table.index_scan(column, range).ok_or_else(|| {
-                    Error::Determinism(format!(
-                        "no index on column {column} of table {}; predicate reads must \
-                         use an index (§4.3)",
-                        table.name()
-                    ))
-                })?
-            }
-            None => {
+    /// Scan `table` along `plan`. Returns visible rows ordered by row id
+    /// (deterministic across nodes; this transaction's own pending rows
+    /// last, in execution order). In [`ScanMode::Strict`] the scan
+    /// aborts on phantom/stale candidates per §3.4.1 and refuses
+    /// [`ScanPlan::Full`].
+    ///
+    /// One predicate lock is registered per index part, all of them
+    /// before any index is touched (see module docs on ordering). For an
+    /// intersection that is a conservative superset of the matched rows
+    /// (safe: extra locks can only cause extra aborts, identically on
+    /// every node); for a union the parts cover every matched row by
+    /// construction.
+    pub fn scan(&self, table: &Arc<Table>, plan: &ScanPlan) -> Result<Vec<VisibleRow>> {
+        let name = table.name();
+        let candidates = match plan {
+            ScanPlan::Full => {
                 if self.mode == ScanMode::Strict {
                     return Err(Error::Determinism(format!(
-                        "whole-table scan on {} is not allowed in the \
-                         execute-order-in-parallel flow (§4.3)",
-                        table.name()
+                        "whole-table scan on {name} is not allowed in the \
+                         execute-order-in-parallel flow (§4.3)"
                     )));
                 }
                 if self.tracking {
-                    self.mgr.register_table_read(self.id, &table.name());
+                    self.mgr.register_table_read(self.id, &name);
                 }
                 table.all_versions()
             }
-        };
-
-        Ok(self
-            .visible_candidates(&table.name(), candidates)?
-            .into_iter()
-            .map(|(row_id, version)| VisibleRow {
-                row_id,
-                data: version.data.clone(),
-                version,
-            })
-            .collect())
-    }
-
-    /// Covering-index scan: like [`TxnCtx::scan`] through the index on
-    /// `column`, but returns only `(row id, key value)` pairs — the
-    /// executor uses this when the whole statement is satisfied by the
-    /// indexed column, skipping the full row-image clone per visible
-    /// row. Conflict registration (predicate lock, SIREAD, rw edges) is
-    /// identical to a plain indexed scan.
-    pub fn scan_covering(
-        &self,
-        table: &Arc<Table>,
-        column: usize,
-        range: &KeyRange,
-    ) -> Result<Vec<(RowId, Value)>> {
-        if self.tracking {
-            // Predicate lock FIRST (see module docs on ordering).
-            self.mgr
-                .register_predicate_read(self.id, &table.name(), column, range.clone());
-        }
-        let candidates = table.index_scan(column, range).ok_or_else(|| {
-            Error::Determinism(format!(
-                "no index on column {column} of table {}; predicate reads must \
-                 use an index (§4.3)",
-                table.name()
-            ))
-        })?;
-        Ok(self
-            .visible_candidates(&table.name(), candidates)?
-            .into_iter()
-            .map(|(row_id, version)| (row_id, version.data[column].clone()))
-            .collect())
-    }
-
-    /// Multi-index scan: position-level intersection (`union = false`)
-    /// or union (`union = true`) of several single-column index ranges,
-    /// resolved to versions with one batched heap access and classified
-    /// exactly like [`TxnCtx::scan`]. One SSI predicate lock is
-    /// registered per part — for an intersection that is a conservative
-    /// superset of the matched rows (safe: extra locks can only cause
-    /// extra aborts, identically on every node); for a union the parts
-    /// cover every matched row by construction.
-    pub fn scan_multi(
-        &self,
-        table: &Arc<Table>,
-        parts: &[(usize, KeyRange)],
-        union: bool,
-    ) -> Result<Vec<VisibleRow>> {
-        let mut sets: Vec<Vec<usize>> = Vec::with_capacity(parts.len());
-        for (column, range) in parts {
-            if self.tracking {
-                // Predicate lock FIRST, per part (see module docs).
-                self.mgr
-                    .register_predicate_read(self.id, &table.name(), *column, range.clone());
-            }
-            let idx = table.index_for(*column).ok_or_else(|| {
-                Error::Determinism(format!(
-                    "no index on column {column} of table {}; predicate reads must \
-                     use an index (§4.3)",
-                    table.name()
-                ))
-            })?;
-            let mut positions = idx.positions_in_range(range);
-            positions.sort_unstable();
-            sets.push(positions);
-        }
-        let positions = if union {
-            let mut all: Vec<usize> = sets.into_iter().flatten().collect();
-            all.sort_unstable();
-            all.dedup();
-            all
-        } else {
-            let mut iter = sets.into_iter();
-            let mut acc = iter.next().unwrap_or_default();
-            for set in iter {
-                let mut i = 0;
-                acc.retain(|p| {
-                    while i < set.len() && set[i] < *p {
-                        i += 1;
+            ScanPlan::Intersect(parts) | ScanPlan::Union(parts) => {
+                if self.tracking {
+                    for (column, range) in parts {
+                        self.mgr
+                            .register_predicate_read(self.id, &name, *column, range.clone());
                     }
-                    i < set.len() && set[i] == *p
-                });
+                }
+                let mut sets = Vec::with_capacity(parts.len());
+                for (column, range) in parts {
+                    let idx = table.index_for(*column).ok_or_else(|| {
+                        Error::Determinism(format!(
+                            "no index on column {column} of table {name}; \
+                             predicate reads must use an index (§4.3)"
+                        ))
+                    })?;
+                    sets.push(idx.positions_in_range(range));
+                }
+                // Heap positions to fetch, ascending and distinct.
+                let positions = if matches!(plan, ScanPlan::Union(_)) {
+                    let mut all = sets.concat();
+                    all.sort_unstable();
+                    all.dedup();
+                    all
+                } else {
+                    sets.iter_mut().for_each(|set| set.sort_unstable());
+                    let mut sets = sets.into_iter();
+                    let mut acc = sets.next().unwrap_or_default();
+                    for set in sets {
+                        let mut i = 0;
+                        acc.retain(|p| {
+                            while i < set.len() && set[i] < *p {
+                                i += 1;
+                            }
+                            i < set.len() && set[i] == *p
+                        });
+                    }
+                    acc
+                };
+                table.versions_at(&positions)
             }
-            acc
         };
-        let candidates = table.versions_at(&positions);
-        Ok(self
-            .visible_candidates(&table.name(), candidates)?
-            .into_iter()
-            .map(|(row_id, version)| VisibleRow {
-                row_id,
-                data: version.data.clone(),
-                version,
-            })
-            .collect())
+        self.visible_candidates(&name, candidates)
     }
 
-    /// Shared visibility tail of every scan flavour: register SIREAD
-    /// locks, classify each candidate against the snapshot, record rw
-    /// antidependencies, and return the visible versions sorted by row
-    /// id (committed rows first; own pending rows — UNASSIGNED =
-    /// u64::MAX — last, in execution order via the stable sort).
+    /// Visibility tail of a scan: register SIREAD locks, classify each
+    /// candidate against the snapshot, record rw antidependencies, and
+    /// return the visible versions sorted by row id (committed rows
+    /// first; own pending rows — UNASSIGNED = u64::MAX — last, in heap
+    /// order via the stable sort).
     fn visible_candidates(
         &self,
         table_name: &str,
         candidates: Vec<Arc<Version>>,
-    ) -> Result<Vec<(RowId, Arc<Version>)>> {
+    ) -> Result<Vec<VisibleRow>> {
         let mut rows = Vec::new();
         for version in candidates {
             // SIREAD registration precedes classification (race-freedom).
@@ -411,7 +373,7 @@ impl TxnCtx {
                             self.mgr.register_rw_edge(self.id, w);
                         }
                     }
-                    rows.push((row_id, version));
+                    rows.push(VisibleRow { row_id, version });
                 }
                 Classification::PendingWrite { writer } => {
                     // An uncommitted insert matching our predicate: the
@@ -433,12 +395,12 @@ impl TxnCtx {
                     }
                     // Relaxed time-travel semantics: the row existed at the
                     // snapshot height, so it is visible.
-                    rows.push((row_id, version));
+                    rows.push(VisibleRow { row_id, version });
                 }
                 Classification::Invisible => {}
             }
         }
-        rows.sort_by_key(|r| r.0);
+        rows.sort_by_key(|r| r.row_id);
         Ok(rows)
     }
 
@@ -492,7 +454,7 @@ impl TxnCtx {
         // then probe reader locks.
         target.version.add_pending_writer(self.id);
         let (_, new_version) = table.append_version(self.id, new_row, target.version.row_id());
-        let mut probes = Self::indexed_values(table, &target.data);
+        let mut probes = Self::indexed_values(table, target.data());
         for (c, v) in Self::indexed_values(table, &new_version.data) {
             if !probes.contains(&(c, v.clone())) {
                 probes.push((c, v));
@@ -512,7 +474,7 @@ impl TxnCtx {
     pub fn delete(&self, table: &Arc<Table>, target: &VisibleRow) -> Result<()> {
         self.ensure_writable()?;
         target.version.add_pending_writer(self.id);
-        let probes = Self::indexed_values(table, &target.data);
+        let probes = Self::indexed_values(table, target.data());
         self.mgr
             .on_write(self.id, &table.name(), target.row_id, &probes);
         self.ops.lock().push(WriteOp::Delete {
@@ -805,7 +767,7 @@ mod tests {
         t1.insert(&table, vec![Value::Int(1), Value::Int(100)])
             .unwrap();
         // Own write visible before commit.
-        let rows = t1.scan(&table, None).unwrap();
+        let rows = t1.scan(&table, &ScanPlan::Full).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].row_id, UNASSIGNED_ROW_ID);
         let outcome = commit(&t1, 1, 0);
@@ -813,9 +775,9 @@ mod tests {
 
         // Visible to a later reader at height 1, not at height 0.
         let r = TxnCtx::read_only(&mgr, 1);
-        assert_eq!(r.scan(&table, None).unwrap().len(), 1);
+        assert_eq!(r.scan(&table, &ScanPlan::Full).unwrap().len(), 1);
         let r0 = TxnCtx::read_only(&mgr, 0);
-        assert_eq!(r0.scan(&table, None).unwrap().len(), 0);
+        assert_eq!(r0.scan(&table, &ScanPlan::Full).unwrap().len(), 0);
     }
 
     #[test]
@@ -827,20 +789,23 @@ mod tests {
         assert!(commit(&t1, 1, 0).is_committed());
 
         let t2 = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
-        let target = &t2.scan(&table, None).unwrap()[0];
+        let target = &t2.scan(&table, &ScanPlan::Full).unwrap()[0];
         let rid = target.row_id;
         t2.update(&table, target, vec![Value::Int(1), Value::Int(150)])
             .unwrap();
         assert!(commit(&t2, 2, 0).is_committed());
 
         let r = TxnCtx::read_only(&mgr, 2);
-        let rows = r.scan(&table, None).unwrap();
+        let rows = r.scan(&table, &ScanPlan::Full).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].row_id, rid);
-        assert_eq!(rows[0].data[1], Value::Int(150));
+        assert_eq!(rows[0].data()[1], Value::Int(150));
         // Time travel to height 1 sees the old balance.
         let r1 = TxnCtx::read_only(&mgr, 1);
-        assert_eq!(r1.scan(&table, None).unwrap()[0].data[1], Value::Int(100));
+        assert_eq!(
+            r1.scan(&table, &ScanPlan::Full).unwrap()[0].data()[1],
+            Value::Int(100)
+        );
     }
 
     #[test]
@@ -851,17 +816,23 @@ mod tests {
             .unwrap();
         assert!(commit(&t1, 1, 0).is_committed());
         let t2 = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
-        let target = t2.scan(&table, None).unwrap()[0].clone();
+        let target = t2.scan(&table, &ScanPlan::Full).unwrap()[0].clone();
         t2.delete(&table, &target).unwrap();
         // Own delete: the row is gone for t2 already.
-        assert_eq!(t2.scan(&table, None).unwrap().len(), 0);
+        assert_eq!(t2.scan(&table, &ScanPlan::Full).unwrap().len(), 0);
         assert!(commit(&t2, 2, 0).is_committed());
         assert_eq!(
-            TxnCtx::read_only(&mgr, 2).scan(&table, None).unwrap().len(),
+            TxnCtx::read_only(&mgr, 2)
+                .scan(&table, &ScanPlan::Full)
+                .unwrap()
+                .len(),
             0
         );
         assert_eq!(
-            TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap().len(),
+            TxnCtx::read_only(&mgr, 1)
+                .scan(&table, &ScanPlan::Full)
+                .unwrap()
+                .len(),
             1
         );
     }
@@ -878,8 +849,8 @@ mod tests {
         // array), loser doomed at winner's commit (§3.3.3).
         let ta = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
         let tb = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
-        let target_a = ta.scan(&table, None).unwrap()[0].clone();
-        let target_b = tb.scan(&table, None).unwrap()[0].clone();
+        let target_a = ta.scan(&table, &ScanPlan::Full).unwrap()[0].clone();
+        let target_b = tb.scan(&table, &ScanPlan::Full).unwrap()[0].clone();
         ta.update(&table, &target_a, vec![Value::Int(1), Value::Int(110)])
             .unwrap();
         tb.update(&table, &target_b, vec![Value::Int(1), Value::Int(120)])
@@ -898,9 +869,11 @@ mod tests {
             other => panic!("expected ww/ssi abort, got {other:?}"),
         }
         // Winner's value persisted.
-        let rows = TxnCtx::read_only(&mgr, 2).scan(&table, None).unwrap();
+        let rows = TxnCtx::read_only(&mgr, 2)
+            .scan(&table, &ScanPlan::Full)
+            .unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].data[1], Value::Int(110));
+        assert_eq!(rows[0].data()[1], Value::Int(110));
     }
 
     #[test]
@@ -944,7 +917,7 @@ mod tests {
         // Update replacing a row with the same key is fine.
         let td = TxnCtx::begin(&mgr, 2, ScanMode::Relaxed);
         let target = td
-            .scan(&table, Some((0, &KeyRange::eq(Value::Int(1)))))
+            .scan(&table, &ScanPlan::index(0, KeyRange::eq(Value::Int(1))))
             .unwrap()[0]
             .clone();
         td.update(&table, &target, vec![Value::Int(1), Value::Int(42)])
@@ -964,7 +937,7 @@ mod tests {
         t1.insert(&table, vec![Value::Int(2), Value::Int(20)])
             .unwrap();
         let target = t1
-            .scan(&table, Some((0, &KeyRange::eq(Value::Int(1)))))
+            .scan(&table, &ScanPlan::index(0, KeyRange::eq(Value::Int(1))))
             .unwrap()[0]
             .clone();
         t1.update(&table, &target, vec![Value::Int(1), Value::Int(11)])
@@ -977,7 +950,7 @@ mod tests {
         let err = tp
             .scan(
                 &table,
-                Some((0, &KeyRange::between(Value::Int(0), Value::Int(100)))),
+                &ScanPlan::index(0, KeyRange::between(Value::Int(0), Value::Int(100))),
             )
             .unwrap_err();
         assert!(matches!(
@@ -990,7 +963,7 @@ mod tests {
         // by block 2) → stale read abort (§3.4.1 rule 2).
         let ts = TxnCtx::begin(&mgr, 1, ScanMode::Strict);
         let err = ts
-            .scan(&table, Some((0, &KeyRange::eq(Value::Int(1)))))
+            .scan(&table, &ScanPlan::index(0, KeyRange::eq(Value::Int(1))))
             .unwrap_err();
         assert!(matches!(err, Error::Abort(AbortReason::StaleRead)));
         ts.rollback();
@@ -998,16 +971,16 @@ mod tests {
         // Relaxed read-only time travel at height 1 still works.
         let r = TxnCtx::read_only(&mgr, 1);
         let rows = r
-            .scan(&table, Some((0, &KeyRange::eq(Value::Int(1)))))
+            .scan(&table, &ScanPlan::index(0, KeyRange::eq(Value::Int(1))))
             .unwrap();
-        assert_eq!(rows[0].data[1], Value::Int(10));
+        assert_eq!(rows[0].data()[1], Value::Int(10));
 
         // A strict transaction at the current height is unaffected.
         let tok = TxnCtx::begin(&mgr, 2, ScanMode::Strict);
         let rows = tok
             .scan(
                 &table,
-                Some((0, &KeyRange::between(Value::Int(0), Value::Int(100)))),
+                &ScanPlan::index(0, KeyRange::between(Value::Int(0), Value::Int(100))),
             )
             .unwrap();
         assert_eq!(rows.len(), 2);
@@ -1018,10 +991,13 @@ mod tests {
     fn strict_mode_rejects_full_scans() {
         let (mgr, table) = setup();
         let t = TxnCtx::begin(&mgr, 0, ScanMode::Strict);
-        assert!(matches!(t.scan(&table, None), Err(Error::Determinism(_))));
+        assert!(matches!(
+            t.scan(&table, &ScanPlan::Full),
+            Err(Error::Determinism(_))
+        ));
         // And rejects scans on unindexed columns.
         assert!(matches!(
-            t.scan(&table, Some((1, &KeyRange::eq(Value::Int(5))))),
+            t.scan(&table, &ScanPlan::index(1, KeyRange::eq(Value::Int(5)))),
             Err(Error::Determinism(_))
         ));
         t.rollback();
@@ -1039,19 +1015,21 @@ mod tests {
         t1.insert(&table, vec![Value::Int(2), Value::Int(20)])
             .unwrap();
         let target = t1
-            .scan(&table, Some((0, &KeyRange::eq(Value::Int(1)))))
+            .scan(&table, &ScanPlan::index(0, KeyRange::eq(Value::Int(1))))
             .unwrap()[0]
             .clone();
         t1.update(&table, &target, vec![Value::Int(1), Value::Int(99)])
             .unwrap();
         t1.rollback();
 
-        let rows = TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap();
+        let rows = TxnCtx::read_only(&mgr, 1)
+            .scan(&table, &ScanPlan::Full)
+            .unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].data[1], Value::Int(10));
+        assert_eq!(rows[0].data()[1], Value::Int(10));
         // The old version's xmax was cleared: a new update succeeds.
         let t2 = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
-        let target = t2.scan(&table, None).unwrap()[0].clone();
+        let target = t2.scan(&table, &ScanPlan::Full).unwrap()[0].clone();
         t2.update(&table, &target, vec![Value::Int(1), Value::Int(11)])
             .unwrap();
         assert!(commit(&t2, 2, 0).is_committed());
@@ -1110,11 +1088,17 @@ mod tests {
         assert_eq!(ids(commit(&ta, 1, 0)), vec![(RowId(1), 0), (RowId(2), 0)]);
         assert_eq!(ids(commit(&tb, 1, 1)), vec![(RowId(3), 0)]);
         assert_eq!(
-            TxnCtx::read_only(&mgr, 0).scan(&table, None).unwrap().len(),
+            TxnCtx::read_only(&mgr, 0)
+                .scan(&table, &ScanPlan::Full)
+                .unwrap()
+                .len(),
             0
         );
         assert_eq!(
-            TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap().len(),
+            TxnCtx::read_only(&mgr, 1)
+                .scan(&table, &ScanPlan::Full)
+                .unwrap()
+                .len(),
             3
         );
     }
@@ -1139,9 +1123,11 @@ mod tests {
             other => panic!("expected pk abort, got {other:?}"),
         }
         // Exactly the winner's row is left.
-        let rows = TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap();
+        let rows = TxnCtx::read_only(&mgr, 1)
+            .scan(&table, &ScanPlan::Full)
+            .unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].data[1], Value::Int(1));
+        assert_eq!(rows[0].data()[1], Value::Int(1));
     }
 
     #[test]
@@ -1156,7 +1142,7 @@ mod tests {
         // the successor at the same block height: key 3 never becomes
         // free, so a same-block insert of it aborts.
         let tu = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
-        let target = tu.scan(&table, None).unwrap()[0].clone();
+        let target = tu.scan(&table, &ScanPlan::Full).unwrap()[0].clone();
         tu.update(&table, &target, vec![Value::Int(3), Value::Int(2)])
             .unwrap();
         let ti = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
@@ -1169,9 +1155,11 @@ mod tests {
             }
             other => panic!("expected pk abort, got {other:?}"),
         }
-        let rows = TxnCtx::read_only(&mgr, 2).scan(&table, None).unwrap();
+        let rows = TxnCtx::read_only(&mgr, 2)
+            .scan(&table, &ScanPlan::Full)
+            .unwrap();
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].data[1], Value::Int(2));
+        assert_eq!(rows[0].data()[1], Value::Int(2));
     }
 
     #[test]
@@ -1183,7 +1171,7 @@ mod tests {
         let t = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
         t.insert(&table, vec![Value::Int(5), Value::Int(1)])
             .unwrap();
-        let own = t.scan(&table, None).unwrap()[0].clone();
+        let own = t.scan(&table, &ScanPlan::Full).unwrap()[0].clone();
         t.update(&table, &own, vec![Value::Int(5), Value::Int(2)])
             .unwrap();
         // A same-block sibling inserting the next key.
@@ -1198,9 +1186,11 @@ mod tests {
         // The chain consumed one row id, not two.
         let next = commit(&sibling, 1, 1).into_writes().expect("committed");
         assert_eq!(next[0].row_id, RowId(summary[0].row_id.0 + 1));
-        let rows = TxnCtx::read_only(&mgr, 1).scan(&table, None).unwrap();
+        let rows = TxnCtx::read_only(&mgr, 1)
+            .scan(&table, &ScanPlan::Full)
+            .unwrap();
         assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].data[1], Value::Int(2));
+        assert_eq!(rows[0].data()[1], Value::Int(2));
         assert_eq!(rows[0].row_id, summary[0].row_id);
     }
 }

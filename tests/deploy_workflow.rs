@@ -243,3 +243,54 @@ fn on_chain_user_management() {
     }
     net.shutdown();
 }
+
+#[test]
+fn genesis_and_deployed_ddl_build_the_same_table() {
+    // One statement, two roads in: genesis SQL and the deploy workflow.
+    // Both turn it into the same catalog op, so the tables agree — down
+    // to the NOT NULL a table-level PRIMARY KEY implies.
+    let ddl = |name: &str| format!("CREATE TABLE {name} (a INT, b INT, PRIMARY KEY (a))");
+    let net = build(Flow::OrderThenExecute);
+    net.bootstrap_sql(&ddl("at_genesis")).unwrap();
+    net.deploy_contract(1, &ddl("deployed")).unwrap();
+    let height = net.nodes().iter().map(|n| n.height()).max().unwrap();
+    net.await_height(height, WAIT).unwrap();
+
+    for node in net.nodes() {
+        let schema_of = |name: &str| {
+            let mut schema = node.catalog().get(name).unwrap().schema();
+            schema.name = "t".into();
+            schema
+        };
+        assert_eq!(
+            schema_of("at_genesis"),
+            schema_of("deployed"),
+            "{}",
+            node.config.name
+        );
+        assert!(!schema_of("at_genesis").columns[0].nullable);
+    }
+
+    net.bootstrap_sql(
+        "CREATE FUNCTION null_at_genesis() AS $$ INSERT INTO at_genesis (b) VALUES (1) $$; \
+         CREATE FUNCTION null_deployed() AS $$ INSERT INTO deployed (b) VALUES (1) $$",
+    )
+    .unwrap();
+    let alice = net.client("org1", "alice").unwrap();
+    for contract in ["null_at_genesis", "null_deployed"] {
+        match alice.call(contract).submit_wait(WAIT) {
+            Err(Error::TxAborted { reason, .. }) => {
+                assert!(
+                    reason.to_lowercase().contains("null"),
+                    "{contract}: {reason}"
+                )
+            }
+            other => panic!("{contract}: expected a NOT NULL abort, got {other:?}"),
+        }
+    }
+
+    // And genesis refuses what a deployment refuses.
+    let both = "CREATE TABLE bad (a INT PRIMARY KEY, b INT, PRIMARY KEY (b))";
+    assert!(net.bootstrap_sql(both).is_err());
+    net.shutdown();
+}

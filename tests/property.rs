@@ -1,6 +1,7 @@
 //! Randomized-property tests over core invariants: codec round trips, SQL
 //! render/parse round trips, Merkle proofs, value ordering laws, index
-//! scans vs full scans, and MVCC visibility.
+//! scans and planned scans vs full scans, predicate-lock coverage, and
+//! MVCC visibility.
 //!
 //! The offline build cannot fetch `proptest`, so these use a small
 //! deterministic xorshift generator: every run explores the same ~64
@@ -13,7 +14,7 @@ use bcrdb::crypto::merkle::MerkleTree;
 use bcrdb::storage::index::KeyRange;
 use bcrdb::storage::snapshot::ScanMode;
 use bcrdb::storage::table::Table;
-use bcrdb::txn::context::TxnCtx;
+use bcrdb::txn::context::{ScanPlan, TxnCtx};
 use bcrdb::txn::ssi::{Flow, SsiManager};
 use std::sync::Arc;
 
@@ -210,23 +211,213 @@ fn index_scan_equals_full_scan_filter() {
         let range = KeyRange::between(Value::Int(lo), Value::Int(hi));
         let reader = TxnCtx::read_only(&mgr, 1);
         let via_index: Vec<i64> = reader
-            .scan(&table, Some((0, &range)))
+            .scan(&table, &ScanPlan::index(0, range))
             .unwrap()
             .iter()
-            .map(|r| r.data[1].as_i64().unwrap())
+            .map(|r| r.data()[1].as_i64().unwrap())
             .collect();
         let via_scan: Vec<i64> = reader
-            .scan(&table, None)
+            .scan(&table, &ScanPlan::Full)
             .unwrap()
             .iter()
             .filter(|r| {
-                let k = r.data[0].as_i64().unwrap();
+                let k = r.data()[0].as_i64().unwrap();
                 k >= lo && k <= hi
             })
-            .map(|r| r.data[1].as_i64().unwrap())
+            .map(|r| r.data()[1].as_i64().unwrap())
             .collect();
         assert_eq!(via_index, via_scan, "seed {seed}");
     }
+}
+
+/// ROADMAP item 1 oracle (b), short form: whatever access path the
+/// planner picks for a generated predicate, scan + residual filter
+/// returns exactly what a forced full scan + filter returns, and the
+/// locks the scan registered cover every row it returned.
+#[test]
+fn planned_scan_equals_full_scan_and_locks_cover_it() {
+    use bcrdb::common::error::Error;
+    use bcrdb::engine::expr::{eval, Env, RowSchema};
+    use bcrdb::engine::planner::plan_scan;
+    use bcrdb::engine::TableStatsView;
+    use bcrdb::sql::parse_expression;
+    use bcrdb::storage::version::UNASSIGNED_ROW_ID;
+
+    // t(id pk, g indexed, v unindexed): two indexes, one of them unique.
+    let mut schema = TableSchema::new(
+        "t",
+        vec![
+            Column::new("id", DataType::Int),
+            Column::new("g", DataType::Int),
+            Column::new("v", DataType::Int),
+        ],
+        vec![0],
+    )
+    .unwrap();
+    schema.add_index("idx_g", "g").unwrap();
+    let row_schema = RowSchema::for_table("t", &["id".into(), "g".into(), "v".into()]);
+
+    /// `groups` is the number of distinct `g`/`v` values, `ids` of `id`s.
+    fn atom(rng: &mut Rng, ids: i64, groups: i64) -> String {
+        let (col, span) = [("id", ids), ("g", groups), ("v", groups)][rng.below(3) as usize];
+        let c = |rng: &mut Rng| rng.range_i64(-2, span + 2);
+        match rng.below(8) {
+            0 => {
+                // A narrow window, or now and then an inverted (empty) one.
+                let lo = c(rng);
+                let width = rng.range_i64(-2, span / 8 + 2);
+                format!("{col} BETWEEN {lo} AND {}", lo + width)
+            }
+            1 => format!("{col} IN ({}, {}, {})", c(rng), c(rng), c(rng)),
+            2 => format!("{} >= {col}", c(rng)),
+            op => format!(
+                "{col} {} {}",
+                ["=", "=", "<", "<=", ">"][op as usize - 3],
+                c(rng)
+            ),
+        }
+    }
+    fn predicate(rng: &mut Rng, ids: i64, groups: i64) -> String {
+        let mut atom = || atom(rng, ids, groups);
+        let (a, b, c) = (atom(), atom(), atom());
+        match rng.below(7) {
+            0 => a,
+            1 => format!("{a} AND {b}"),
+            2 => format!("{a} OR {b}"),
+            3 => format!("({a} OR {b}) AND {c}"),
+            4 => format!("{a} AND {b} AND {c}"),
+            5 => format!("{a} OR {b} OR {c}"),
+            // Two moderately selective ranges, one per index: the shape
+            // the cost model intersects on a big table.
+            _ => {
+                let lo = rng.range_i64(0, ids);
+                let g = rng.range_i64(0, groups / 4 + 1);
+                format!("id BETWEEN {lo} AND {} AND g <= {g}", lo + ids / 6)
+            }
+        }
+    }
+
+    let mut kinds = [0usize; 4]; // full, single index, intersect, union
+    for seed in 0..CASES {
+        let mut rng = Rng::new(seed);
+        let table = Arc::new(Table::new(schema.clone()));
+        let mgr = Arc::new(SsiManager::new());
+        let seeder = TxnCtx::begin(&mgr, 0, ScanMode::Relaxed);
+        // Mostly small tables; every fourth one is big enough for the
+        // cost model to prefer intersecting two indexes.
+        let (committed, groups) = if seed % 4 == 3 {
+            (2000, 40)
+        } else {
+            (1 + rng.below(60) as i64, 6)
+        };
+        for id in 0..committed {
+            let row = vec![
+                Value::Int(id),
+                Value::Int(rng.range_i64(0, groups)),
+                Value::Int(rng.range_i64(0, groups)),
+            ];
+            seeder.insert(&table, row).unwrap();
+        }
+        assert!(seeder
+            .apply_commit(1, 0, Flow::OrderThenExecute)
+            .is_committed());
+        // Odd seeds plan from exact statistics, even ones from none.
+        if seed % 2 == 1 {
+            table.rebuild_stats(1);
+        }
+        let stats = TableStatsView::at(&table, &schema, 1);
+
+        let sql = predicate(&mut rng, committed, groups);
+        let pred = parse_expression(&sql).unwrap();
+        let matching = |rows: Vec<bcrdb::txn::context::VisibleRow>| -> Vec<Vec<Value>> {
+            rows.iter()
+                .filter(|r| {
+                    let env = Env {
+                        schema: &row_schema,
+                        row: r.data(),
+                        params: &[],
+                    };
+                    eval(&pred, &env).unwrap().is_truthy()
+                })
+                .map(|r| r.data().to_vec())
+                .collect()
+        };
+
+        // (mode, require_index): a SELECT and a write in the relaxed
+        // flow, anything in the strict flow.
+        for (mode, require_index) in [
+            (ScanMode::Relaxed, false),
+            (ScanMode::Relaxed, true),
+            (ScanMode::Strict, true),
+        ] {
+            let case = format!("seed {seed} `{sql}` {mode:?} require_index={require_index}");
+            let ctx = TxnCtx::begin(&mgr, 1, mode);
+            // Own pending rows must come back through every path too.
+            for id in committed..committed + rng.below(3) as i64 {
+                let row = vec![Value::Int(id), Value::Int(id % groups), Value::Int(id % 5)];
+                ctx.insert(&table, row).unwrap();
+            }
+            let choice =
+                plan_scan(&schema, "t", Some(&pred), &[], &stats, None, require_index).unwrap();
+            let kind = match &choice.plan {
+                ScanPlan::Full => 0,
+                ScanPlan::Intersect(parts) if parts.len() == 1 => 1,
+                ScanPlan::Intersect(_) => 2,
+                ScanPlan::Union(_) => 3,
+            };
+            kinds[kind] += 1;
+            if mode == ScanMode::Strict && kind == 0 {
+                // Where a full scan is not legal the scan says so.
+                let err = ctx.scan(&table, &choice.plan).unwrap_err();
+                assert!(matches!(err, Error::Determinism(_)), "{case}");
+                ctx.rollback();
+                continue;
+            }
+            let read = ctx.scan(&table, &choice.plan).expect(&case);
+
+            // Every row the scan returned lies under one of its locks: a
+            // concurrent insert of a row with the same indexed keys
+            // conflicts with the reader.
+            for row in &read {
+                let writer = mgr.begin();
+                let keys = [(0, row.data()[0].clone()), (1, row.data()[1].clone())];
+                mgr.on_write(writer, "t", UNASSIGNED_ROW_ID, &keys);
+                assert!(
+                    mgr.out_conflicts(ctx.id).contains(&writer),
+                    "{case}: no lock covers {:?} under {:?}",
+                    row.data(),
+                    choice.plan
+                );
+                mgr.abort(writer);
+            }
+
+            // The same context's forced full scan is the reference; in
+            // the strict flow, where that is illegal, a relaxed twin with
+            // the same pending rows is.
+            let reference = if mode == ScanMode::Strict {
+                let twin = TxnCtx::begin(&mgr, 1, ScanMode::Relaxed);
+                for own in read.iter().filter(|r| r.row_id == UNASSIGNED_ROW_ID) {
+                    twin.insert(&table, own.data().to_vec()).unwrap();
+                }
+                let rows = twin.scan(&table, &ScanPlan::Full).unwrap();
+                twin.rollback();
+                rows
+            } else {
+                ctx.scan(&table, &ScanPlan::Full).unwrap()
+            };
+            assert_eq!(
+                matching(read),
+                matching(reference),
+                "{case} via {:?}",
+                choice.plan
+            );
+            ctx.rollback();
+        }
+    }
+    assert!(
+        kinds.iter().all(|n| *n > 0),
+        "every plan kind must be exercised (full, index, intersect, union): {kinds:?}"
+    );
 }
 
 #[test]
@@ -252,7 +443,7 @@ fn snapshot_visibility_is_monotone_per_version() {
                 .is_committed());
         }
         let reader = TxnCtx::read_only(&mgr, query_height);
-        let visible = reader.scan(&table, None).unwrap().len();
+        let visible = reader.scan(&table, &ScanPlan::Full).unwrap().len();
         let expected = sorted.iter().filter(|b| **b <= query_height).count();
         assert_eq!(visible, expected, "seed {seed}");
     }

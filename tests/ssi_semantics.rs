@@ -103,6 +103,59 @@ fn eo_current_snapshot_commits_fine() {
 }
 
 #[test]
+fn eo_writes_plan_in_lists_and_disjunctions_like_reads() {
+    // §4.3: in the execute-order flow every predicate read goes through
+    // an index. `id IN (…)` and `id = … OR id = …` are index unions — for
+    // UPDATE and DELETE as for SELECT (they used to be refused as
+    // whole-table scans).
+    let net = build(Flow::ExecuteOrderParallel);
+    net.bootstrap_sql(
+        "CREATE FUNCTION set_two(a INT, b INT, bal INT) AS $$ \
+           UPDATE accounts SET balance = $3 WHERE id IN ($1, $2) $$; \
+         CREATE FUNCTION close_two(a INT, b INT) AS $$ \
+           DELETE FROM accounts WHERE id = $1 OR id = $2 $$",
+    )
+    .unwrap();
+    let alice = net.client("org1", "alice").unwrap();
+    for id in 1..=5 {
+        alice
+            .call("open_acct")
+            .arg(id)
+            .arg(100)
+            .submit_wait_retrying(WAIT)
+            .unwrap();
+    }
+    alice
+        .call("set_two")
+        .arg(1)
+        .arg(2)
+        .arg(7)
+        .submit_wait_retrying(WAIT)
+        .unwrap();
+    alice
+        .call("close_two")
+        .arg(3)
+        .arg(4)
+        .submit_wait_retrying(WAIT)
+        .unwrap();
+
+    let height = net.nodes().iter().map(|n| n.height()).max().unwrap();
+    net.await_height(height, WAIT).unwrap();
+    let nodes = net.nodes();
+    for node in &nodes {
+        let r = node
+            .query("SELECT id, balance FROM accounts ORDER BY id", &[])
+            .unwrap();
+        let rows: Vec<(i64, i64)> = r.rows_as().unwrap();
+        assert_eq!(rows, vec![(1, 7), (2, 7), (5, 100)], "{}", node.config.name);
+        assert_eq!(node.height(), nodes[0].height());
+        assert_eq!(node.blockstore.tip_hash(), nodes[0].blockstore.tip_hash());
+        assert_eq!(node.state_hash(), nodes[0].state_hash());
+    }
+    net.shutdown();
+}
+
+#[test]
 fn write_skew_is_prevented() {
     // Classic write skew: T1 reads account A and zeroes account B; T2 reads
     // B and zeroes A. Under plain SI both commit (each saw the other's
