@@ -7,7 +7,7 @@
 //! reason beside every mismatch.
 //!
 //! ```text
-//! cargo run --release -p bcrdb-bench --bin reproduce            # all, ≈ 5 min
+//! cargo run --release -p bcrdb-bench --bin reproduce            # all, ≈ 6 min
 //! cargo run --release -p bcrdb-bench --bin reproduce -- table3 fig6
 //! ```
 //!
@@ -218,6 +218,16 @@ const EXPERIMENTS: &[Experiment] = &[
         run: prepared,
         shape: prepared_shape,
     },
+    Experiment {
+        id: "cut",
+        claim:
+            "Not in the paper, which cuts on size or timeout only (Sec. 4.4) and so has to tune \
+                block size to the arrival rate (Fig. 5): cutting as soon as the nodes are idle \
+                takes block size out of the latency below the knee, and leaves it as the cap \
+                that saturated blocks still fill.",
+        run: cut,
+        shape: cut_shape,
+    },
 ];
 
 fn main() {
@@ -396,6 +406,84 @@ fn fig5_shape(t: &Table) -> Vec<Check> {
         1.2,
         peaks[0],
     ));
+    checks
+}
+
+/// Rates of the `cut` experiment: two below every block size's knee and
+/// one above.
+const CUT_RATES: [f64; 3] = [500.0, 2_000.0, SIMPLE_SATURATING];
+
+fn cut() -> Table {
+    let mut t = Table::new(&[
+        "offered", "tput", "p50_ms", "p95_ms", "tx/blk", "bpr", "su", "by_size", "by_timer",
+        "by_idle",
+    ]);
+    for bs in [10, 100, 500] {
+        for rate in CUT_RATES {
+            let bench = network(Flow::OrderThenExecute, bs, WorkloadKind::Simple, no_tweak);
+            let s = run_open_loop(&bench, rate, RUN).expect("run");
+            // Whole run (warm-up and drain included), unlike the
+            // window the other columns cover.
+            let cuts = bench.net.ordering().stats_snapshot();
+            bench.net.shutdown();
+            t.push(
+                format!("OE bs={bs} @{rate}"),
+                vec![
+                    s.submitted as f64 / s.duration_s,
+                    s.throughput,
+                    s.p50_latency_ms,
+                    s.p95_latency_ms,
+                    s.throughput / s.micro.bpr.max(1e-9),
+                    s.micro.bpr,
+                    s.micro.su,
+                    cuts.cut_size as f64,
+                    cuts.cut_timeout as f64,
+                    cuts.cut_idle as f64,
+                ],
+            );
+        }
+    }
+    t
+}
+
+fn cut_shape(t: &Table) -> Vec<Check> {
+    let cell = |bs: usize, rate: f64, col: &str| t.get(&format!("OE bs={bs} @{rate}"), col);
+    let mut checks = Vec::new();
+    for rate in &CUT_RATES[..2] {
+        let p50s = [10, 100, 500].map(|bs| cell(bs, *rate, "p50_ms"));
+        let (lo, hi) = (
+            p50s.iter().copied().fold(f64::MAX, f64::min),
+            p50s.iter().copied().fold(0.0, f64::max),
+        );
+        checks.push(check(
+            hi <= 2.0 * lo,
+            format!("@{rate}: p50 within 2x across block sizes 10/100/500: {p50s:.2?}"),
+        ));
+        let quarter = CUT.as_secs_f64() * 1000.0 / 4.0;
+        checks.push(check(
+            hi < quarter,
+            format!("@{rate}: slowest p50 {hi:.2} ms under a quarter of the timer ({quarter} ms)"),
+        ));
+    }
+    for bs in [10, 100, 500] {
+        let sat = |col: &str| cell(bs, SIMPLE_SATURATING, col);
+        checks.push(at_least(
+            &format!("bs={bs}: blocks grow with the load (tx/blk, saturating vs @2000)"),
+            sat("tx/blk"),
+            3.0,
+            cell(bs, 2_000.0, "tx/blk"),
+        ));
+        // A row that kept up with the offered load is not saturated and
+        // says nothing about the cap.
+        if sat("tput") < 0.95 * sat("offered") {
+            checks.push(at_least(
+                &format!("bs={bs}, saturated: blocks still fill (tx/blk vs cap)"),
+                sat("tx/blk"),
+                0.9,
+                bs as f64,
+            ));
+        }
+    }
     checks
 }
 

@@ -78,6 +78,8 @@ pub struct RunStats {
     pub throughput: f64,
     /// Mean commit latency (ms).
     pub avg_latency_ms: f64,
+    /// Median commit latency (ms).
+    pub p50_latency_ms: f64,
     /// 95th percentile latency (ms).
     pub p95_latency_ms: f64,
     /// Micro-metrics from the first node.
@@ -220,10 +222,9 @@ pub fn run_open_loop(
     } else {
         lat.iter().sum::<f64>() / lat.len() as f64
     };
-    let p95 = if lat.is_empty() {
-        0.0
-    } else {
-        lat[(lat.len() * 95 / 100).min(lat.len() - 1)]
+    let pct = |p: usize| match lat.len() {
+        0 => 0.0,
+        n => lat[(n * p / 100).min(n - 1)],
     };
 
     Ok(RunStats {
@@ -233,7 +234,8 @@ pub fn run_open_loop(
         duration_s: offered_duration.as_secs_f64(),
         throughput: committed_in_window as f64 / offered_duration.as_secs_f64(),
         avg_latency_ms: avg,
-        p95_latency_ms: p95,
+        p50_latency_ms: pct(50),
+        p95_latency_ms: pct(95),
         micro,
     })
 }

@@ -367,6 +367,11 @@ impl Node {
         *self.hooks.write() = hooks;
     }
 
+    /// The installed hooks, so a caller can replace one and keep the rest.
+    pub fn hooks(&self) -> NodeHooks {
+        self.hooks.read().clone()
+    }
+
     /// Apply a catalog op to this node's catalog, contract and certificate
     /// registries: the serial commit phase, and genesis before any block.
     pub fn apply_catalog_op(&self, op: &CatalogOp) -> Result<()> {

@@ -5,7 +5,8 @@
 //! ## Failure-free path
 //!
 //! The leader of the current view (`leader = view % n`) batches submitted
-//! transactions (block size/timeout) and proposes each block with a
+//! transactions (the shared [`BlockCutter`]: size, timeout or idle nodes,
+//! one instance in flight at a time) and proposes each block with a
 //! PRE-PREPARE. Replicas then exchange PREPARE and COMMIT messages over
 //! the simulated network — `n(n-1)` messages per phase — and deliver once
 //! a quorum of `2f+1` commits is observed. Every replica applies a
@@ -50,12 +51,13 @@ use bcrdb_chain::tx::Transaction;
 use bcrdb_common::codec::Encode;
 use bcrdb_common::error::{Error, Result};
 use bcrdb_common::ids::{BlockHeight, GlobalTxId};
-use bcrdb_crypto::identity::KeyPair;
+use bcrdb_crypto::identity::{CertificateRegistry, KeyPair};
 use bcrdb_crypto::sha256::Digest;
 use bcrdb_network::SimNetwork;
 use crossbeam_channel::Receiver;
 
 use crate::config::OrderingConfig;
+use crate::cutter::{BlockCutter, Cut};
 use crate::service::{deliver_block, Input, OrderingStats};
 
 /// How many delivered blocks each replica retains to serve
@@ -64,6 +66,10 @@ const DELIVERED_LOG_CAP: usize = 128;
 
 /// Maximum blocks returned per [`BftMsg::FetchDelivered`] response.
 const FETCH_BATCH: usize = 32;
+
+/// How long a replica sleeps on a quiet channel before re-checking its
+/// stop flag and timers.
+const TICK: Duration = Duration::from_millis(20);
 
 /// Consensus messages between orderer replicas.
 #[derive(Clone, Debug)]
@@ -225,6 +231,7 @@ fn best_claimant(votes: &BTreeMap<usize, VcInfo>) -> Option<usize> {
 /// (broadcast to every replica; the current leader proposes them).
 pub fn start(
     config: &OrderingConfig,
+    certs: &Arc<CertificateRegistry>,
     keys: Vec<Arc<KeyPair>>,
     subscribers: BlockSubscribers,
     height: Arc<AtomicU64>,
@@ -252,8 +259,6 @@ pub fn start(
             key: Arc::clone(&keys[i]),
             net: Arc::clone(&net),
             msg_cost: config.bft_msg_cost,
-            block_size: config.block_size,
-            block_timeout: config.block_timeout,
             view_change_timeout: config.view_change_timeout,
             subscribers: Arc::clone(&subscribers),
             height: Arc::clone(&height),
@@ -264,9 +269,14 @@ pub fn start(
             consensus_label: config.kind.as_str(),
         };
         ctls.push(ctl);
+        let pool = TxPool {
+            cutter: BlockCutter::new(config.block_size, config.block_timeout)
+                .clocked_by(Arc::clone(certs)),
+            ids: HashSet::new(),
+        };
         std::thread::Builder::new()
             .name(format!("bft-replica-{i}"))
-            .spawn(move || replica.run(rx))
+            .spawn(move || replica.run(rx, pool))
             .expect("spawn bft replica");
     }
 
@@ -303,74 +313,49 @@ pub fn start(
 
 /// Pending transactions and checkpoint votes a replica holds until they
 /// appear in a delivered block (every replica pools the broadcast
-/// forwards; only the current leader cuts from its pool).
-#[derive(Default)]
+/// forwards and hears every vote; only the current leader cuts).
 struct TxPool {
-    txs: Vec<Transaction>,
+    cutter: BlockCutter,
     ids: HashSet<GlobalTxId>,
-    votes: Vec<CheckpointVote>,
-    first_at: Option<Instant>,
 }
 
 impl TxPool {
     /// Pool a forwarded transaction; returns true when this made the pool
     /// non-empty (arming the progress timer).
     fn push_tx(&mut self, tx: Transaction, now: Instant) -> bool {
-        if self.ids.contains(&tx.id) {
+        if !self.ids.insert(tx.id) {
             return false;
         }
-        let was_empty = self.txs.is_empty();
-        if was_empty {
-            self.first_at = Some(now);
-        }
-        self.ids.insert(tx.id);
-        self.txs.push(tx);
+        let was_empty = self.is_empty();
+        self.cutter.hold_tx(tx, now);
         was_empty
     }
 
-    /// Ready to cut a block?
-    fn cut_ready(&self, block_size: usize, timeout: Duration, now: Instant) -> bool {
-        if self.txs.is_empty() {
-            return false;
-        }
-        self.txs.len() >= block_size.max(1)
-            || self
-                .first_at
-                .is_some_and(|t| now.duration_since(t) >= timeout)
+    fn is_empty(&self) -> bool {
+        self.cutter.pending_len() == 0
     }
 
-    /// Take up to `block_size` transactions plus all pending votes.
-    fn take_cut(&mut self, block_size: usize) -> (Vec<Transaction>, Vec<CheckpointVote>) {
-        let take = self.txs.len().min(block_size.max(1));
-        let txs: Vec<Transaction> = self.txs.drain(..take).collect();
-        for tx in &txs {
+    /// The leader's cut decision: up to `block_size` transactions plus
+    /// all pending votes, when one of the cutter's rules fires.
+    fn poll(&mut self, now: Instant) -> Option<Cut> {
+        let cut = self.cutter.poll(now)?;
+        for tx in &cut.txs {
             self.ids.remove(&tx.id);
         }
-        self.first_at = if self.txs.is_empty() {
-            None
-        } else {
-            // bcrdb-lint: allow(wall-clock, reason = "batch-age timer for the leader's cut decision; consensus agrees on the result")
-            Some(Instant::now())
-        };
-        (txs, std::mem::take(&mut self.votes))
+        Some(cut)
     }
 
     /// Remove everything a delivered block made redundant.
     fn remove_delivered(&mut self, block: &Block) {
-        if !self.txs.is_empty() {
-            let delivered: HashSet<&GlobalTxId> = block.txs.iter().map(|t| &t.id).collect();
-            self.txs.retain(|t| !delivered.contains(&t.id));
-            for tx in &block.txs {
-                self.ids.remove(&tx.id);
-            }
-            if self.txs.is_empty() {
-                self.first_at = None;
-            }
+        self.cutter.delivered(block);
+        for tx in &block.txs {
+            self.ids.remove(&tx.id);
         }
-        if !self.votes.is_empty() {
-            self.votes
-                .retain(|v| !block.checkpoints.iter().any(|c| c == v));
-        }
+    }
+
+    fn clear(&mut self) {
+        self.cutter.clear();
+        self.ids.clear();
     }
 }
 
@@ -402,8 +387,6 @@ struct Replica {
     key: Arc<KeyPair>,
     net: Arc<SimNetwork<BftMsg>>,
     msg_cost: Duration,
-    block_size: usize,
-    block_timeout: Duration,
     view_change_timeout: Duration,
     subscribers: BlockSubscribers,
     height: Arc<AtomicU64>,
@@ -455,6 +438,12 @@ impl Replica {
 
     fn is_leader(&self, st: &ReplicaState) -> bool {
         self.leader_of(st.view) == self.idx
+    }
+
+    /// Leaders run one consensus instance at a time, and a new leader
+    /// proposes nothing until it has caught up.
+    fn may_propose(&self, st: &ReplicaState) -> bool {
+        self.is_leader(st) && st.in_flight.is_none() && st.pending_new_view.is_none()
     }
 
     fn quorum(&self) -> usize {
@@ -535,13 +524,13 @@ impl Replica {
         }
     }
 
-    fn run(self, rx: Receiver<bcrdb_network::Delivered<BftMsg>>) {
+    fn run(self, rx: Receiver<bcrdb_network::Delivered<BftMsg>>, pool: TxPool) {
         let mut st = ReplicaState {
             view: 0,
             voted_view: 0,
             last_delivered: 0,
             prev_hash: genesis_prev_hash(),
-            pool: TxPool::default(),
+            pool,
             rounds: BTreeMap::new(),
             vc_votes: BTreeMap::new(),
             delivered_log: BTreeMap::new(),
@@ -565,7 +554,14 @@ impl Replica {
                 continue;
             }
 
-            let wait = Duration::from_millis(20);
+            // A leader free to propose sleeps no longer than its cut timer.
+            let mut wait = TICK;
+            if self.may_propose(&st) {
+                // bcrdb-lint: allow(wall-clock, reason = "leader-local cut timing; consensus agrees on the proposed block")
+                if let Some(due) = st.pool.cutter.time_until_cut(Instant::now()) {
+                    wait = wait.min(due);
+                }
+            }
             let msg = match rx.recv_timeout(wait) {
                 Ok(d) => Some(d),
                 Err(crossbeam_channel::RecvTimeoutError::Timeout) => None,
@@ -580,20 +576,17 @@ impl Replica {
                 }
             }
 
-            // Leader: cut and propose when no instance is in flight.
-            if self.is_leader(&st) && st.in_flight.is_none() && st.pending_new_view.is_none() {
+            if self.may_propose(&st) {
                 // bcrdb-lint: allow(wall-clock, reason = "leader-local cut timing; consensus agrees on the proposed block")
-                let now = Instant::now();
-                if st.pool.cut_ready(self.block_size, self.block_timeout, now) {
-                    let (txs, votes) = st.pool.take_cut(self.block_size);
+                if let Some(cut) = st.pool.poll(Instant::now()) {
                     let block = Arc::new(Block::build(
                         st.last_delivered + 1,
                         st.prev_hash,
-                        txs,
+                        cut.txs,
                         self.consensus_label,
-                        votes,
+                        cut.votes,
                     ));
-                    self.stats.cut.fetch_add(1, Ordering::Relaxed);
+                    self.stats.on_cut(cut.reason);
                     st.in_flight = Some(block.number);
                     let size = block.encoded_len();
                     let view = st.view;
@@ -630,7 +623,7 @@ impl Replica {
                     .seen_votes
                     .contains(&(v.node.clone(), v.block, v.state_hash))
                 {
-                    st.pool.votes.push(v);
+                    st.pool.cutter.push_vote(v);
                 }
             }
             BftMsg::PrePrepare { view, block } => {
@@ -747,7 +740,7 @@ impl Replica {
                         st.last_delivered = block.number - 1;
                         st.prev_hash = block.prev_hash;
                         st.rounds.retain(|n, _| *n >= block.number);
-                        st.pool = TxPool::default();
+                        st.pool.clear();
                         self.deliver(st, block);
                     }
                 }
@@ -952,7 +945,7 @@ impl Replica {
         if self.is_leader(st) {
             return; // a leader cannot suspect itself
         }
-        let has_work = !st.pool.txs.is_empty()
+        let has_work = !st.pool.is_empty()
             || st
                 .rounds
                 .iter()
@@ -1260,6 +1253,26 @@ mod tests {
         svc.submit(tx(&key, 1)).unwrap();
         let b = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(b.txs.len(), 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn timer_cut_is_proposed_when_it_expires_not_a_tick_later() {
+        let (key, certs) = client();
+        let mut cfg = bft_config(4);
+        cfg.block_size = 1000;
+        cfg.block_timeout = Duration::from_millis(22);
+        let svc = OrderingService::start(cfg, &certs);
+        let rx = svc.subscribe();
+        let t0 = Instant::now();
+        svc.submit(tx(&key, 1)).unwrap();
+        let b = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(b.txs.len(), 1);
+        // 22 ms of timer plus a round of under 2 ms. A leader that looks
+        // at its pool once per 20 ms tick proposes at 40 ms.
+        assert!(took >= Duration::from_millis(22), "{took:?}");
+        assert!(took < Duration::from_millis(40), "{took:?}");
         svc.shutdown();
     }
 

@@ -34,10 +34,12 @@ pub struct OrderingConfig {
     pub kind: OrderingKind,
     /// Number of orderer nodes.
     pub orderers: usize,
-    /// Maximum transactions per block.
+    /// Maximum transactions per block: the cap a saturated service fills,
+    /// not a target — blocks are cut earlier whenever the nodes are idle.
     pub block_size: usize,
     /// Maximum time since the first pending transaction before a block is
-    /// cut anyway (the paper uses 1 s).
+    /// cut anyway (the paper uses 1 s): the fallback when no majority of
+    /// the database nodes is voting.
     pub block_timeout: Duration,
     /// Per-message processing cost applied by each BFT replica.
     ///

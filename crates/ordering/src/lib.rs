@@ -30,7 +30,9 @@
 //!
 //! Blocks are cut by size or timeout (§4.4: "block size, the maximum
 //! number of transactions in a block, and block timeout, the maximum time
-//! since the first transaction to appear in a block was received").
+//! since the first transaction to appear in a block was received") — and,
+//! beyond the paper, as soon as something is pending and a majority of
+//! the voting database nodes have committed the last block ([`cutter`]).
 
 pub mod bft;
 pub mod config;

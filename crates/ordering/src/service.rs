@@ -1,10 +1,11 @@
 //! The ordering service: public API plus the solo/Kafka sequencer.
 //!
 //! Clients (or peers acting for them) submit signed transactions; the
-//! service batches them into blocks by size/timeout and delivers the
-//! blocks to subscribed peers. Each orderer node has its own identity and
-//! signs the canonical block it delivers (§3.1: "(f) digital signature on
-//! the hash of the current block by the orderer node").
+//! service batches them into blocks (size, timeout, or idle nodes — see
+//! [`crate::cutter`]) and delivers the blocks to subscribed peers. Each
+//! orderer node has its own identity and signs the canonical block it
+//! delivers (§3.1: "(f) digital signature on the hash of the current
+//! block by the orderer node").
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -25,7 +26,7 @@ use crate::bft::{self, BftHandle};
 /// index, each holding the senders registered for that organization).
 pub(crate) type BlockSubscribers = Arc<Vec<Mutex<Vec<Sender<Arc<Block>>>>>>;
 use crate::config::{OrderingConfig, OrderingKind};
-use crate::cutter::{BlockCutter, Cut};
+use crate::cutter::{BlockCutter, Cut, CutReason};
 
 /// Input to the ordering pipeline.
 pub enum Input {
@@ -54,9 +55,26 @@ pub struct OrderingStats {
     pub current_view: AtomicU64,
     /// Successful view changes installed since start.
     pub view_changes: AtomicU64,
+    /// Blocks cut because `block_size` transactions were pending.
+    pub cut_size: AtomicU64,
+    /// Blocks cut because `block_timeout` expired.
+    pub cut_timeout: AtomicU64,
+    /// Blocks cut early because the database nodes were idle.
+    pub cut_idle: AtomicU64,
 }
 
 impl OrderingStats {
+    /// Count one cut/proposal and the rule that made it.
+    pub(crate) fn on_cut(&self, reason: CutReason) {
+        self.cut.fetch_add(1, Ordering::Relaxed);
+        let by_reason = match reason {
+            CutReason::Size => &self.cut_size,
+            CutReason::Timeout => &self.cut_timeout,
+            CutReason::Idle => &self.cut_idle,
+        };
+        by_reason.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Plain-value snapshot of every counter.
     pub fn snapshot(&self) -> OrderingStatsSnapshot {
         OrderingStatsSnapshot {
@@ -66,6 +84,9 @@ impl OrderingStats {
             txs: self.txs.load(Ordering::Relaxed),
             current_view: self.current_view.load(Ordering::Relaxed),
             view_changes: self.view_changes.load(Ordering::Relaxed),
+            cut_size: self.cut_size.load(Ordering::Relaxed),
+            cut_timeout: self.cut_timeout.load(Ordering::Relaxed),
+            cut_idle: self.cut_idle.load(Ordering::Relaxed),
         }
     }
 }
@@ -86,6 +107,12 @@ pub struct OrderingStatsSnapshot {
     pub current_view: u64,
     /// View changes installed.
     pub view_changes: u64,
+    /// Blocks cut by size (of `cut`).
+    pub cut_size: u64,
+    /// Blocks cut by the timer (of `cut`).
+    pub cut_timeout: u64,
+    /// Blocks cut early on idle nodes (of `cut`).
+    pub cut_idle: u64,
 }
 
 /// Handle to a running ordering service.
@@ -150,6 +177,7 @@ impl OrderingService {
             OrderingKind::Solo | OrderingKind::Kafka => {
                 let seq = Sequencer {
                     config: config.clone(),
+                    certs: Arc::clone(certs),
                     keys,
                     subscribers: Arc::clone(&subscribers),
                     height: Arc::clone(&height),
@@ -163,6 +191,7 @@ impl OrderingService {
             }
             OrderingKind::Bft => Some(bft::start(
                 &config,
+                certs,
                 keys,
                 Arc::clone(&subscribers),
                 Arc::clone(&height),
@@ -354,6 +383,7 @@ pub(crate) fn deliver_block(
 /// delivered through every orderer node.
 struct Sequencer {
     config: OrderingConfig,
+    certs: Arc<CertificateRegistry>,
     keys: Vec<Arc<KeyPair>>,
     subscribers: BlockSubscribers,
     height: Arc<AtomicU64>,
@@ -362,31 +392,41 @@ struct Sequencer {
 
 impl Sequencer {
     fn run(self, rx: Receiver<Input>) {
-        let mut cutter = BlockCutter::new(self.config.block_size, self.config.block_timeout);
+        const TICK: Duration = Duration::from_millis(100);
+        let mut cutter = BlockCutter::new(self.config.block_size, self.config.block_timeout)
+            .clocked_by(Arc::clone(&self.certs));
         let mut next_number: BlockHeight = 1;
         let mut prev_hash: Digest = genesis_prev_hash();
+        let mut wait = TICK;
         loop {
-            let wait = cutter
-                // bcrdb-lint: allow(wall-clock, reason = "block-cut timeout; orderer-local, the cut block is what replicates")
-                .time_until_cut(Instant::now())
-                .unwrap_or(Duration::from_millis(100))
-                .min(Duration::from_millis(100));
-            match rx.recv_timeout(wait) {
-                Ok(Input::Tx(tx)) => {
-                    // bcrdb-lint: allow(wall-clock, reason = "block-cut timeout; orderer-local, the cut block is what replicates")
-                    if let Some(cut) = cutter.push_tx(*tx, Instant::now()) {
-                        self.emit(cut, &mut next_number, &mut prev_hash);
-                    }
-                }
-                Ok(Input::Vote(v)) => cutter.push_vote(v),
-                Ok(Input::Stop) => return,
-                Err(crossbeam_channel::RecvTimeoutError::Timeout) => {}
+            let mut input = match rx.recv_timeout(wait) {
+                Ok(input) => Some(input),
+                Err(crossbeam_channel::RecvTimeoutError::Timeout) => None,
                 Err(crossbeam_channel::RecvTimeoutError::Disconnected) => return,
-            }
+            };
+            // One clock read per wake-up, and everything already queued
+            // is taken before any rule is evaluated, so a burst is one
+            // block rather than a one-transaction block plus the rest. A
+            // size cut ends the drain: the clock is stale by then.
             // bcrdb-lint: allow(wall-clock, reason = "block-cut timeout; orderer-local, the cut block is what replicates")
-            if let Some(cut) = cutter.poll_timeout(Instant::now()) {
+            let now = Instant::now();
+            while let Some(next) = input {
+                match next {
+                    Input::Tx(tx) => {
+                        if let Some(cut) = cutter.push_tx(*tx, now) {
+                            self.emit(cut, &mut next_number, &mut prev_hash);
+                            break;
+                        }
+                    }
+                    Input::Vote(v) => cutter.push_vote(v),
+                    Input::Stop => return,
+                }
+                input = rx.try_recv().ok();
+            }
+            if let Some(cut) = cutter.poll(now) {
                 self.emit(cut, &mut next_number, &mut prev_hash);
             }
+            wait = cutter.time_until_cut(now).map_or(TICK, |d| d.min(TICK));
         }
     }
 
@@ -400,7 +440,7 @@ impl Sequencer {
         );
         *prev_hash = block.hash;
         *next_number += 1;
-        self.stats.cut.fetch_add(1, Ordering::Relaxed);
+        self.stats.on_cut(cut.reason);
         self.stats.blocks.fetch_add(1, Ordering::Relaxed);
         self.stats
             .txs
@@ -538,6 +578,50 @@ mod tests {
         let b = rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(b.checkpoints.len(), 1);
         assert_eq!(b.checkpoints[0].node, "org1/peer");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_registered_peers_votes_cut_early_and_each_cut_is_counted_by_rule() {
+        let (key, certs) = client();
+        let peer = KeyPair::generate("org1/peer", b"peer", Scheme::Sim);
+        certs.register(Certificate {
+            name: "org1/peer".into(),
+            org: "org1".into(),
+            role: Role::Peer,
+            public_key: peer.public_key(),
+        });
+        let vote = |node: &str, block| CheckpointVote {
+            node: node.into(),
+            block,
+            state_hash: [0u8; 32],
+        };
+        let svc = OrderingService::start(OrderingConfig::solo(2, Duration::from_secs(60)), &certs);
+        let rx = svc.subscribe();
+        let soon = Duration::from_secs(2);
+
+        // The peer is at the tip (nothing cut yet): one transaction is a
+        // block, 60 s before the timer would have made it one.
+        svc.submit_checkpoint(vote("org1/peer", 0)).unwrap();
+        svc.submit(tx(&key, 1)).unwrap();
+        assert_eq!(rx.recv_timeout(soon).unwrap().txs.len(), 1);
+        // Block 1 is out and the peer has not committed it; a stranger
+        // saying so counts for nothing.
+        svc.submit(tx(&key, 2)).unwrap();
+        svc.submit_checkpoint(vote("org9/peer", 1)).unwrap();
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        svc.submit_checkpoint(vote("org1/peer", 1)).unwrap();
+        assert_eq!(rx.recv_timeout(soon).unwrap().number, 2);
+        // Size still cuts without waiting for anybody.
+        svc.submit(tx(&key, 3)).unwrap();
+        svc.submit(tx(&key, 4)).unwrap();
+        assert_eq!(rx.recv_timeout(soon).unwrap().txs.len(), 2);
+
+        let stats = svc.stats_snapshot();
+        assert_eq!(
+            (stats.cut_idle, stats.cut_size, stats.cut_timeout, stats.cut),
+            (2, 1, 0, 3)
+        );
         svc.shutdown();
     }
 

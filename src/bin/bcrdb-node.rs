@@ -44,8 +44,9 @@ Cluster-wide options (must match on every process of a deployment):
   --orgs a,b,c           comma-separated organizations (required)
   --flow oe|eo           transaction flow: order-then-execute (oe) or
                          execute-order-in-parallel (eo) [default: eo]
-  --block-size N         max transactions per block [default: 64]
-  --block-timeout-ms N   block cut timeout in milliseconds [default: 100]
+  --block-size N         cap on transactions per block [default: 64]
+  --block-timeout-ms N   fallback block cut timeout in milliseconds, for when
+                         no majority of the nodes is voting [default: 100]
   --bench-clients N      pre-registered bench users per org [default: 64]
   --genesis FILE|none    genesis SQL file, or `none` for an empty chain
                          [default: built-in bench_simple schema]

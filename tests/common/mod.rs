@@ -5,6 +5,8 @@
 //! happens to it — the client leaves, the same id is submitted again, the
 //! node refuses a member — no waiter is left behind and no live one lost.
 
+mod votes;
+
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -13,6 +15,7 @@ use bcrdb::common::error::AbortReason;
 use bcrdb::crypto::identity::{KeyPair, Scheme};
 use bcrdb::node::{Node, NodeHooks};
 use bcrdb::prelude::*;
+pub use votes::withhold_votes;
 
 const WAIT: Duration = Duration::from_secs(20);
 
@@ -60,9 +63,9 @@ pub fn dropped_client_leaves_no_waiters(
 /// The same call submitted twice on one connection is one transaction
 /// id with two waits, and both hear the outcome; a third submission of
 /// that id which the node refuses takes back its own registration and
-/// nobody else's. Wants the execute-order-in-parallel flow and a block
-/// timeout long enough that the first submission is still in flight for
-/// the few calls that follow it.
+/// nobody else's. Wants the execute-order-in-parallel flow and a network
+/// whose votes are withheld, with a block timeout long enough that the
+/// first submission is still in flight for the few calls that follow it.
 pub fn duplicate_submissions_share_one_outcome(
     node: &Arc<Node>,
     client: &Client,

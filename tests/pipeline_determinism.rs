@@ -12,16 +12,19 @@
 //! post-commit state (ledger records of blocks the store already holds)
 //! must be fully healed by replay.
 
+#[path = "common/replay.rs"]
+mod replay;
+
 use std::sync::Arc;
 use std::time::Duration;
 
 use bcrdb::chain::block::Block;
 use bcrdb::chain::tx::{Payload, Transaction};
 use bcrdb::crypto::identity::{Certificate, CertificateRegistry, KeyPair, Role, Scheme};
-use bcrdb::crypto::sha256::Digest;
 use bcrdb::node::processor;
 use bcrdb::node::{Node, NodeConfig};
 use bcrdb::prelude::*;
+use replay::{assert_replay_matches, fingerprint, RunFingerprint};
 
 const WAIT: Duration = Duration::from_secs(30);
 const ORGS: [&str; 4] = ["org1", "org2", "org3", "org4"];
@@ -59,41 +62,6 @@ fn build(flow: Flow) -> Network {
     net
 }
 
-/// The oracle: replay `source`'s stored chain through `process_block` on a
-/// fresh in-memory node with the network's identities and genesis, and
-/// require the checkpoint hashes, state hash and ledger content the live
-/// loop left on `source`. Returns the replay node.
-fn assert_replay_matches(net: &Network, source: &Arc<Node>) -> Arc<Node> {
-    let flow = net.config().flow;
-    let cfg = NodeConfig::new(source.config.name.clone(), source.config.org.clone(), flow);
-    let replay = Node::new(cfg, Arc::clone(net.certs()), net.config().orgs.clone()).unwrap();
-    bcrdb::core::system::bootstrap_node(&replay).unwrap();
-    bcrdb::core::network::apply_bootstrap_sql(&replay, KV_DDL, flow).unwrap();
-    for h in 1..=source.height() {
-        let block = source.blockstore.get(h).unwrap();
-        replay.blockstore.append((*block).clone()).unwrap();
-        processor::process_block(&replay, &block).unwrap();
-    }
-    let (live, replayed) = (fingerprint(source), fingerprint(&replay));
-    assert_eq!(
-        live.checkpoints, replayed.checkpoints,
-        "{flow:?}: checkpoint hashes differ between live run and replay"
-    );
-    assert!(
-        live.checkpoints.iter().all(Option::is_some),
-        "{flow:?}: every block has a checkpoint hash"
-    );
-    assert_eq!(
-        live.state, replayed.state,
-        "{flow:?}: state hash differs between live run and replay"
-    );
-    assert_eq!(
-        live.ledger, replayed.ledger,
-        "{flow:?}: ledger content differs between live run and replay"
-    );
-    replay
-}
-
 /// A sequential workload — one client submitting and awaiting inserts,
 /// then updates of half the inserted rows, one transaction at a time.
 fn run_sequential_workload(net: &Network) {
@@ -117,48 +85,6 @@ fn run_sequential_workload(net: &Network) {
     }
     let head = net.nodes().iter().map(|n| n.height()).max().unwrap();
     net.await_height(head, WAIT).unwrap();
-}
-
-/// Everything determinism-relevant a run leaves behind, per node.
-struct RunFingerprint {
-    /// (height, block hash) for the whole chain.
-    chain: Vec<(u64, [u8; 32])>,
-    /// Local checkpoint (write-set) hash per block.
-    checkpoints: Vec<Option<Digest>>,
-    /// Full committed state hash at the tip.
-    state: Digest,
-    /// Ledger content: (block, tx_index, global id, user, contract,
-    /// status incl. abort reason) — commit timestamps and local txids are
-    /// node-local by design and excluded.
-    ledger: Vec<(u64, u32, String, String, String, TxStatus)>,
-}
-
-fn fingerprint(node: &Arc<Node>) -> RunFingerprint {
-    let tip = node.height();
-    assert_eq!(node.postcommit_height(), tip, "pipeline fully drained");
-    let chain = (1..=tip)
-        .map(|h| (h, node.blockstore.get(h).unwrap().hash))
-        .collect();
-    let checkpoints = (1..=tip).map(|h| node.checkpoints.local_hash(h)).collect();
-    let mut ledger = Vec::new();
-    for h in 1..=tip {
-        for r in node.ledger_records(h) {
-            ledger.push((
-                r.block,
-                r.tx_index,
-                r.global_id.short(),
-                r.user.clone(),
-                r.contract.clone(),
-                r.status.clone(),
-            ));
-        }
-    }
-    RunFingerprint {
-        chain,
-        checkpoints,
-        state: node.state_hash(),
-        ledger,
-    }
 }
 
 /// Concurrent load on the 4-node network: block boundaries are
@@ -210,7 +136,7 @@ fn pipelined_network_converges_under_concurrent_load() {
         for node in net.nodes() {
             assert!(node.divergences().is_empty(), "{flow:?}: divergence seen");
         }
-        assert_replay_matches(&net, &net.node("org1").unwrap());
+        assert_replay_matches(&net, &net.node("org1").unwrap(), KV_DDL);
         net.shutdown();
     }
 }
@@ -664,7 +590,7 @@ fn stats_driven_plans_are_identical_across_replicas_and_workers() {
     }
     // The sequential workload updates rows as well as inserting them, so
     // this replay also covers update write sets.
-    let replay = assert_replay_matches(&net, &net.node("org1").unwrap());
+    let replay = assert_replay_matches(&net, &net.node("org1").unwrap(), KV_DDL);
     assert_eq!(
         plans[0],
         plan_on(&replay),

@@ -150,9 +150,11 @@ fn submit_wait_surfaces_tx_aborted_with_reason() {
 fn wait_timeout_is_a_timeout_not_an_abort() {
     for transport in TRANSPORTS {
         let net = build(Flow::OrderThenExecute, transport);
+        common::withhold_votes(&net.nodes());
         let c = net.client("org1", "alice").unwrap();
         let pending = c.call("put").arg(1).arg(1).arg("x").submit().unwrap();
-        // A zero timeout cannot have a final status yet.
+        // A zero timeout cannot have a final status yet: the block timer
+        // holds the transaction for 50 ms.
         match pending.wait(Duration::ZERO) {
             Err(e @ Error::Timeout(_)) => assert!(!e.is_retriable()),
             other => panic!("expected Timeout, got {other:?}"),
@@ -430,6 +432,7 @@ fn duplicate_submissions_share_one_outcome() {
         let net = build_with(Flow::ExecuteOrderParallel, transport, |cfg| {
             cfg.ordering.block_timeout = Duration::from_secs(1);
         });
+        common::withhold_votes(&net.nodes());
         let node = net.node("org1").unwrap();
         let c = net.client("org1", "alice").unwrap();
         common::duplicate_submissions_share_one_outcome(&node, &c, &put);

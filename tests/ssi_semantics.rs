@@ -2,6 +2,9 @@
 //! reads (§3.4.1), stale/phantom detection for the execute-order-in-
 //! parallel flow, and write-skew prevention under both flows.
 
+#[path = "common/votes.rs"]
+mod votes;
+
 use std::time::Duration;
 
 use bcrdb::prelude::*;
@@ -162,6 +165,11 @@ fn write_skew_is_prevented() {
     // pre-state); under SSI at least one must abort.
     for flow in [Flow::OrderThenExecute, Flow::ExecuteOrderParallel] {
         let net = build(flow);
+        // The two transactions below must share a block. Nodes that vote
+        // get the first one in a block of its own, after which the two
+        // run one after the other and both commit; with the votes
+        // withheld the timer holds the block open for both.
+        votes::withhold_votes(&net.nodes());
         let alice = net.client("org1", "alice").unwrap();
         let bob = net.client("org2", "bob").unwrap();
         alice

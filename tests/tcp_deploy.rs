@@ -418,6 +418,7 @@ fn tcp_submissions_keep_their_registrations_straight() {
     let mut spec = bcrdb::core::ClusterSpec::new(&["org1"], Flow::ExecuteOrderParallel);
     spec.block_timeout = Duration::from_secs(1);
     let cluster = bcrdb::core::TcpCluster::launch(spec, None).unwrap();
+    common::withhold_votes(&cluster.nodes());
     let node = cluster.nodes().remove(0);
     let client = cluster.client("org1", "bench0").unwrap();
     common::duplicate_submissions_share_one_outcome(&node, &client, &bench_tx);
